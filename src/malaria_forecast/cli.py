@@ -11,9 +11,11 @@ rename); errors exit non-zero with a single machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,19 +47,27 @@ def log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def atomic_write(path, write_fn) -> None:
-    """Run ``write_fn(tmp_path)`` then rename over the target."""
+    """Run ``write_fn(tmp_path)`` on a new uniquely named file beside the
+    target, then rename it over the target. If anything fails, the target is
+    left as it was and the temp file is removed."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes the file private
+        write_fn(Path(tmp))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def parse_kv_file(path) -> dict[str, str]:

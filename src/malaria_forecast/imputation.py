@@ -8,9 +8,11 @@ normalized squared change of the imputed entries increases, returning the
 matrix from the previous sweep, or after ``max_iter`` sweeps.
 
 Trees are plain CART regressors: greedy variance-reduction splits with ties
-broken by lowest feature index, then lowest threshold. All randomness
-(bootstrap, feature subsampling, column processing) is owned by an explicit
-seeded generator, so runs reproduce bit-for-bit.
+broken by lowest feature index, then lowest threshold. A forest's trees grow
+together, one depth level per step, over presorted columns with each
+bootstrap held as row counts, and are stored as flat node arrays. All
+randomness (bootstrap, feature subsampling) is owned by an explicit seeded
+generator, so runs reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from .errors import ShapeError
 
 __all__ = [
     "ForestConfig",
-    "RegressionTree",
-    "RandomForest",
+    "Forest",
     "ImputationResult",
     "fit_tree",
     "forest_fit",
@@ -66,109 +67,25 @@ class ForestConfig:
         return min(n_features, math.ceil(math.sqrt(n_features)))
 
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    value: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
+@dataclass(frozen=True)
+class Forest:
+    """``n_trees`` CART trees stored as flat node arrays.
 
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
-class RegressionTree:
-    root: _Node
-    n_features: int
-    config: ForestConfig
-
-    def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ShapeError(
-                f"tree fitted on {self.n_features} features, got input shape {X.shape}"
-            )
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf():
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
-
-
-@dataclass
-class RandomForest:
-    trees: list[RegressionTree]
-    n_features: int
-    mtry: int
-    seed: int
-    config: ForestConfig
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
-
-def _best_split(X, y, feature_indices, min_leaf):
-    """Scan candidate features for the largest SSE reduction.
-
-    Features are visited in ascending index order and thresholds in ascending
-    value order with strictly-greater comparisons, which implements the tie
-    rule (lowest feature index, then lowest threshold).
+    Node ``t`` is the root of tree ``t``, and each level's nodes follow the
+    level above. A leaf has ``feature == left == right == -1`` and predicts
+    ``value``; an inner node sends a row left when ``row[feature] <= threshold``.
     """
-    n = y.shape[0]
-    total_sum = y.sum()
-    parent_sse = float(np.dot(y, y) - total_sum * total_sum / n)
-    best = None  # (reduction, feature, threshold)
-    for f in feature_indices:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        c1 = np.cumsum(ys)
-        c2 = np.cumsum(ys * ys)
-        ks = np.arange(min_leaf, n - min_leaf + 1)
-        if ks.size == 0:
-            continue
-        distinct = xs[ks - 1] < xs[ks]
-        ks = ks[distinct]
-        if ks.size == 0:
-            continue
-        left_sse = c2[ks - 1] - c1[ks - 1] ** 2 / ks
-        right_sum = total_sum - c1[ks - 1]
-        right_sse = (c2[-1] - c2[ks - 1]) - right_sum**2 / (n - ks)
-        reductions = parent_sse - left_sse - right_sse
-        j = int(np.argmax(reductions))
-        if reductions[j] > 0 and (best is None or reductions[j] > best[0]):
-            k = int(ks[j])
-            best = (float(reductions[j]), int(f), float((xs[k - 1] + xs[k]) / 2.0))
-    return best
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_trees: int
+    n_features: int
 
 
-def _grow(X, y, depth, cfg: ForestConfig, mtry: int, rng: Rng) -> _Node:
-    node = _Node(value=float(y.mean()))
-    n, p = X.shape
-    if n < 2 * cfg.min_samples_leaf:
-        return node
-    if cfg.max_depth is not None and depth >= cfg.max_depth:
-        return node
-    if np.all(y == y[0]):
-        return node
-    feats = np.sort(rng.choice(np.arange(p), size=mtry, replace=False))
-    best = _best_split(X, y, feats, cfg.min_samples_leaf)
-    if best is None:
-        return node
-    _, node.feature, node.threshold = best
-    mask = X[:, node.feature] <= node.threshold
-    node.left = _grow(X[mask], y[mask], depth + 1, cfg, mtry, rng)
-    node.right = _grow(X[~mask], y[~mask], depth + 1, cfg, mtry, rng)
-    return node
-
-
-def fit_tree(X, y, config: ForestConfig, rng: Rng) -> RegressionTree:
-    """Fit one CART regression tree with greedy variance-reduction splits."""
+def _checked_inputs(X, y, config: ForestConfig):
     config.validate()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -176,44 +93,126 @@ def fit_tree(X, y, config: ForestConfig, rng: Rng) -> RegressionTree:
         raise ValueError(f"X {X.shape} and y {y.shape} must be (n, p) and (n,)")
     if X.shape[0] < 1:
         raise ValueError("cannot fit a tree on zero rows")
-    mtry = config.resolve_mtry(X.shape[1])
-    root = _grow(X, y, 0, config, mtry, rng)
-    return RegressionTree(root=root, n_features=X.shape[1], config=config)
+    return X, y
 
 
-def forest_fit(X, y, config: ForestConfig, rng: Rng) -> RandomForest:
-    """Fit a bootstrap ensemble; per-tree child generators keep results
-    identical whether trees are grown sequentially or in parallel."""
-    config.validate()
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"X {X.shape} and y {y.shape} must be (n, p) and (n,)")
+def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: Rng) -> Forest:
+    """Grow one tree per row of the count matrix ``weights`` (trees, rows),
+    all trees together, one depth level per step.
+
+    Each in-bag (tree, row) pair is an entry weighted by its count. Every
+    feature keeps a list of the entries grouped by open node and sorted by
+    that feature inside each node, so one cumulative sum per feature scores
+    every threshold of every open node. The sums are of ``w * (y - node
+    mean)``: they stay small across node boundaries, and the parent's term
+    of the variance reduction is zero. A split needs a gain above zero and
+    ``min_samples_leaf`` weight on each side; among equal gains the lowest
+    feature, then the lowest threshold, wins. ``rng`` draws each level's
+    feature subsets, unless ``mtry`` covers every feature.
+    """
+    n, p = X.shape
+    msl = cfg.min_samples_leaf
+    mtry = cfg.resolve_mtry(p)
+    tree_of, row_of = np.nonzero(weights)
+    w = weights[tree_of, row_of].astype(np.float64)
+    ye, xe = y[row_of], X[row_of].T
+    rank = np.argsort(np.argsort(X, axis=0, kind="stable"), axis=0)
+    lists = [np.argsort(tree_of * n + rank[row_of, f]) for f in range(p)]
+    sizes = np.bincount(tree_of, minlength=weights.shape[0])  # entries per open node
+    levels = []
+    base = 0
+    while True:
+        k = sizes.size
+        starts = np.cumsum(sizes) - sizes
+        ends = starts + sizes
+        node = np.repeat(np.arange(k), sizes)  # open node at each list position
+        y0, w0 = ye[lists[0]], w[lists[0]]
+        wn = np.bincount(node, w0, k)
+        value = np.bincount(node, w0 * y0, k) / wn
+        splittable = (wn >= 2 * msl) & (
+            np.minimum.reduceat(y0, starts) < np.maximum.reduceat(y0, starts)
+        )
+        if cfg.max_depth is not None and len(levels) >= cfg.max_depth:
+            splittable[:] = False
+        picked = np.repeat(splittable[:, None], p, axis=1)
+        if mtry < p and splittable.any():
+            draws = rng.uniform(0.0, 1.0, size=(int(splittable.sum()), p))
+            picked[splittable] = np.argsort(np.argsort(draws, axis=1), axis=1) < mtry
+        same = node[:-1] == node[1:]
+        found = []
+        for f, order in enumerate(lists):
+            xs = xe[f, order]
+            wsum = np.concatenate(([0.0], np.cumsum(w[order])))
+            csum = np.concatenate(([0.0], np.cumsum(w[order] * (ye[order] - value[node]))))
+            j = np.flatnonzero(same & (xs[:-1] < xs[1:]) & picked[node[:-1], f])
+            s = node[j]
+            wl = wsum[j + 1] - wsum[starts[s]]
+            sl = csum[j + 1] - csum[starts[s]]
+            sr = csum[ends[s]] - csum[j + 1]
+            gain = sl * sl / wl + sr * sr / (wn[s] - wl)
+            ok = (wl >= msl) & (wn[s] - wl >= msl) & (gain > 0)
+            lo, hi = xs[j[ok]], xs[j[ok] + 1]
+            mid = (lo + hi) / 2.0  # rounds up to ``hi`` when the two are adjacent floats
+            found.append((s[ok], gain[ok], np.full(lo.size, f), np.where(mid < hi, mid, lo)))
+        s, gain, feat, thr = (np.concatenate(col) for col in zip(*found))
+        best = np.lexsort((thr, feat, -gain, s))
+        best = best[np.unique(s[best], return_index=True)[1]]
+        feature = np.full(k, -1)
+        threshold = np.zeros(k)
+        feature[s[best]], threshold[s[best]] = feat[best], thr[best]
+        split = feature >= 0
+        slot = np.where(split, 2 * np.cumsum(split) - 2, -1)  # left child's index in the next level
+        left = np.where(split, base + k + slot, -1)
+        levels.append((feature, threshold, left, np.where(split, left + 1, -1), value))
+        if not split.any():
+            break
+        go = feature[node]
+        for f, order in enumerate(lists):
+            dest = np.where(go >= 0, slot[node] + (xe[go, order] > threshold[node]), -1)
+            lists[f] = order[dest >= 0][np.argsort(dest[dest >= 0], kind="stable")]
+        sizes = np.bincount(dest[dest >= 0], minlength=2 * int(split.sum()))
+        base += k
+    feature, threshold, left, right, value = (np.concatenate(col) for col in zip(*levels))
+    return Forest(feature, threshold, left, right, value, weights.shape[0], p)
+
+
+def fit_tree(X, y, config: ForestConfig, rng: Rng) -> Forest:
+    """Fit one CART regression tree: a one-tree forest whose only
+    bootstrap is every row once. ``rng`` draws the feature subsets."""
+    X, y = _checked_inputs(X, y, config)
+    return _fit_levelwise(X, y, np.ones((1, X.shape[0]), dtype=np.intp), config, rng)
+
+
+def forest_fit(X, y, config: ForestConfig, rng: Rng) -> Forest:
+    """Fit a bootstrap ensemble of ``config.n_trees`` trees.
+
+    ``rng.split(n_trees)`` gives one child generator per tree, which draws
+    that tree's bootstrap rows, so the bootstraps do not depend on how the
+    trees are grown. ``rng`` itself then draws the feature subsets of every
+    level of every tree, in one call per level.
+    """
+    X, y = _checked_inputs(X, y, config)
     n = X.shape[0]
-    trees = []
-    for tree_rng in rng.split(config.n_trees):
-        idx = tree_rng.integers(0, n, size=n)
-        trees.append(fit_tree(X[idx], y[idx], config, tree_rng))
-    return RandomForest(
-        trees=trees,
-        n_features=X.shape[1],
-        mtry=config.resolve_mtry(X.shape[1]),
-        seed=rng.seed,
-        config=config,
-    )
+    trees = rng.split(config.n_trees)
+    weights = np.stack([np.bincount(t.integers(0, n, size=n), minlength=n) for t in trees])
+    return _fit_levelwise(X, y, weights, config, rng)
 
 
-def forest_predict(forest: RandomForest, X) -> np.ndarray:
-    """Mean of the member trees' predictions."""
+def forest_predict(forest: Forest, X) -> np.ndarray:
+    """Mean of the member trees' predictions; all trees walk together."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ShapeError(
             f"forest fitted on {forest.n_features} features, got input shape {X.shape}"
         )
-    acc = np.zeros(X.shape[0])
-    for tree in forest.trees:
-        acc += tree.predict(X)
-    return acc / forest.n_trees
+    rows = np.arange(X.shape[0])
+    node = np.repeat(np.arange(forest.n_trees)[:, None], X.shape[0], axis=1)
+    feature = forest.feature[node]
+    while (inner := feature >= 0).any():
+        go_left = X[rows, feature] <= forest.threshold[node]
+        node = np.where(inner, np.where(go_left, forest.left[node], forest.right[node]), node)
+        feature = forest.feature[node]
+    return forest.value[node].sum(axis=0) / forest.n_trees
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 from .core_math import MinMaxScaler, Rng
 from .data_model import MonthKey
 from .errors import DataError, DivergenceError, ShapeError
-from .windowing import WindowSpec, WindowedDataset, make_windows
+from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows
 
 __all__ = [
     "LstmParams",
@@ -514,24 +514,70 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("end\n")
 
 
-def _expect(line: str, prefix: str) -> list[str]:
-    parts = line.split()
-    if not parts or parts[0] != prefix:
-        raise DataError(f"model file: expected {prefix!r}, got {line.rstrip()!r}")
-    return parts[1:]
+class _ModelReader:
+    """Line cursor over a model file; every failure is a DataError naming
+    the file and the line."""
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                self.lines = fh.read().splitlines()
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not a UTF-8 text file") from None
+        self.line_no = 0
+
+    def error(self, message: str) -> DataError:
+        return DataError(f"{self.path}: line {self.line_no}: {message}")
+
+    def next_line(self) -> str:
+        self.line_no += 1
+        if self.line_no > len(self.lines):
+            raise self.error("unexpected end of file")
+        return self.lines[self.line_no - 1]
+
+    def fields(self, prefix: str | None, count: int) -> list[str]:
+        """The next line's fields after ``prefix`` (if given); exactly ``count``."""
+        line = self.next_line()
+        parts = line.split()
+        if prefix is not None:
+            if not parts or parts[0] != prefix:
+                raise self.error(f"expected {prefix!r}, got {line!r}")
+            parts = parts[1:]
+        if len(parts) != count:
+            raise self.error(f"expected {count} fields, got {len(parts)}")
+        return parts
+
+    def positive_int(self, prefix: str) -> int:
+        (token,) = self.fields(prefix, 1)
+        if not token.isdecimal() or int(token) < 1:
+            raise self.error(f"{prefix} must be a positive integer, got {token!r}")
+        return int(token)
+
+    def hex_floats(self, tokens: list[str]) -> list[float]:
+        try:
+            values = [float.fromhex(tok) for tok in tokens]
+        except ValueError:
+            raise self.error("malformed hex float") from None
+        if not all(map(math.isfinite, values)):
+            raise self.error("non-finite value")
+        return values
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = iter(fh.read().splitlines())
-    if next(lines, None) != MODEL_FORMAT:
-        raise DataError(f"{path}: not a {MODEL_FORMAT!r} file")
-    variant = _expect(next(lines), "variant")[0]
-    lookback = int(_expect(next(lines), "lookback")[0])
-    features = int(_expect(next(lines), "features")[0])
-    hidden = int(_expect(next(lines), "hidden")[0])
-    raw_fraction = _expect(next(lines), "train_fraction")[0]
-    fraction = None if raw_fraction == "none" else float.fromhex(raw_fraction)
+    """Read a file written by :func:`save_model`. A malformed or truncated
+    file raises DataError naming the path and line."""
+    reader = _ModelReader(path)
+    if reader.next_line() != MODEL_FORMAT:
+        raise reader.error(f"not a {MODEL_FORMAT!r} file")
+    (variant,) = reader.fields("variant", 1)
+    if variant not in VARIANTS:
+        raise reader.error(f"variant must be one of {VARIANTS}, got {variant!r}")
+    spec = WindowSpec(lookback=reader.positive_int("lookback"), variant=variant)
+    features = reader.positive_int("features")
+    hidden = reader.positive_int("hidden")
+    (raw_fraction,) = reader.fields("train_fraction", 1)
+    fraction = None if raw_fraction == "none" else reader.hex_floats([raw_fraction])[0]
 
     shapes = {}
     for gate in "ifgo":
@@ -543,31 +589,32 @@ def load_model(path) -> TrainedModel:
 
     arrays = {}
     for name, shape in shapes.items():
-        head = _expect(next(lines), "tensor")
-        if head[0] != name:
-            raise DataError(f"model file: expected tensor {name}, got {head[0]}")
-        rows, cols = int(head[1]), int(head[2])
-        data = [[float.fromhex(tok) for tok in next(lines).split()] for _ in range(rows)]
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.shape != (rows, cols):
-            raise DataError(f"model file: tensor {name} row width mismatch")
-        arrays[name] = arr.reshape(shape)
+        rows, cols = shape if len(shape) == 2 else (1, shape[0])
+        if reader.fields("tensor", 3) != [name, str(rows), str(cols)]:
+            raise reader.error(f"expected tensor {name} {rows} {cols}")
+        data = [reader.hex_floats(reader.fields(None, cols)) for _ in range(rows)]
+        arrays[name] = np.array(data).reshape(shape)
     params = LstmParams(**arrays)
 
     scalers = {}
-    for label in ("input", "target"):
-        head = _expect(next(lines), "scaler")
-        if head[0] != label:
-            raise DataError(f"model file: expected scaler {label}, got {head[0]}")
-        mins = np.asarray([float.fromhex(tok) for tok in next(lines).split()])
-        maxs = np.asarray([float.fromhex(tok) for tok in next(lines).split()])
-        scalers[label] = MinMaxScaler(mins, maxs)
-    if next(lines, None) != "end":
-        raise DataError(f"{path}: missing end marker")
+    for label, width in (("input", features), ("target", 1)):
+        if reader.fields("scaler", 2) != [label, str(width)]:
+            raise reader.error(f"expected scaler {label} {width}")
+        mins = np.array(reader.hex_floats(reader.fields(None, width)))
+        maxs = np.array(reader.hex_floats(reader.fields(None, width)))
+        try:
+            scalers[label] = MinMaxScaler(mins, maxs)
+        except ValueError as exc:
+            raise reader.error(str(exc)) from None
+    if reader.next_line() != "end":
+        raise reader.error("expected end marker")
+    if reader.line_no != len(reader.lines):
+        reader.line_no += 1
+        raise reader.error("content after end marker")
 
     return TrainedModel(
         params=params,
-        spec=WindowSpec(lookback=lookback, variant=variant),
+        spec=spec,
         input_scaler=scalers["input"],
         target_scaler=scalers["target"],
         loss_history=[],

@@ -4,6 +4,18 @@ import pytest
 from malaria_forecast.data_model import Dataset, MonthKey, MonthlyRecord
 
 
+def walk_tree(forest, t, X):
+    """Row-by-row walk of tree ``t`` of a flat-array forest."""
+    out = np.empty(X.shape[0])
+    for i, row in enumerate(X):
+        node = t
+        while forest.feature[node] >= 0:
+            go_left = row[forest.feature[node]] <= forest.threshold[node]
+            node = forest.left[node] if go_left else forest.right[node]
+        out[i] = forest.value[node]
+    return out
+
+
 def month_seq(start_year, start_month, n):
     months = [MonthKey(start_year, start_month)]
     while len(months) < n:

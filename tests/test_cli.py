@@ -150,6 +150,17 @@ class TestTrainForecastEvaluate:
         assert len(lines) == 7
         assert all(line.startswith("Gitega,univariate,") for line in lines[1:])
 
+    def test_forecast_with_truncated_model_is_one_error_line(self, tmp_path, province_csv, capsys):
+        model = tmp_path / "g.model"
+        run(["train", "--seed", 1, "--in", province_csv, "--region", "Gitega",
+             "--variant", "univariate", "--epochs", 1, "--hidden", 2, "--out-model", model])
+        model.write_text("".join(model.read_text().splitlines(keepends=True)[:20]))
+        capsys.readouterr()
+        assert run(["forecast", "--model", model, "--in", province_csv,
+                    "--region", "Gitega", "--out", tmp_path / "f.csv"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error:data: {model}: line 21: unexpected end of file"]
+
     def test_evaluate_requires_all_regions(self, tmp_path, province_csv, capsys):
         model = tmp_path / "g.model"
         run(["train", "--seed", 1, "--in", province_csv, "--region", "Gitega",
@@ -273,3 +284,36 @@ class TestKvParser:
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("# comment\n\nkey = value\n")
         assert cli.parse_kv_file(cfg) == {"key": "value"}
+
+
+class TestAtomicWrite:
+    def test_failing_writer_keeps_target_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def fail(tmp):
+            tmp.write_text("partial")
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            cli.atomic_write(target, fail)
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_temp_names_are_unique_and_modes_normal(self, tmp_path):
+        target = tmp_path / "out.txt"
+        seen = []
+
+        def write(tmp):
+            seen.append(tmp)
+            if len(seen) == 1:  # a second writer of the same target, mid-write
+                cli.atomic_write(target, write)
+            tmp.write_text(f"{len(seen)}\n")
+
+        cli.atomic_write(target, write)
+        assert seen[0] != seen[1] and seen[0].parent == tmp_path
+        assert target.read_text() == "2\n"
+        assert list(tmp_path.iterdir()) == [target]
+        reference = tmp_path / "ref.txt"
+        reference.write_text("x")
+        assert target.stat().st_mode == reference.stat().st_mode

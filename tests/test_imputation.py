@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import walk_tree
 
 from malaria_forecast.core_math import Rng
 from malaria_forecast.errors import ShapeError
@@ -39,8 +40,27 @@ class TestFitTree:
     def test_constant_target_single_leaf(self):
         X = np.arange(12.0).reshape(6, 2)
         tree = fit_tree(X, np.full(6, 3.5), ForestConfig(min_samples_leaf=1), Rng(0))
-        assert tree.root.is_leaf()
-        assert np.all(tree.predict(X) == 3.5)
+        assert tree.feature.tolist() == [-1]
+        assert np.all(forest_predict(tree, X) == 3.5)
+        # 0.1 + 0.1 + 0.1 != 0.3: the rounded node mean must not make a split.
+        tree = fit_tree(X[:3], np.full(3, 0.1), ForestConfig(min_samples_leaf=1), Rng(0))
+        assert tree.feature.tolist() == [-1]
+
+    def test_zero_gain_split_not_taken(self):
+        # The only admissible split leaves both sides with the parent's mean.
+        X = np.array([[1.0], [1.0], [2.0], [2.0]])
+        y = np.array([1.0, 2.0, 1.0, 2.0])
+        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1), Rng(0))
+        assert tree.feature.tolist() == [-1]
+
+    def test_threshold_between_adjacent_floats_keeps_upper_row_right(self):
+        # (lo + hi) / 2 rounds up to hi here; the threshold falls back to lo.
+        X = np.array([[50.0], [49.99999999999999]])
+        assert X[1, 0] == np.nextafter(50.0, 0.0) and (X[0, 0] + X[1, 0]) / 2 == 50.0
+        y = np.array([1.0, 0.0])
+        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1), Rng(0))
+        assert tree.threshold[0] == X[1, 0]
+        assert np.array_equal(forest_predict(tree, X), y)
 
     def test_separable_step_function_matches_oracle(self):
         rng = Rng(11)
@@ -49,10 +69,10 @@ class TestFitTree:
             y = (X[:, 0] > 0).astype(float)
             cfg = ForestConfig(min_samples_leaf=1, mtry=3)
             tree = fit_tree(X, y, cfg, Rng(trial))
-            assert np.array_equal(tree.predict(X), y), "training predictions must be exact"
+            assert np.array_equal(forest_predict(tree, X), y), "training predictions must be exact"
             oracle = exhaustive_best_split(X, y, 1)
-            assert tree.root.feature == oracle[1]
-            assert tree.root.threshold == pytest.approx(oracle[2], abs=1e-12)
+            assert tree.feature[0] == oracle[1]
+            assert tree.threshold[0] == pytest.approx(oracle[2], abs=1e-12)
 
     def test_random_data_split_matches_oracle(self):
         rng = Rng(23)
@@ -62,15 +82,15 @@ class TestFitTree:
             cfg = ForestConfig(min_samples_leaf=5, mtry=4, max_depth=1)
             tree = fit_tree(X, y, cfg, Rng(trial))
             oracle = exhaustive_best_split(X, y, 5)
-            assert tree.root.feature == oracle[1]
-            assert tree.root.threshold == pytest.approx(oracle[2], abs=1e-9)
+            assert tree.feature[0] == oracle[1]
+            assert tree.threshold[0] == pytest.approx(oracle[2], abs=1e-9)
 
     def test_min_samples_leaf_equal_rows_gives_mean_leaf(self):
         X = np.arange(10.0).reshape(5, 2)
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         tree = fit_tree(X, y, ForestConfig(min_samples_leaf=5), Rng(0))
-        assert tree.root.is_leaf()
-        assert tree.root.value == y.mean()
+        assert tree.feature.tolist() == [-1]
+        assert tree.value[0] == y.mean()
 
     def test_feature_tie_prefers_lowest_index(self):
         # Identical columns produce identical reductions; index 0 must win.
@@ -78,20 +98,20 @@ class TestFitTree:
         X = np.column_stack([x, x])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1, mtry=2), Rng(0))
-        assert tree.root.feature == 0
+        assert tree.feature[0] == 0
 
     def test_threshold_tie_prefers_lowest(self):
         # Splits at 1.5 and 3.5 reduce SSE equally; the lower one must win.
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([2.0, 1.0, 1.0, 2.0])
         tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1), Rng(0))
-        assert tree.root.threshold == 1.5
+        assert tree.threshold[0] == 1.5
 
     def test_max_depth_zero_forces_leaf(self):
         X = np.arange(8.0).reshape(4, 2)
         y = np.array([0.0, 1.0, 2.0, 3.0])
         tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1, max_depth=0), Rng(0))
-        assert tree.root.is_leaf()
+        assert tree.feature.tolist() == [-1]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +120,7 @@ class TestFitTree:
     def test_predict_width_checked(self):
         tree = fit_tree(np.zeros((3, 2)), np.zeros(3), ForestConfig(), Rng(0))
         with pytest.raises(ShapeError):
-            tree.predict(np.zeros((2, 3)))
+            forest_predict(tree, np.zeros((2, 3)))
 
 
 class TestForest:
@@ -109,7 +129,7 @@ class TestForest:
         X = rng.uniform(0, 1, size=(30, 3))
         y = rng.uniform(0, 1, size=30)
         forest = forest_fit(X, y, ForestConfig(n_trees=1, min_samples_leaf=2), Rng(7))
-        assert np.array_equal(forest_predict(forest, X), forest.trees[0].predict(X))
+        assert np.array_equal(forest_predict(forest, X), walk_tree(forest, 0, X))
 
     def test_constant_target(self):
         X = np.arange(20.0).reshape(10, 2)
@@ -126,7 +146,7 @@ class TestForest:
             cfg = ForestConfig(n_trees=30)
             tree = fit_tree(X, y, cfg, Rng(seed + 1000))
             forest = forest_fit(X, y, cfg, Rng(seed + 2000))
-            mse_tree = float(np.mean((tree.predict(X) - y) ** 2))
+            mse_tree = float(np.mean((forest_predict(tree, X) - y) ** 2))
             mse_forest = float(np.mean((forest_predict(forest, X) - y) ** 2))
             diffs.append(mse_forest - mse_tree)
         assert float(np.median(diffs)) <= 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import sinusoid_series
 from malaria_forecast.core_math import Rng
-from malaria_forecast.errors import DivergenceError, ShapeError
+from malaria_forecast.errors import DataError, DivergenceError, ShapeError
 from malaria_forecast.lstm import (
     AdamMoments,
     LstmState,
@@ -357,7 +357,37 @@ class TestSerialization:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a model\n")
-        from malaria_forecast.errors import DataError
-
         with pytest.raises(DataError):
+            load_model(path)
+
+    def small_model_lines(self, tmp_path):
+        train_part, _ = sinusoid_partitions()
+        path = tmp_path / "model.txt"
+        save_model(train(train_part, TrainConfig(hidden=2, epochs=1, seed=3)), path)
+        return path.read_text().splitlines(keepends=True)
+
+    def test_cut_at_every_line_boundary_names_the_line(self, tmp_path):
+        lines = self.small_model_lines(tmp_path)
+        path = tmp_path / "cut.txt"
+        for keep in range(len(lines)):
+            path.write_text("".join(lines[:keep]))
+            with pytest.raises(DataError, match=f"line {keep + 1}: unexpected end of file"):
+                load_model(path)
+
+    @pytest.mark.parametrize(
+        "line_no, replacement, message",
+        [
+            (2, "variant bogus", "line 2: variant must be one of"),
+            (3, "lookback twelve", "line 3: lookback must be a positive integer"),
+            (8, "0xZZp+0", "line 8: malformed hex float"),  # first row of tensor w_i
+            (9, "inf", "line 9: non-finite value"),
+            (48, "-0x1p+10", "line 48: scaler max must be >= min"),  # target scaler maxs
+        ],
+    )
+    def test_bad_token_names_the_line(self, tmp_path, line_no, replacement, message):
+        lines = self.small_model_lines(tmp_path)
+        lines[line_no - 1] = replacement + "\n"
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=message):
             load_model(path)
