@@ -1,8 +1,7 @@
-"""Dense numeric kernel: matmul, activations, min-max scaling, seeded RNG.
+"""Dense numeric kernel: the LSTM gate activation, min-max scaling, seeded RNG.
 
 Everything runs in 64-bit floats. Matrices are plain 2-D ``numpy`` arrays;
-the helpers here add the shape/finiteness checking the rest of the toolkit
-relies on.
+the helpers here add the shape checking the rest of the toolkit relies on.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = [
-    "matmul",
-    "sigmoid",
-    "tanh",
+    "gate_activation",
     "MinMaxScaler",
     "Rng",
     "derive_seed",
@@ -31,36 +28,17 @@ def as_matrix(data) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape and finiteness checking."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise ShapeError(f"non-finite entries in {a.shape} x {b.shape} product")
-    return out
+def gate_activation(z, scale):
+    """``scale·tanh(scale·z) + (1 − scale)`` elementwise.
 
-
-def sigmoid(x):
-    """Numerically stable logistic function; saturates instead of overflowing."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def tanh(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.tanh(x)
-    if out.ndim == 0:
-        return float(out)
+    With scale ½ this is the logistic function, since σ(z) = ½·tanh(z/2) + ½;
+    with scale 1 it is tanh. ``scale`` broadcasts against ``z``, so one call
+    activates a row of LSTM gates with the logistic and tanh blocks side by
+    side. Saturates to exactly 0/1 or ±1 without overflow.
+    """
+    out = np.tanh(np.multiply(scale, z))
+    out *= scale
+    out += 1.0 - scale
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data_model import COUNTRY_NAME, MonthKey
 from .errors import CompletenessError
-from .windowing import WindowedDataset
+from .windowing import VARIANTS, WindowedDataset
 
 __all__ = [
     "ForecastReport",
@@ -26,7 +26,6 @@ __all__ = [
     "REGION_ORDER",
     "rmse",
     "persistence_baseline",
-    "horizon_totals",
     "make_report",
     "build_comparison",
     "render_comparison_text",
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 REGION_ORDER = ["Bujumbura", "Gitega", "Burunga", "Butanyerera", "Buhumuza", COUNTRY_NAME]
-VARIANTS = ("univariate", "multivariate", "baseline")
 
 
 def region_label(region: str) -> str:
@@ -110,11 +108,6 @@ def make_report(region, model_variant, months, observed, predicted) -> ForecastR
     )
 
 
-def horizon_totals(report: ForecastReport) -> tuple[float, float]:
-    """Summed observed and predicted cases over the forecast horizon."""
-    return report.observed_total, report.predicted_total
-
-
 @dataclass
 class ComparisonTable:
     """Six rows of (region label, univariate RMSE, multivariate RMSE)."""
@@ -138,7 +131,7 @@ def build_comparison(reports: Sequence[ForecastReport]) -> ComparisonTable:
     rows = []
     for region in REGION_ORDER:
         pair = []
-        for variant in ("univariate", "multivariate"):
+        for variant in VARIANTS:
             report = indexed.get((region, variant))
             if report is None:
                 raise CompletenessError(f"missing {variant} report for region {region!r}")

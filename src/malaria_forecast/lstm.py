@@ -6,29 +6,35 @@ reverse-mode derivation through the unrolled sequence; ``gradient_check``
 verifies it against central finite differences, which only ever call the
 forward pass.
 
+The four gates share one weight matrix (layout in :class:`LstmParams`). The
+input projection ``x @ w[:, :F].T + b`` runs for every timestep at once,
+before the recurrence; each step then adds one ``h @ w[:, F:].T`` and
+applies one activation, :func:`core_math.gate_activation`, to all four
+gate blocks.
+
 The univariate and multivariate models share every routine here; they differ
 only in the feature width of their windows (1 vs 5).
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core_math import MinMaxScaler, Rng
+from .core_math import MinMaxScaler, Rng, gate_activation
 from .data_model import MonthKey
 from .errors import DataError, DivergenceError, ShapeError
 from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows
 
 __all__ = [
     "LstmParams",
-    "LstmState",
     "TrainConfig",
     "TrainedModel",
     "init_params",
-    "cell_step",
     "forward",
     "backward",
     "loss_mse",
@@ -45,38 +51,32 @@ __all__ = [
 
 @dataclass
 class LstmParams:
-    """Gate weights (input W, recurrent U, bias b per gate) and output head.
+    """Fused gate weights and the output head.
 
-    Gates: i = input, f = forget, g = cell candidate, o = output. Shapes are
-    W_* (hidden, features), U_* (hidden, hidden), b_* (hidden,); the head is
-    w_y (hidden,) with scalar bias b_y stored as shape (1,).
+    ``w`` is (4H, F+H): row blocks i, f, g, o of H rows each (input gate,
+    forget gate, cell candidate, output gate); columns are the F input
+    features, then the H recurrent inputs. ``b`` is (4H,) in the same block
+    order. The head is ``w_y`` (H,) with scalar bias ``b_y`` stored as (1,).
+    All four blocks use one activation, s·tanh(s·z) + (1 − s): with s = ½ it
+    is the logistic function (σ(z) = ½·tanh(z/2) + ½), used on i, f and o;
+    with s = 1 it is tanh, used on g.
     """
 
-    w_i: np.ndarray
-    u_i: np.ndarray
-    b_i: np.ndarray
-    w_f: np.ndarray
-    u_f: np.ndarray
-    b_f: np.ndarray
-    w_g: np.ndarray
-    u_g: np.ndarray
-    b_g: np.ndarray
-    w_o: np.ndarray
-    u_o: np.ndarray
-    b_o: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
     w_y: np.ndarray
     b_y: np.ndarray
 
+    @staticmethod
+    def shapes(features: int, hidden: int) -> dict[str, tuple[int, ...]]:
+        return {"w": (4 * hidden, features + hidden), "b": (4 * hidden,), "w_y": (hidden,), "b_y": (1,)}
+
     def __post_init__(self):
-        h, f = self.w_i.shape
-        expect = {}
-        for gate in "ifgo":
-            expect[f"w_{gate}"] = (h, f)
-            expect[f"u_{gate}"] = (h, h)
-            expect[f"b_{gate}"] = (h,)
-        expect["w_y"] = (h,)
-        expect["b_y"] = (1,)
-        for name, shape in expect.items():
+        hidden = self.w_y.shape[0] if self.w_y.ndim == 1 else 0
+        features = self.w.shape[1] - hidden if self.w.ndim == 2 else 0
+        if hidden < 1 or features < 1:
+            raise ShapeError(f"w {self.w.shape} and w_y {self.w_y.shape} are not (4H, F+H) and (H,)")
+        for name, shape in self.shapes(features, hidden).items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -85,23 +85,17 @@ class LstmParams:
 
     @property
     def hidden(self) -> int:
-        return self.w_i.shape[0]
+        return self.w_y.shape[0]
 
     @property
     def features(self) -> int:
-        return self.w_i.shape[1]
+        return self.w.shape[1] - self.hidden
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def copy(self) -> "LstmParams":
         return LstmParams(**{name: arr.copy() for name, arr in self.tensors()})
-
-
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -133,54 +127,39 @@ class TrainConfig:
 
 @dataclass
 class TrainedModel:
+    """Parameters, window spec and scalers; ``train_end`` is the month of the
+    last training target, and forecasts score only the months after it."""
+
     params: LstmParams
     spec: WindowSpec
     input_scaler: MinMaxScaler
     target_scaler: MinMaxScaler
+    train_end: MonthKey
     loss_history: list[float] = field(default_factory=list)
-    train_fraction: float | None = None
 
 
 def init_params(features: int, hidden: int, rng: Rng) -> LstmParams:
     """Uniform init in [-k, k] with k = 1/sqrt(hidden); forget bias set to +1
-    afterwards so early cell state survives long windows."""
+    afterwards so early cell state survives long windows.
+
+    Values are drawn gate by gate (i, f, g, o), each gate's input weights,
+    then its recurrent weights, then its bias; then w_y and b_y.
+    """
     k = 1.0 / math.sqrt(hidden)
-    arrays = {}
-    for gate in "ifgo":
-        arrays[f"w_{gate}"] = rng.uniform(-k, k, size=(hidden, features))
-        arrays[f"u_{gate}"] = rng.uniform(-k, k, size=(hidden, hidden))
-        arrays[f"b_{gate}"] = rng.uniform(-k, k, size=hidden)
-    arrays["w_y"] = rng.uniform(-k, k, size=hidden)
-    arrays["b_y"] = rng.uniform(-k, k, size=1)
-    arrays["b_f"] = np.ones(hidden)
-    return LstmParams(**arrays)
+    n_x, n_h = hidden * features, hidden * hidden
+    draws = rng.uniform(-k, k, size=(4, n_x + n_h + hidden))
+    w_x = draws[:, :n_x].reshape(4 * hidden, features)
+    w_h = draws[:, n_x : n_x + n_h].reshape(4 * hidden, hidden)
+    b = draws[:, n_x + n_h :].reshape(4 * hidden)
+    b[hidden : 2 * hidden] = 1.0
+    w_y = rng.uniform(-k, k, size=hidden)
+    return LstmParams(w=np.hstack([w_x, w_h]), b=b, w_y=w_y, b_y=rng.uniform(-k, k, size=1))
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def cell_step(params: LstmParams, x, state: LstmState) -> LstmState:
-    """One gate update: (h, c) -> (h', c') for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.features,):
-        raise ShapeError(f"input has shape {x.shape}, expected ({params.features},)")
-    if state.h.shape != (params.hidden,) or state.c.shape != (params.hidden,):
-        raise ShapeError(
-            f"state shapes {state.h.shape}/{state.c.shape} do not match hidden {params.hidden}"
-        )
-    i = _sigmoid(params.w_i @ x + params.u_i @ state.h + params.b_i)
-    f = _sigmoid(params.w_f @ x + params.u_f @ state.h + params.b_f)
-    g = np.tanh(params.w_g @ x + params.u_g @ state.h + params.b_g)
-    o = _sigmoid(params.w_o @ x + params.u_o @ state.h + params.b_o)
-    c = f * state.c + i * g
-    h = o * np.tanh(c)
-    return LstmState(h=h, c=c)
+def _blocks(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the i, f, g, o column blocks of an (n, 4H) gate array."""
+    h = a.shape[1] // 4
+    return a[:, :h], a[:, h : 2 * h], a[:, 2 * h : 3 * h], a[:, 3 * h :]
 
 
 @dataclass
@@ -188,11 +167,8 @@ class ForwardCache:
     """Per-step activations kept for backpropagation through time."""
 
     x: np.ndarray  # (n, L, features)
-    i: np.ndarray  # (n, L, hidden)
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
+    gates: np.ndarray  # (n, L, 4 * hidden): activated i, f, g, o blocks
+    c: np.ndarray  # (n, L, hidden)
     tanh_c: np.ndarray
     h: np.ndarray
     params_id: int
@@ -221,29 +197,24 @@ def forward(params: LstmParams, window):
         raise ShapeError(f"window has {feat} features, params expect {params.features}")
     hdim = params.hidden
     shape = (n, length, hdim)
-    cache = ForwardCache(
-        x=x,
-        i=np.empty(shape),
-        f=np.empty(shape),
-        g=np.empty(shape),
-        o=np.empty(shape),
-        c=np.empty(shape),
-        tanh_c=np.empty(shape),
-        h=np.empty(shape),
-        params_id=id(params),
-    )
+    # Contiguous copies of the two column blocks keep both GEMMs on BLAS.
+    w_x = np.ascontiguousarray(params.w[:, :feat].T)
+    w_h = np.ascontiguousarray(params.w[:, feat:].T)
+    # Input projection for every step at once; each step's activated gates
+    # then overwrite its slice.
+    gates = x.reshape(n * length, feat) @ w_x
+    gates += params.b
+    gates = gates.reshape(n, length, 4 * hdim)
+    cache = ForwardCache(x, gates, np.empty(shape), np.empty(shape), np.empty(shape), id(params))
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hdim)  # logistic on i, f, o; tanh on g
     h = np.zeros((n, hdim))
     c = np.zeros((n, hdim))
     for t in range(length):
-        xt = x[:, t, :]
-        i = _sigmoid(xt @ params.w_i.T + h @ params.u_i.T + params.b_i)
-        f = _sigmoid(xt @ params.w_f.T + h @ params.u_f.T + params.b_f)
-        g = np.tanh(xt @ params.w_g.T + h @ params.u_g.T + params.b_g)
-        o = _sigmoid(xt @ params.w_o.T + h @ params.u_o.T + params.b_o)
+        gates[:, t] = gate_activation(gates[:, t] + h @ w_h, scale)
+        i, f, g, o = _blocks(gates[:, t])
         c = f * c + i * g
         tanh_c = np.tanh(c)
         h = o * tanh_c
-        cache.i[:, t], cache.f[:, t], cache.g[:, t], cache.o[:, t] = i, f, g, o
         cache.c[:, t], cache.tanh_c[:, t], cache.h[:, t] = c, tanh_c, h
     preds = h @ params.w_y + params.b_y[0]
     return (float(preds[0]) if single else preds), cache
@@ -268,37 +239,42 @@ def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> dict[str
     if cache.params_id != id(params):
         raise ValueError("cache was produced by a different parameter set")
     d_pred = np.atleast_1d(np.asarray(d_predictions, dtype=np.float64))
-    n, length, _ = cache.x.shape
+    n, length, feat = cache.x.shape
     if d_pred.shape != (n,):
         raise ShapeError(f"d_predictions has shape {d_pred.shape}, expected ({n},)")
+    hdim = params.hidden
+    w_h = params.w[:, feat:]
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
-    grads["w_y"] = cache.h[:, -1].T @ d_pred
-    grads["b_y"] = np.array([d_pred.sum()])
-
+    # dz holds dLoss/d(pre-activation) of all four blocks at every step.
+    dz = np.empty((n, length, 4 * hdim))
     dh = np.outer(d_pred, params.w_y)
     dc = np.zeros_like(dh)
     for t in range(length - 1, -1, -1):
-        i, f, g, o = cache.i[:, t], cache.f[:, t], cache.g[:, t], cache.o[:, t]
+        i, f, g, o = _blocks(cache.gates[:, t])
+        dz_i, dz_f, dz_g, dz_o = _blocks(dz[:, t])
         tanh_c = cache.tanh_c[:, t]
         c_prev = cache.c[:, t - 1] if t > 0 else np.zeros_like(dc)
-        h_prev = cache.h[:, t - 1] if t > 0 else np.zeros_like(dh)
-        xt = cache.x[:, t, :]
 
-        dz_o = dh * tanh_c * o * (1.0 - o)
+        dz_o[:] = dh * tanh_c * o * (1.0 - o)
         dc = dc + dh * o * (1.0 - tanh_c**2)
-        dz_f = dc * c_prev * f * (1.0 - f)
-        dz_i = dc * g * i * (1.0 - i)
-        dz_g = dc * i * (1.0 - g**2)
+        dz_f[:] = dc * c_prev * f * (1.0 - f)
+        dz_i[:] = dc * g * i * (1.0 - i)
+        dz_g[:] = dc * i * (1.0 - g**2)
 
-        for gate, dz in (("i", dz_i), ("f", dz_f), ("g", dz_g), ("o", dz_o)):
-            grads[f"w_{gate}"] += dz.T @ xt
-            grads[f"u_{gate}"] += dz.T @ h_prev
-            grads[f"b_{gate}"] += dz.sum(axis=0)
-
-        dh = dz_i @ params.u_i + dz_f @ params.u_f + dz_g @ params.u_g + dz_o @ params.u_o
+        dh = dz[:, t] @ w_h
         dc = dc * f
-    return grads
+
+    # Each step's gate input is [x_t | h_{t-1}], with h_{-1} = 0.
+    xh = np.zeros((n, length, feat + hdim))
+    xh[:, :, :feat] = cache.x
+    xh[:, 1:, feat:] = cache.h[:, :-1]
+    dz_flat = dz.reshape(n * length, 4 * hdim)
+    return {
+        "w": dz_flat.T @ xh.reshape(n * length, feat + hdim),
+        "b": dz_flat.sum(axis=0),
+        "w_y": cache.h[:, -1].T @ d_pred,
+        "b_y": np.array([d_pred.sum()]),
+    }
 
 
 @dataclass
@@ -392,8 +368,8 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
         spec=windows.spec,
         input_scaler=windows.input_scaler,
         target_scaler=windows.target_scaler,
+        train_end=windows.months[-1],
         loss_history=history,
-        train_fraction=windows.train_fraction,
     )
 
 
@@ -410,22 +386,20 @@ def predict(model: TrainedModel, windows) -> np.ndarray:
 def forecast_test_horizon(
     model: TrainedModel, series, recursive: bool = False
 ) -> tuple[list[MonthKey], np.ndarray, np.ndarray]:
-    """One-step-ahead forecasts over the held-out tail of a series.
+    """One-step-ahead forecasts for every month after the model's training.
 
-    Rebuilds windows with the model's spec, locates the test partition from
-    the stored train fraction, scales with the model's own scalers, and
+    Rebuilds windows with the model's spec, keeps those whose target month
+    comes after ``model.train_end``, scales with the model's own scalers, and
     returns (months, observed, predicted) in case counts. With
-    ``recursive=True`` the case feature of each test window is replaced by
+    ``recursive=True`` the case feature of each horizon window is replaced by
     the model's earlier predictions, so forecasts no longer consume observed
     cases beyond the training boundary.
     """
-    if model.train_fraction is None:
-        raise ValueError("model carries no train fraction; cannot locate the test horizon")
     w = make_windows(series, model.spec)
-    split = math.floor(model.train_fraction * w.samples)
-    if split < 1 or split >= w.samples:
+    split = next((k for k, month in enumerate(w.months) if month > model.train_end), w.samples)
+    if split == w.samples:
         raise DataError(
-            f"series yields {w.samples} windows; fraction {model.train_fraction} leaves no test horizon"
+            f"series ends at {w.months[-1]}, not after the model's last training month {model.train_end}"
         )
     months = w.months[split:]
     observed = w.targets[split:]
@@ -483,35 +457,38 @@ def gradient_check(
     return errors
 
 
-MODEL_FORMAT = "malaria-forecast model 1"
+MODEL_FORMAT = "malaria-forecast model 2"
+_MONTH = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 
-def _write_floats(fh, values: np.ndarray):
-    fh.write(" ".join(float.hex(float(v)) for v in values))
-    fh.write("\n")
+def _floats_line(values: np.ndarray) -> str:
+    return " ".join(float.hex(float(v)) for v in values) + "\n"
 
 
 def save_model(model: TrainedModel, path) -> None:
     """Serialize to a flat versioned text format; floats are stored as C99
-    hex literals so the round trip is bit-exact."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{MODEL_FORMAT}\n")
-        fh.write(f"variant {model.spec.variant}\n")
-        fh.write(f"lookback {model.spec.lookback}\n")
-        fh.write(f"features {model.params.features}\n")
-        fh.write(f"hidden {model.params.hidden}\n")
-        fraction = "none" if model.train_fraction is None else float.hex(model.train_fraction)
-        fh.write(f"train_fraction {fraction}\n")
-        for name, arr in model.params.tensors():
-            mat = arr.reshape(arr.shape[0], -1) if arr.ndim == 2 else arr.reshape(1, -1)
-            fh.write(f"tensor {name} {mat.shape[0]} {mat.shape[1]}\n")
-            for row in mat:
-                _write_floats(fh, row)
-        for label, scaler in (("input", model.input_scaler), ("target", model.target_scaler)):
-            fh.write(f"scaler {label} {scaler.width}\n")
-            _write_floats(fh, scaler.mins)
-            _write_floats(fh, scaler.maxs)
-        fh.write("end\n")
+    hex literals so the round trip is bit-exact. A ``sha256`` line before
+    ``end`` holds the digest of every byte above it."""
+    lines = [
+        f"{MODEL_FORMAT}\n",
+        f"variant {model.spec.variant}\n",
+        f"lookback {model.spec.lookback}\n",
+        f"features {model.params.features}\n",
+        f"hidden {model.params.hidden}\n",
+        f"train_end {model.train_end}\n",
+    ]
+    for name, arr in model.params.tensors():
+        mat = arr if arr.ndim == 2 else arr.reshape(1, -1)
+        lines.append(f"tensor {name} {mat.shape[0]} {mat.shape[1]}\n")
+        lines.extend(_floats_line(row) for row in mat)
+    for label, scaler in (("input", model.input_scaler), ("target", model.target_scaler)):
+        lines.append(f"scaler {label} {scaler.width}\n")
+        lines.append(_floats_line(scaler.mins))
+        lines.append(_floats_line(scaler.maxs))
+    body = "".join(lines).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(body)
+        fh.write(f"sha256 {hashlib.sha256(body).hexdigest()}\nend\n".encode("utf-8"))
 
 
 class _ModelReader:
@@ -520,11 +497,13 @@ class _ModelReader:
 
     def __init__(self, path):
         self.path = path
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                self.lines = fh.read().splitlines()
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not a UTF-8 text file") from None
+        with open(path, "rb") as fh:
+            try:
+                text = fh.read().decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: not a UTF-8 text file") from None
+        self.raw_lines = text.splitlines(keepends=True)
+        self.lines = text.splitlines()
         self.line_no = 0
 
     def error(self, message: str) -> DataError:
@@ -554,6 +533,13 @@ class _ModelReader:
             raise self.error(f"{prefix} must be a positive integer, got {token!r}")
         return int(token)
 
+    def month(self, prefix: str) -> MonthKey:
+        (token,) = self.fields(prefix, 1)
+        match = _MONTH.fullmatch(token)
+        if match is None or not 1 <= int(match[2]) <= 12:
+            raise self.error(f"{prefix} must be a YYYY-MM month, got {token!r}")
+        return MonthKey(int(match[1]), int(match[2]))
+
     def hex_floats(self, tokens: list[str]) -> list[float]:
         try:
             values = [float.fromhex(tok) for tok in tokens]
@@ -563,12 +549,23 @@ class _ModelReader:
             raise self.error("non-finite value")
         return values
 
+    def checksum(self) -> None:
+        """Check the ``sha256`` line against the bytes above it."""
+        (digest,) = self.fields("sha256", 1)
+        body = "".join(self.raw_lines[: self.line_no - 1]).encode("utf-8")
+        if digest != hashlib.sha256(body).hexdigest():
+            raise self.error("checksum mismatch")
+
 
 def load_model(path) -> TrainedModel:
-    """Read a file written by :func:`save_model`. A malformed or truncated
-    file raises DataError naming the path and line."""
+    """Read a file written by :func:`save_model`. A malformed, truncated or
+    altered file, or one in a retired format, raises DataError naming the
+    path and line."""
     reader = _ModelReader(path)
-    if reader.next_line() != MODEL_FORMAT:
+    header = reader.next_line()
+    if header == "malaria-forecast model 1":
+        raise reader.error("model format 1 is no longer read; retrain the model")
+    if header != MODEL_FORMAT:
         raise reader.error(f"not a {MODEL_FORMAT!r} file")
     (variant,) = reader.fields("variant", 1)
     if variant not in VARIANTS:
@@ -576,19 +573,10 @@ def load_model(path) -> TrainedModel:
     spec = WindowSpec(lookback=reader.positive_int("lookback"), variant=variant)
     features = reader.positive_int("features")
     hidden = reader.positive_int("hidden")
-    (raw_fraction,) = reader.fields("train_fraction", 1)
-    fraction = None if raw_fraction == "none" else reader.hex_floats([raw_fraction])[0]
-
-    shapes = {}
-    for gate in "ifgo":
-        shapes[f"w_{gate}"] = (hidden, features)
-        shapes[f"u_{gate}"] = (hidden, hidden)
-        shapes[f"b_{gate}"] = (hidden,)
-    shapes["w_y"] = (hidden,)
-    shapes["b_y"] = (1,)
+    train_end = reader.month("train_end")
 
     arrays = {}
-    for name, shape in shapes.items():
+    for name, shape in LstmParams.shapes(features, hidden).items():
         rows, cols = shape if len(shape) == 2 else (1, shape[0])
         if reader.fields("tensor", 3) != [name, str(rows), str(cols)]:
             raise reader.error(f"expected tensor {name} {rows} {cols}")
@@ -606,6 +594,7 @@ def load_model(path) -> TrainedModel:
             scalers[label] = MinMaxScaler(mins, maxs)
         except ValueError as exc:
             raise reader.error(str(exc)) from None
+    reader.checksum()
     if reader.next_line() != "end":
         raise reader.error("expected end marker")
     if reader.line_no != len(reader.lines):
@@ -617,6 +606,5 @@ def load_model(path) -> TrainedModel:
         spec=spec,
         input_scaler=scalers["input"],
         target_scaler=scalers["target"],
-        loss_history=[],
-        train_fraction=fraction,
+        train_end=train_end,
     )

@@ -127,7 +127,9 @@ class TestTrainForecastEvaluate:
 
         loaded = load_model(model)
         assert loaded.spec.variant == "univariate"
-        assert loaded.train_fraction == 0.8
+        # 40 months, lookback 12 -> 28 samples; the first 22 train, so the
+        # last training target is month 12 + 22.
+        assert loaded.train_end == ingest_csv(province_csv).months()[12 + 22 - 1]
         lines = losses.read_text().splitlines()
         assert lines[0] == "epoch,loss"
         assert len(lines) == 6
@@ -160,6 +162,29 @@ class TestTrainForecastEvaluate:
                     "--region", "Gitega", "--out", tmp_path / "f.csv"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error:data: {model}: line 21: unexpected end of file"]
+
+    @pytest.mark.parametrize("corruption", ["altered weight", "format 1"])
+    def test_forecast_with_altered_model_is_one_error_line(
+        self, tmp_path, province_csv, capsys, corruption
+    ):
+        model = tmp_path / "g.model"
+        run(["train", "--seed", 1, "--in", province_csv, "--region", "Gitega",
+             "--variant", "univariate", "--epochs", 1, "--hidden", 2, "--out-model", model])
+        text = model.read_text()
+        if corruption == "format 1":
+            text = text.replace("malaria-forecast model 2", "malaria-forecast model 1", 1)
+            expected = "line 1: model format 1 is no longer read"
+        else:
+            row = text.splitlines()[7]  # first row of tensor w
+            text = text.replace(row, row.replace("p", "1p", 1), 1)  # one more hex digit
+            expected = "line 28: checksum mismatch"
+        model.write_text(text)
+        capsys.readouterr()
+        assert run(["forecast", "--model", model, "--in", province_csv,
+                    "--region", "Gitega", "--out", tmp_path / "f.csv"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error:data: {model}: {expected}")
 
     def test_evaluate_requires_all_regions(self, tmp_path, province_csv, capsys):
         model = tmp_path / "g.model"

@@ -1,70 +1,53 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from malaria_forecast.core_math import MinMaxScaler, Rng, derive_seed, matmul, sigmoid, tanh
+from malaria_forecast.core_math import MinMaxScaler, Rng, derive_seed, gate_activation
 from malaria_forecast.errors import ShapeError
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_arithmetic(self):
-        out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_zero_annihilates(self):
-        z = np.zeros((2, 3))
-        b = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(matmul(z, b), np.zeros((2, 4)))
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 1)))
-
-    def test_associativity_on_random_chains(self):
-        rng = Rng(7)
-        for _ in range(25):
-            a = rng.uniform(-5, 5, size=(4, 3))
-            b = rng.uniform(-5, 5, size=(3, 5))
-            c = rng.uniform(-5, 5, size=(5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
+LOGISTIC, TANH = 0.5, 1.0  # gate_activation scales
 
 
 class TestActivations:
     def test_sigmoid_zero(self):
-        assert sigmoid(0.0) == 0.5
+        assert gate_activation(0.0, LOGISTIC) == 0.5
 
     def test_tanh_zero(self):
-        assert tanh(0.0) == 0.0
+        assert gate_activation(0.0, TANH) == 0.0
 
     def test_sigmoid_log3(self):
-        assert sigmoid(math.log(3.0)) == pytest.approx(0.75, abs=1e-12)
+        assert gate_activation(math.log(3.0), LOGISTIC) == pytest.approx(0.75, abs=1e-12)
 
     def test_sigmoid_symmetry(self):
         xs = np.linspace(-50.0, 50.0, 2001)
-        assert np.all(np.abs(sigmoid(xs) + sigmoid(-xs) - 1.0) < 1e-12)
+        s = gate_activation(xs, LOGISTIC)
+        assert np.all(np.abs(s + gate_activation(-xs, LOGISTIC) - 1.0) < 1e-12)
 
     def test_saturation_without_overflow(self):
-        assert sigmoid(1000.0) == 1.0
-        assert sigmoid(-1000.0) == 0.0
-        assert tanh(1000.0) == 1.0
+        # One LSTM gate row: logistic i/f/o blocks around a tanh g block.
+        scale = np.array([LOGISTIC, LOGISTIC, TANH, LOGISTIC])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            high = gate_activation(np.full(4, 1000.0), scale)
+            low = gate_activation(np.full(4, -1000.0), scale)
+        assert high.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert low.tolist() == [0.0, 0.0, -1.0, 0.0]
+
+    def test_fused_row_matches_logistic_and_tanh(self):
+        z = np.linspace(-40.0, 40.0, 8001)
+        scale = np.where(np.arange(z.size) % 4 == 2, TANH, LOGISTIC)
+        out = gate_activation(z, scale)
+        expected = np.where(scale == TANH, np.tanh(z), 1.0 / (1.0 + np.exp(-z)))
+        assert np.max(np.abs(out - expected)) <= 1e-15
 
     def test_ranges(self):
         # Strict bounds hold until float64 saturation (tanh hits 1.0 near |x|=19).
         xs = np.linspace(-18, 18, 101)
-        s = sigmoid(xs)
-        t = tanh(xs)
+        s = gate_activation(xs, LOGISTIC)
+        t = gate_activation(xs, TANH)
         assert np.all((s > 0) & (s < 1))
         assert np.all((t > -1) & (t < 1))
 

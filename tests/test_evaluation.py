@@ -12,7 +12,6 @@ from malaria_forecast.evaluation import (
     ForecastReport,
     build_comparison,
     emit_curves,
-    horizon_totals,
     make_report,
     persistence_baseline,
     read_curves,
@@ -112,14 +111,13 @@ def full_report_set():
 class TestReports:
     def test_totals_match_sums(self):
         report = region_report("Gitega", "univariate")
-        obs_total, pred_total = horizon_totals(report)
-        assert obs_total == pytest.approx(float(np.sum(report.observed)))
-        assert pred_total == pytest.approx(float(np.sum(report.predicted)))
+        assert report.observed_total == pytest.approx(float(np.sum(report.observed)))
+        assert report.predicted_total == pytest.approx(float(np.sum(report.predicted)))
 
     def test_zero_prediction_total(self):
         months = month_seq(2021, 1, 3)
-        report = make_report("Gitega", "baseline", months, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
-        assert horizon_totals(report) == (6.0, 0.0)
+        report = make_report("Gitega", "univariate", months, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+        assert (report.observed_total, report.predicted_total) == (6.0, 0.0)
 
     def test_invariants_enforced(self):
         months = month_seq(2021, 1, 2)
@@ -134,8 +132,9 @@ class TestReports:
                 observed_total=99.0,  # wrong on purpose
                 predicted_total=3.0,
             )
-        with pytest.raises(ValueError):
-            make_report("Gitega", "novel-variant", months, [1.0, 2.0], [1.0, 2.0])
+        for variant in ("novel-variant", "baseline"):
+            with pytest.raises(ValueError):
+                make_report("Gitega", variant, months, [1.0, 2.0], [1.0, 2.0])
 
 
 class TestComparison:

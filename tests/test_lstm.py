@@ -8,11 +8,10 @@ from malaria_forecast.core_math import Rng
 from malaria_forecast.errors import DataError, DivergenceError, ShapeError
 from malaria_forecast.lstm import (
     AdamMoments,
-    LstmState,
+    LstmParams,
     TrainConfig,
     adam_step,
     backward,
-    cell_step,
     clip_gradients,
     forecast_test_horizon,
     forward,
@@ -34,55 +33,78 @@ def zero_params(features=3, hidden=4):
     return params
 
 
+def blocks(hidden):
+    """Row slices of the i, f, g, o gate blocks in ``w`` and ``b``."""
+    return [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
+
+
 def gate_forced_params(features=3, hidden=4, seed=1):
     """Zero weights; forget gate wide open, input/output gates shut."""
     params = init_params(features, hidden, Rng(seed))
     for name, arr in params.tensors():
         if name != "b_y":
             arr[:] = 0.0
-    params.b_f[:] = 20.0
-    params.b_i[:] = -20.0
-    params.b_o[:] = -20.0
+    i, f, _, o = blocks(hidden)
+    params.b[f] = 20.0
+    params.b[i] = -20.0
+    params.b[o] = -20.0
     return params
 
 
 class TestCellStep:
+    """One step of the cell, as a length-1 window through ``forward``."""
+
     def test_zero_params_zero_state(self):
         # Gates sit at 0.5 and the candidate at tanh(0)=0 for any input.
         params = zero_params()
         for x in (np.zeros(3), np.array([0.3, -1.0, 2.0])):
-            out = cell_step(params, x, LstmState(h=np.zeros(4), c=np.zeros(4)))
-            assert np.all(out.h == 0.0)
-            assert np.all(out.c == 0.0)
+            pred, cache = forward(params, x[None, :])
+            assert np.all(cache.h == 0.0)
+            assert np.all(cache.c == 0.0)
+            assert pred == 0.0
 
     def test_scalar_cell_state_carry(self):
-        # Hand computation: f=sigma(20)~1, i=sigma(-20)~0, o=sigma(20)~1,
-        # candidate tanh(0)=0, so c' ~ 0.5 and h' ~ tanh(0.5) = 0.46212.
+        # Hand computation for one step from zero state: i=sigma(40-20)~1,
+        # candidate g=tanh(atanh 0.5)=0.5, o=sigma(20)~1, so c' ~ 0.5 and
+        # h' ~ tanh(0.5) = 0.46212. A second step with x=0 shuts the input
+        # gate, and the open forget gate (sigma(20)) carries c' through.
         params = zero_params(features=1, hidden=1)
-        params.b_f[:] = 20.0
-        params.b_i[:] = -20.0
-        params.b_o[:] = 20.0
-        out = cell_step(params, np.array([0.7]), LstmState(h=np.zeros(1), c=np.array([0.5])))
-        assert out.c[0] == pytest.approx(0.5, abs=1e-8)
-        assert out.h[0] == pytest.approx(0.4621, abs=1e-4)
-        assert out.h[0] == pytest.approx(math.tanh(0.5), abs=1e-8)
+        i, f, g, o = blocks(1)
+        params.w[i, 0] = 40.0
+        params.b[i] = -20.0
+        params.b[f] = 20.0
+        params.b[g] = math.atanh(0.5)
+        params.b[o] = 20.0
+        _, cache = forward(params, np.array([[1.0]]))
+        assert cache.c[0, 0, 0] == pytest.approx(0.5, abs=1e-8)
+        assert cache.h[0, 0, 0] == pytest.approx(0.4621, abs=1e-4)
+        assert cache.h[0, 0, 0] == pytest.approx(math.tanh(0.5), abs=1e-8)
+        _, cache = forward(params, np.array([[1.0], [0.0]]))
+        assert cache.c[0, 1, 0] == pytest.approx(0.5, abs=1e-8)
+        assert cache.h[0, 1, 0] == pytest.approx(math.tanh(0.5), abs=1e-8)
 
     def test_purity(self):
         params = init_params(2, 3, Rng(5))
-        x = np.array([0.3, -0.2])
-        state = LstmState(h=np.full(3, 0.1), c=np.full(3, -0.4))
-        a = cell_step(params, x, state)
-        b = cell_step(params, x, state)
-        assert np.array_equal(a.h, b.h)
-        assert np.array_equal(a.c, b.c)
-        assert np.array_equal(state.h, np.full(3, 0.1)), "input state must not mutate"
+        before = params.copy()
+        x = np.array([[0.3, -0.2]])
+        a, cache_a = forward(params, x)
+        b, cache_b = forward(params, x)
+        assert a == b
+        assert np.array_equal(cache_a.h, cache_b.h)
+        assert np.array_equal(cache_a.c, cache_b.c)
+        assert np.array_equal(x, np.array([[0.3, -0.2]])), "input window must not mutate"
+        for (_, new), (_, old) in zip(params.tensors(), before.tensors()):
+            assert np.array_equal(new, old), "params must not mutate"
 
     def test_shape_mismatch(self):
         params = init_params(2, 3, Rng(0))
         with pytest.raises(ShapeError):
-            cell_step(params, np.zeros(5), LstmState(h=np.zeros(3), c=np.zeros(3)))
+            forward(params, np.zeros((1, 5)))
         with pytest.raises(ShapeError):
-            cell_step(params, np.zeros(2), LstmState(h=np.zeros(4), c=np.zeros(4)))
+            forward(params, np.zeros(2))
+        other = init_params(2, 4, Rng(0))
+        with pytest.raises(ShapeError):
+            LstmParams(w=params.w, b=params.b, w_y=other.w_y, b_y=params.b_y)
 
 
 class TestForward:
@@ -93,10 +115,15 @@ class TestForward:
         assert pred == 0.37
 
     def test_length_one_equals_cell_step_plus_head(self):
+        # The gate equations written out per block, from zero state; the
+        # forget gate multiplies the zero initial cell state.
         params = init_params(3, 4, Rng(2))
         x = Rng(3).uniform(-1, 1, size=3)
-        state = cell_step(params, x, LstmState(h=np.zeros(4), c=np.zeros(4)))
-        expected = float(state.h @ params.w_y + params.b_y[0])
+        z = params.w[:, :3] @ x + params.b
+        i, _, g, o = (z[rows] for rows in blocks(4))
+        c = 1.0 / (1.0 + np.exp(-i)) * np.tanh(g)
+        h = 1.0 / (1.0 + np.exp(-o)) * np.tanh(c)
+        expected = float(h @ params.w_y + params.b_y[0])
         pred, _ = forward(params, x[None, :])
         assert pred == pytest.approx(expected, abs=1e-15)
 
@@ -214,8 +241,8 @@ class TestAdam:
         cfg = TrainConfig(hidden=3)
         grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
         adam_step(params, grads, moments, 5, cfg)
-        assert np.all(moments.m["w_i"] == cfg.beta1)
-        assert np.all(moments.v["w_i"] == cfg.beta2)
+        assert np.all(moments.m["w"] == cfg.beta1)
+        assert np.all(moments.v["w"] == cfg.beta2)
 
     def test_clipping_scales_to_threshold(self):
         grads = {"a": np.full(4, 10.0), "b": np.full(2, -10.0)}
@@ -273,7 +300,7 @@ class TestTrain:
 
     def test_variants_share_structure(self):
         # Same code path for both variants; parameter shapes differ only in
-        # the input-weight feature dimension (1 vs 5).
+        # the input columns of the gate matrix (1 vs 5, then 4 recurrent).
         uni_model = train(sinusoid_partitions()[0], TrainConfig(hidden=4, epochs=1, seed=0))
         from malaria_forecast.synthgen import SynthConfig, generate
 
@@ -282,9 +309,9 @@ class TestTrain:
         multi_part, _ = split_train_test(w, 0.8)
         multi_model = train(multi_part, TrainConfig(hidden=4, epochs=1, seed=0))
         for (name, a), (_, b) in zip(uni_model.params.tensors(), multi_model.params.tensors()):
-            if name.startswith("w_") and name != "w_y":
-                assert a.shape == (4, 1)
-                assert b.shape == (4, 5)
+            if name == "w":
+                assert a.shape == (16, 1 + 4)
+                assert b.shape == (16, 5 + 4)
             else:
                 assert a.shape == b.shape
 
@@ -329,6 +356,20 @@ class TestForecastHorizon:
         assert np.all(np.isfinite(recursive))
         assert len(recursive) == len(one_step)
 
+    def test_never_scores_training_months(self):
+        # 100 months from 2000-01 with lookback 12 give 88 windows; the first
+        # 70 train, so the last training target is month 82 (2006-10). On
+        # the first 80 months a re-derived 0.8 split would score 2005-07 ..
+        # 2006-08, all of them training months.
+        series = sinusoid_series(n=100)
+        train_part, _ = split_train_test(make_windows(series, WindowSpec(12, "univariate")), 0.8)
+        model = train(train_part, TrainConfig(hidden=2, epochs=0, seed=1))
+        assert str(model.train_end) == "2006-10"
+        with pytest.raises(DataError, match="after the model's last training month 2006-10"):
+            forecast_test_horizon(model, series[:80])
+        months, _, _ = forecast_test_horizon(model, series[:90])
+        assert [str(m) for m in months] == [str(r.month) for r in series[82:90]]
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -340,7 +381,7 @@ class TestSerialization:
         for (name, a), (_, b) in zip(model.params.tensors(), loaded.params.tensors()):
             assert np.array_equal(a, b), name
         assert loaded.spec == model.spec
-        assert loaded.train_fraction == model.train_fraction
+        assert loaded.train_end == model.train_end == train_part.months[-1]
         assert np.array_equal(loaded.input_scaler.mins, model.input_scaler.mins)
         assert np.array_equal(loaded.input_scaler.maxs, model.input_scaler.maxs)
         assert np.array_equal(loaded.target_scaler.mins, model.target_scaler.mins)
@@ -368,6 +409,9 @@ class TestSerialization:
 
     def test_cut_at_every_line_boundary_names_the_line(self, tmp_path):
         lines = self.small_model_lines(tmp_path)
+        # 6 header lines, tensors w (1 + 8 rows), b, w_y and b_y (1 + 1
+        # each), two scalers (1 + 2 each), sha256, end.
+        assert len(lines) == 29
         path = tmp_path / "cut.txt"
         for keep in range(len(lines)):
             path.write_text("".join(lines[:keep]))
@@ -379,15 +423,40 @@ class TestSerialization:
         [
             (2, "variant bogus", "line 2: variant must be one of"),
             (3, "lookback twelve", "line 3: lookback must be a positive integer"),
-            (8, "0xZZp+0", "line 8: malformed hex float"),  # first row of tensor w_i
+            (6, "train_end 2018-13", "line 6: train_end must be a YYYY-MM month"),
+            (8, "0xZZp+0", "line 8: malformed hex float"),  # first row of tensor w
             (9, "inf", "line 9: non-finite value"),
-            (48, "-0x1p+10", "line 48: scaler max must be >= min"),  # target scaler maxs
+            (27, "-0x1p+10", "line 27: scaler max must be >= min"),  # target scaler maxs
+            (28, "sha256 0", "line 28: checksum mismatch"),
         ],
     )
     def test_bad_token_names_the_line(self, tmp_path, line_no, replacement, message):
+        # The replacement takes the place of the line's leading tokens; the
+        # rest of the line stays as written.
         lines = self.small_model_lines(tmp_path)
-        lines[line_no - 1] = replacement + "\n"
+        old = lines[line_no - 1].split()
+        new = replacement.split()
+        lines[line_no - 1] = " ".join(new + old[len(new):]) + "\n"
         path = tmp_path / "bad.txt"
         path.write_text("".join(lines))
         with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    def test_flipped_hex_digit_fails_the_checksum(self, tmp_path):
+        lines = self.small_model_lines(tmp_path)
+        token = lines[7].split()[0]  # first weight of tensor w
+        mantissa_end = token.index("p") - 1
+        flipped = "%x" % ((int(token[mantissa_end], 16) + 1) % 16)
+        lines[7] = lines[7].replace(token, token[:mantissa_end] + flipped + token[mantissa_end + 1 :], 1)
+        path = tmp_path / "flipped.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match="line 28: checksum mismatch"):
+            load_model(path)
+
+    def test_format_1_is_refused(self, tmp_path):
+        lines = self.small_model_lines(tmp_path)
+        lines[0] = "malaria-forecast model 1\n"
+        path = tmp_path / "v1.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match="line 1: model format 1 is no longer read; retrain"):
             load_model(path)
