@@ -7,6 +7,14 @@ multivariate LSTM forecasters, and report RMSE tables, horizon totals, and
 forecast curves.
 """
 
+import os
+
+# Every GEMM here is a few MFLOP at most: a BLAS thread pool only costs
+# start-up time, and with N worker processes it would run N x BLAS threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .core_math import MinMaxScaler, Rng, derive_seed

@@ -4,8 +4,10 @@ Subcommands cover each pipeline stage (synth, impute, aggregate, train,
 forecast, evaluate) plus ``pipeline``, which chains them end to end. Every
 command takes the global seed and derives its own stage seed from it, so a
 full pipeline run and the equivalent sequence of individual commands produce
-byte-identical artifacts. Outputs are written atomically (temp file +
-rename); errors exit non-zero with a single machine-parsable line on stderr.
+byte-identical artifacts. Independent units (the province imputations, and
+each model's training and forecast) run on a process pool, which changes no
+output byte. Outputs are written atomically (temp file + rename); errors
+exit non-zero with a single machine-parsable line on stderr.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
+import itertools
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import data_model, evaluation, imputation, lstm, synthgen, windowing
+from . import data_model, evaluation, imputation, lstm, parallel, synthgen, windowing
 from .core_math import Rng, derive_seed
 from .errors import (
     CompletenessError,
@@ -353,13 +357,40 @@ def run_evaluate(forecast_paths, out_dir) -> None:
         )
 
 
+def run_model(cfg: PipelineConfig, out: Path, region: str, variant: str) -> Path:
+    """Train one (region, variant) model of the pipeline and forecast its
+    test horizon; returns the forecast path. One job of the pipeline's pool."""
+    source = out / ("country.csv" if region == data_model.COUNTRY_NAME else "aggregated.csv")
+    stem = f"{region}_{variant}"
+    train_cfg = _train_config(cfg.values, derive_seed(cfg["seed"], f"train:{region}:{variant}"))
+    run_train(
+        source,
+        region,
+        variant,
+        cfg["window.lookback"],
+        cfg["window.train_fraction"],
+        train_cfg,
+        out / "models" / f"{stem}.model",
+        out / "losses" / f"{stem}.csv",
+    )
+    forecast_path = out / "forecasts" / f"{stem}.csv"
+    run_forecast(
+        out / "models" / f"{stem}.model",
+        source,
+        forecast_path,
+        region=region,
+        recursive=cfg["forecast.recursive"],
+    )
+    return forecast_path
+
+
 def run_pipeline(cfg: PipelineConfig) -> None:
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     for sub in ("models", "losses", "forecasts"):
         (out / sub).mkdir(exist_ok=True)
     atomic_write_text(out / "run_config.txt", cfg.to_text())
-    log(f"pipeline: seed={cfg['seed']} out={out}")
+    log(f"pipeline: seed={cfg['seed']} out={out} workers={parallel.usable_cpus()}")
 
     if cfg["input_csv"]:
         masked_path = Path(cfg["input_csv"])
@@ -402,33 +433,8 @@ def run_pipeline(cfg: PipelineConfig) -> None:
     )
     run_aggregate(out / "aggregated.csv", out / "country.csv", "country")
 
-    forecast_paths = []
-    for region in evaluation.REGION_ORDER:
-        source = out / ("country.csv" if region == data_model.COUNTRY_NAME else "aggregated.csv")
-        for variant in ("univariate", "multivariate"):
-            stem = f"{region}_{variant}"
-            train_cfg = _train_config(
-                cfg.values, derive_seed(cfg["seed"], f"train:{region}:{variant}")
-            )
-            run_train(
-                source,
-                region,
-                variant,
-                cfg["window.lookback"],
-                cfg["window.train_fraction"],
-                train_cfg,
-                out / "models" / f"{stem}.model",
-                out / "losses" / f"{stem}.csv",
-            )
-            forecast_path = out / "forecasts" / f"{stem}.csv"
-            run_forecast(
-                out / "models" / f"{stem}.model",
-                source,
-                forecast_path,
-                region=region,
-                recursive=cfg["forecast.recursive"],
-            )
-            forecast_paths.append(forecast_path)
+    stems = itertools.product(evaluation.REGION_ORDER, windowing.VARIANTS)
+    forecast_paths = parallel.pmap(functools.partial(run_model, cfg, out), *zip(*stems))
     run_evaluate(forecast_paths, out)
 
 

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .core_math import Rng
 from .data_model import Dataset, MonthlyRecord
 from .errors import ShapeError
+from .parallel import pmap
 
 __all__ = [
     "ForestConfig",
@@ -328,18 +330,20 @@ def impute_dataset(
     """Impute climate fields province by province.
 
     Each province gets its own matrix of (temp, rainfall, humidity, month
-    sin/cos) and its own child generator, so provinces are independent and
-    the whole pass is deterministic. Population and cases are never touched.
+    sin/cos) and its own child generator, so provinces are independent, run
+    on a process pool (:func:`parallel.pmap`), and the whole pass is
+    deterministic. Population and cases are never touched.
     """
     rng = rng or Rng(0)
     provinces = dataset.provinces
-    child_rngs = rng.split(len(provinces))
+    matrices = [_province_matrix(dataset.series[p]) for p in provinces]
+    imputed = pmap(
+        missforest_impute, matrices, repeat(config), rng.split(len(provinces)), repeat(max_iter)
+    )
     series: dict[str, list[MonthlyRecord]] = {}
     results: dict[str, ImputationResult] = {}
-    for province, child in zip(provinces, child_rngs):
+    for province, result in zip(provinces, imputed):
         records = dataset.series[province]
-        matrix = _province_matrix(records)
-        result = missforest_impute(matrix, config, child, max_iter)
         results[province] = result
         filled = []
         for i, rec in enumerate(records):

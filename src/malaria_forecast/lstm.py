@@ -264,14 +264,15 @@ def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> dict[str
         dh = dz[:, t] @ w_h
         dc = dc * f
 
-    # Each step's gate input is [x_t | h_{t-1}], with h_{-1} = 0.
+    # Each step's gate input is [x_t | h_{t-1}], with h_{-1} = 0. dw sums one
+    # GEMM per step (inner dimension n): OpenBLAS rounds a single GEMM over
+    # all n * L rows differently for different thread counts.
     xh = np.zeros((n, length, feat + hdim))
     xh[:, :, :feat] = cache.x
     xh[:, 1:, feat:] = cache.h[:, :-1]
-    dz_flat = dz.reshape(n * length, 4 * hdim)
     return {
-        "w": dz_flat.T @ xh.reshape(n * length, feat + hdim),
-        "b": dz_flat.sum(axis=0),
+        "w": np.matmul(dz.transpose(1, 2, 0), xh.transpose(1, 0, 2)).sum(axis=0),
+        "b": dz.reshape(n * length, 4 * hdim).sum(axis=0),
         "w_y": cache.h[:, -1].T @ d_pred,
         "b_y": np.array([d_pred.sum()]),
     }
@@ -393,7 +394,8 @@ def forecast_test_horizon(
     returns (months, observed, predicted) in case counts. With
     ``recursive=True`` the case feature of each horizon window is replaced by
     the model's earlier predictions, so forecasts no longer consume observed
-    cases beyond the training boundary.
+    cases beyond the training boundary; the horizon must then start at the
+    month after ``model.train_end``, or a DataError is raised.
     """
     w = make_windows(series, model.spec)
     split = next((k for k, month in enumerate(w.months) if month > model.train_end), w.samples)
@@ -406,6 +408,11 @@ def forecast_test_horizon(
     if not recursive:
         scaled = model.input_scaler.transform(w.inputs[split:])
         return months, observed, predict(model, scaled)
+    if months[0] != model.train_end.next():
+        raise DataError(
+            f"recursive forecasts must start at {model.train_end.next()}, the month after "
+            f"training, but the series' first horizon month is {months[0]}"
+        )
 
     lookback = model.spec.lookback
     predicted = np.empty(len(months))

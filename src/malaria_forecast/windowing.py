@@ -51,7 +51,7 @@ class WindowedDataset:
     next-month case count per sample; ``months`` holds each target's month.
     Fresh output of :func:`make_windows` is unscaled with no scalers; the
     partitions returned by :func:`split_train_test` are scaled and carry the
-    train-fitted scalers plus the split bookkeeping.
+    train-fitted scalers.
     """
 
     spec: WindowSpec
@@ -60,8 +60,6 @@ class WindowedDataset:
     months: list[MonthKey]
     input_scaler: MinMaxScaler | None = None
     target_scaler: MinMaxScaler | None = None
-    split_index: int | None = None
-    train_fraction: float | None = None
 
     @property
     def samples(self) -> int:
@@ -129,8 +127,6 @@ def split_train_test(
             months=windows.months[lo:hi],
             input_scaler=input_scaler,
             target_scaler=target_scaler,
-            split_index=split,
-            train_fraction=train_fraction,
         )
 
     return _partition(0, split), _partition(split, n)

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,14 @@ def walk_tree(forest, t, X):
             node = forest.left[node] if go_left else forest.right[node]
         out[i] = forest.value[node]
     return out
+
+
+def assert_no_children():
+    """Every child process has exited and been reaped. ``waitpid`` comes
+    first, because ``active_children`` reaps the exited ones it knows."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
 
 
 def month_seq(start_year, start_month, n):

@@ -2,8 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from malaria_forecast import cli
+from conftest import assert_no_children
+from malaria_forecast import cli, parallel
 from malaria_forecast.data_model import COUNTRY_NAME, ingest_csv
+from malaria_forecast.errors import DataError
 from malaria_forecast.evaluation import REGION_ORDER
 
 SMALL_PIPELINE = [
@@ -242,6 +244,34 @@ class TestPipeline:
         run(["evaluate", "--out-dir", manual] + forecasts)
 
         assert snapshot(pipe_out) == snapshot(manual)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch, workers):
+        argv = ["pipeline", "--seed", 21] + SMALL_PIPELINE
+        assert run(argv + ["--out_dir", tmp_path / "default"]) == 0
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+        assert run(argv + ["--out_dir", tmp_path / "pinned"]) == 0
+        assert snapshot(tmp_path / "default") == snapshot(tmp_path / "pinned")
+
+    def test_no_worker_outlives_the_pipeline(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        argv = ["pipeline", "--seed", 5] + SMALL_PIPELINE
+        assert run(argv + ["--out_dir", tmp_path / "ok"]) == 0
+        assert_no_children()
+
+        train = cli.run_train
+
+        def failing_train(in_path, region, *args):
+            if region == "Gitega":
+                raise DataError("no data for Gitega")
+            train(in_path, region, *args)
+
+        # Workers are forked, so they run the patched stage.
+        monkeypatch.setattr(cli, "run_train", failing_train)
+        capsys.readouterr()
+        assert run(argv + ["--out_dir", tmp_path / "failed"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error:data: no data for Gitega"
+        assert_no_children()
 
     def test_env_var_supplies_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

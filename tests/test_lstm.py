@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import malaria_forecast
 from conftest import sinusoid_series
 from malaria_forecast.core_math import Rng
 from malaria_forecast.errors import DataError, DivergenceError, ShapeError
@@ -195,6 +200,30 @@ class TestBackward:
         with pytest.raises(ValueError, match="different parameter"):
             backward(other, cache, np.array([1.0]))
 
+    def test_gradient_bytes_do_not_depend_on_blas_threads(self):
+        # n * L = 1,032 rows: one GEMM over all of them rounds differently
+        # under 1 and 2 OpenBLAS threads; dw must not.
+        script = (
+            "import hashlib\n"
+            "from malaria_forecast.core_math import Rng\n"
+            "from malaria_forecast.lstm import backward, forward, init_params\n"
+            "rng = Rng(3)\n"
+            "params = init_params(5, 32, rng)\n"
+            "preds, cache = forward(params, rng.uniform(0, 1, size=(86, 12, 5)))\n"
+            "grads = backward(params, cache, (preds - rng.uniform(0, 1, size=86)) / 43)\n"
+            "print(hashlib.sha256(b''.join(g.tobytes() for g in grads.values())).hexdigest())\n"
+        )
+        src = str(Path(malaria_forecast.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
+
     def test_gradient_check_small_nets(self):
         worst = 0.0
         for seed in range(3):
@@ -369,6 +398,20 @@ class TestForecastHorizon:
             forecast_test_horizon(model, series[:80])
         months, _, _ = forecast_test_horizon(model, series[:90])
         assert [str(m) for m in months] == [str(r.month) for r in series[82:90]]
+
+    def test_recursive_refuses_a_horizon_after_a_gap(self):
+        # Trained to 2006-10; a series from 2007-01 would feed the observed
+        # cases of 2007-01..2007-12 into the first recursive windows.
+        series = sinusoid_series(n=100)
+        train_part, _ = split_train_test(make_windows(series, WindowSpec(12, "univariate")), 0.8)
+        model = train(train_part, TrainConfig(hidden=2, epochs=0, seed=1))
+        late = series[84:]
+        assert str(late[0].month) == "2007-01"
+        with pytest.raises(DataError, match="must start at 2006-11"):
+            forecast_test_horizon(model, late, recursive=True)
+        assert len(forecast_test_horizon(model, late)[0]) == 4
+        months, _, _ = forecast_test_horizon(model, series[70:], recursive=True)
+        assert str(months[0]) == "2006-11"
 
 
 class TestSerialization:

@@ -1,0 +1,74 @@
+import os
+import time
+
+import pytest
+
+from conftest import assert_no_children
+from malaria_forecast import parallel
+from malaria_forecast.errors import DataError
+
+
+def slow_square(i, delay):
+    time.sleep(delay)
+    return i * i, os.getpid()
+
+
+def failing_job(i, marker_dir, failing, delay):
+    """Leave a marker, then fail if ``i`` is in ``failing`` (after ``delay``
+    for every item but the last failing one)."""
+    (marker_dir / str(i)).touch()
+    if i != max(failing):
+        time.sleep(delay)
+    if i in failing:
+        raise DataError(f"item {i} failed")
+    return i
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    def set_cpus(n):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
+
+    return set_cpus
+
+
+def test_usable_cpus_is_positive():
+    assert parallel.usable_cpus() >= 1
+
+
+def test_results_in_item_order(cpus):
+    cpus(3)
+    # Early items sleep longest, so they finish last.
+    out = parallel.pmap(slow_square, range(6), [0.3, 0.25, 0.2, 0.0, 0.0, 0.0])
+    assert [value for value, _ in out] == [0, 1, 4, 9, 16, 25]
+    assert os.getpid() not in {pid for _, pid in out}
+    assert_no_children()
+
+
+def test_one_worker_is_a_plain_loop(cpus):
+    cpus(1)
+    out = parallel.pmap(slow_square, range(4), [0.0] * 4)
+    assert out == [(i * i, os.getpid()) for i in range(4)]
+    assert_no_children()
+
+
+def test_empty_input():
+    assert parallel.pmap(slow_square, [], []) == []
+
+
+def test_failure_stops_the_queue(cpus, tmp_path):
+    # Two workers: items 0 and 1 run, then 2 and 3; item 3 fails at once,
+    # while 2 is still running, so 4 and 5 are never handed out.
+    cpus(2)
+    with pytest.raises(DataError, match="item 3 failed"):
+        parallel.pmap(failing_job, range(6), [tmp_path] * 6, [{3}] * 6, [0.4] * 6)
+    assert sorted(int(p.name) for p in tmp_path.iterdir()) == [0, 1, 2, 3]
+    assert_no_children()
+
+
+def test_lowest_failing_item_is_raised(cpus, tmp_path):
+    # Item 3 fails first in time, item 1 later; the plain loop would stop at 1.
+    cpus(4)
+    with pytest.raises(DataError, match="item 1 failed"):
+        parallel.pmap(failing_job, range(4), [tmp_path] * 4, [{1, 3}] * 4, [0.3] * 4)
+    assert_no_children()

@@ -115,6 +115,6 @@ class TestSplit:
     def test_partitions_carry_bookkeeping(self):
         w = make_windows(make_series("A", 30), WindowSpec(6, "univariate"))
         train, test = split_train_test(w, 0.75)
-        assert train.split_index == test.split_index == 18
-        assert train.train_fraction == 0.75
+        assert (train.samples, test.samples) == (18, 6)
+        assert test.months[0] == w.months[18] == train.months[-1].next()
         assert train.input_scaler is test.input_scaler
