@@ -22,10 +22,8 @@ from .data_model import (
     BURUNDI_REDISTRICTING,
     Dataset,
     MonthKey,
-    MonthlyRecord,
     RedistrictingMap,
     aggregate_provinces,
-    expand_population,
     ingest_csv,
     to_country_level,
     write_csv,
@@ -44,10 +42,8 @@ __all__ = [
     "BURUNDI_REDISTRICTING",
     "Dataset",
     "MonthKey",
-    "MonthlyRecord",
     "RedistrictingMap",
     "aggregate_provinces",
-    "expand_population",
     "ingest_csv",
     "to_country_level",
     "write_csv",

@@ -252,10 +252,8 @@ def run_train(
         f"epochs={train_cfg.epochs}"
     )
     dataset = data_model.ingest_csv(in_path)
-    if region not in dataset.series:
-        raise DataError(f"region {region!r} not in dataset (has {dataset.provinces})")
     spec = windowing.WindowSpec(lookback=lookback, variant=variant)
-    windows = windowing.make_windows(dataset.series[region], spec)
+    windows = windowing.make_windows(dataset, region, spec)
     train_part, _ = windowing.split_train_test(windows, train_fraction)
     model = lstm.train(train_part, train_cfg)
     atomic_write(model_path, lambda p: lstm.save_model(model, p))
@@ -278,11 +276,9 @@ def run_forecast(model_path, in_path, out_path, region=None, recursive=False) ->
                 f"input has provinces {dataset.provinces}; pass --region to pick one"
             )
         region = dataset.provinces[0]
-    if region not in dataset.series:
-        raise DataError(f"region {region!r} not in dataset (has {dataset.provinces})")
     log(f"forecast: region={region} variant={model.spec.variant} recursive={recursive}")
     months, observed, predicted = lstm.forecast_test_horizon(
-        model, dataset.series[region], recursive=recursive
+        model, dataset, region, recursive=recursive
     )
 
     def _write(p):
@@ -307,6 +303,8 @@ def _read_forecast_csv(path):
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 6:
                 raise DataError(f"{path} line {line_no}: expected 6 cells, got {len(row)}")
+            if row[0] not in evaluation.REGION_ORDER or row[1] not in windowing.VARIANTS:
+                raise DataError(f"{path} line {line_no}: unknown region or variant {row[:2]!r}")
             try:
                 key = (row[0], row[1])
                 month = data_model.MonthKey(int(row[2]), int(row[3]))

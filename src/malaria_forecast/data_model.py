@@ -1,9 +1,28 @@
-"""Monthly province records, CSV ingestion, and administrative aggregation.
+"""Province-month series as arrays, CSV ingestion, and administrative aggregation.
+
+A :class:`Dataset` holds P provinces, sorted by name, over T consecutive
+months from ``start``:
+
+- ``climate`` (P, T, 3) float64: temp_mean, rainfall and rel_humidity, with
+  NaN for a missing cell (only climate may be missing);
+- ``population`` and ``cases`` (P, T) int64.
+
+The constructor is the one place that checks values, and the arrays are
+read-only afterwards. :func:`ingest_csv` parses straight into the arrays and
+:func:`write_csv` writes them back byte for byte (``repr`` floats, an empty
+cell for NaN).
 
 Burundi's 18 former provinces were regrouped into 5 (Bujumbura, Gitega,
-Buhumuza, Butanyerera, Burunga). Aggregation combines member series with the
-arithmetic mean for climate fields and the sum for population and malaria
-cases; the same rules collapse the 5 provinces into one country-level series.
+Buhumuza, Butanyerera, Burunga). Aggregation sums the population and case
+rows of each group's members and averages their climate rows; the same rules
+collapse the 5 provinces into one country-level series. The member rows are
+added in sorted order, one after the other (``x[idx].sum(axis=0)``, then
+``/ len(idx)`` for climate), so the float result depends only on the numpy
+build. A membership-matrix product would leave the order to BLAS, and
+Python's built-in ``sum`` compensates its rounding from Python 3.12 on
+(Neumaier), which would make the means depend on the Python version.
+Every count is at most 2**53, so it is exact as a float64 in the windows,
+and the int64 sums of up to 1,024 members are exact too.
 """
 
 from __future__ import annotations
@@ -11,13 +30,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
 
 from .errors import CoverageError, DataError
 
 __all__ = [
     "MonthKey",
-    "MonthlyRecord",
     "RedistrictingMap",
     "Dataset",
     "BURUNDI_REDISTRICTING",
@@ -27,23 +47,15 @@ __all__ = [
     "ingest_csv",
     "write_csv",
     "read_map_csv",
-    "expand_population",
     "aggregate_provinces",
     "to_country_level",
 ]
 
 COUNTRY_NAME = "Burundi"
+CLIMATE_FIELDS = ("temp_mean", "rainfall", "rel_humidity")
+MAX_COUNT = 2**53
 
-CSV_HEADER = [
-    "province",
-    "year",
-    "month",
-    "temp_mean",
-    "rainfall",
-    "rel_humidity",
-    "population",
-    "cases",
-]
+CSV_HEADER = ["province", "year", "month", *CLIMATE_FIELDS, "population", "cases"]
 # Alternative ingest layout: raw min/max temperatures instead of the mean.
 CSV_HEADER_MINMAX = [
     "province",
@@ -78,44 +90,13 @@ class MonthKey:
         return f"{self.year:04d}-{self.month:02d}"
 
 
-def _check_climate(name: str, value, lo=None, hi=None):
-    if value is None:
-        return None
-    value = float(value)
-    if not math.isfinite(value):
-        raise DataError(f"{name} must be finite, got {value}")
-    if lo is not None and value < lo or hi is not None and value > hi:
-        raise DataError(f"{name} out of range [{lo}, {hi}]: {value}")
-    return value
+def _ordinal(month: MonthKey) -> int:
+    return 12 * month.year + month.month - 1
 
 
-@dataclass(frozen=True)
-class MonthlyRecord:
-    """One province-month observation. Only climate fields may be missing."""
-
-    province: str
-    month: MonthKey
-    temp_mean: float | None
-    rainfall: float | None
-    rel_humidity: float | None
-    population: int
-    cases: int
-
-    def __post_init__(self):
-        if not self.province:
-            raise DataError("province name must be non-empty")
-        object.__setattr__(self, "temp_mean", _check_climate("temp_mean", self.temp_mean))
-        object.__setattr__(self, "rainfall", _check_climate("rainfall", self.rainfall))
-        object.__setattr__(
-            self, "rel_humidity", _check_climate("rel_humidity", self.rel_humidity, 0.0, 100.0)
-        )
-        if self.population <= 0:
-            raise DataError(f"population must be > 0, got {self.population}")
-        if self.cases < 0:
-            raise DataError(f"cases must be >= 0, got {self.cases}")
-
-    def has_missing_climate(self) -> bool:
-        return self.temp_mean is None or self.rainfall is None or self.rel_humidity is None
+def _month(ordinal: int) -> MonthKey:
+    year, month = divmod(ordinal, 12)
+    return MonthKey(year, month + 1)
 
 
 # The five new provinces and their former members.
@@ -156,182 +137,227 @@ BURUNDI_REDISTRICTING = RedistrictingMap(
 )
 
 
+def _violations(climate, population, cases):
+    """Yield ``(bad cells (P, T), values (P, T), rule)`` for each value rule."""
+    for k, name in enumerate(CLIMATE_FIELDS):
+        yield np.isinf(climate[..., k]), climate[..., k], f"{name} must be finite"
+    humidity = climate[..., 2]
+    yield (humidity < 0.0) | (humidity > 100.0), humidity, "rel_humidity out of range [0, 100]"
+    for name, counts, rule, bad in (
+        ("population", population, "> 0", population <= 0),
+        ("cases", cases, ">= 0", cases < 0),
+    ):
+        yield bad, counts, f"{name} must be {rule}"
+        yield counts > MAX_COUNT, counts, f"{name} must be <= 2**53"
+
+
 class Dataset:
-    """Chronologically sorted province series sharing one month range.
+    """Province series sharing one month axis, as arrays (see the module
+    docstring for the layout). A province's row is its index in
+    ``provinces``; month ``t`` is ``t`` months after ``start``."""
 
-    ``scheme`` records which administrative level the series are on:
-    ``old`` (pre-reform), ``new`` (five provinces), or ``country``.
-    """
-
-    def __init__(self, scheme: str, series: Mapping[str, Sequence[MonthlyRecord]]):
-        if scheme not in ("old", "new", "country"):
-            raise DataError(f"unknown scheme {scheme!r}")
-        if not series:
+    def __init__(self, provinces, start: MonthKey, climate, population, cases):
+        self.provinces = list(provinces)
+        self.start = start
+        self.climate = np.array(climate, dtype=np.float64)
+        self.population = np.array(population)
+        self.cases = np.array(cases)
+        if not self.provinces:
             raise DataError("dataset must contain at least one province")
-        self.scheme = scheme
-        self.series = {name: list(records) for name, records in series.items()}
-        self._validate()
-
-    def _validate(self):
-        ranges = set()
-        for name, records in self.series.items():
-            if not records:
-                raise DataError(f"province {name} has no records")
-            for rec in records:
-                if rec.province != name:
-                    raise DataError(
-                        f"record for {rec.province!r} filed under {name!r}"
-                    )
-            for prev, cur in zip(records, records[1:]):
-                if cur.month <= prev.month:
-                    raise DataError(
-                        f"months not strictly increasing for {name} at {cur.month}"
-                    )
-                if cur.month != prev.month.next():
-                    raise DataError(
-                        f"month gap for province {name} between {prev.month} and {cur.month}"
-                    )
-            ranges.add((records[0].month, records[-1].month))
-        if len(ranges) > 1:
-            raise DataError(f"provinces cover different month ranges: {sorted(ranges)}")
-
-    @property
-    def provinces(self) -> list[str]:
-        return sorted(self.series)
+        if not all(self.provinces):
+            raise DataError("province names must be non-empty")
+        if any(a >= b for a, b in zip(self.provinces, self.provinces[1:])):
+            raise DataError(f"provinces must be sorted and unique, got {self.provinces}")
+        shape = (len(self.provinces), self.climate.shape[1] if self.climate.ndim == 3 else 0)
+        if self.climate.shape != (*shape, 3) or shape[1] == 0:
+            raise DataError(
+                f"climate must have shape {(*shape, 3)} with months > 0, got {self.climate.shape}"
+            )
+        for name in ("population", "cases"):
+            counts = getattr(self, name)
+            if counts.shape != shape or counts.dtype != np.int64:
+                raise DataError(
+                    f"{name} must be int64 of shape {shape}, got {counts.dtype} {counts.shape}"
+                )
+        for bad, values, rule in _violations(self.climate, self.population, self.cases):
+            if bad.any():
+                p, t = np.argwhere(bad)[0]
+                raise DataError(
+                    f"{self.provinces[p]} {self.months()[t]}: {rule}, got {values[p, t]}"
+                )
+        for array in (self.climate, self.population, self.cases):
+            array.flags.writeable = False
 
     def months(self) -> list[MonthKey]:
-        first = next(iter(self.series.values()))
-        return [rec.month for rec in first]
+        first = _ordinal(self.start)
+        return [_month(first + t) for t in range(self.cases.shape[1])]
 
-    def month_range(self) -> tuple[MonthKey, MonthKey]:
-        months = self.months()
-        return months[0], months[-1]
+    def row(self, province: str) -> int:
+        """Index of ``province``; DataError when the dataset does not have it."""
+        try:
+            return self.provinces.index(province)
+        except ValueError:
+            raise DataError(
+                f"region {province!r} not in dataset (has {self.provinces})"
+            ) from None
 
     def has_missing_climate(self) -> bool:
-        return any(
-            rec.has_missing_climate() for records in self.series.values() for rec in records
-        )
-
-
-def _infer_scheme(provinces: Iterable[str]) -> str:
-    names = set(provinces)
-    if names == set(NEW_PROVINCES):
-        return "new"
-    if names == {COUNTRY_NAME}:
-        return "country"
-    return "old"
+        return bool(np.isnan(self.climate).any())
 
 
 def _parse_cell(raw: str, kind: str, column: str, line_no: int):
+    """An int, or a finite float where an empty climate cell gives NaN."""
     raw = raw.strip()
     if raw == "":
         if kind == "climate":
-            return None
+            return math.nan
         raise DataError(f"line {line_no}: empty {column} cell")
     try:
-        if kind == "int":
-            return int(raw)
-        return float(raw)
+        value = int(raw) if kind == "int" else float(raw)
     except ValueError:
         raise DataError(f"line {line_no}: malformed {column} cell {raw!r}") from None
+    if kind == "int" and not -(2**63) <= value < 2**63:
+        raise DataError(f"line {line_no}: {column} {raw} does not fit in 64 bits")
+    if kind == "climate" and not math.isfinite(value):
+        raise DataError(f"line {line_no}: {column} must be finite, got {raw!r}")
+    return value
 
 
-def ingest_csv(source, known_provinces: Iterable[str] | None = None, scheme: str | None = None) -> Dataset:
+def _parse_row(row: list[str], line_no: int, minmax: bool) -> tuple[str, int, tuple]:
+    """(province, month ordinal, (line, climate triple, population, cases))."""
+    width = len(CSV_HEADER_MINMAX if minmax else CSV_HEADER)
+    if len(row) != width:
+        raise DataError(f"line {line_no}: expected {width} cells, got {len(row)}")
+    province = row[0].strip()
+    if not province:
+        raise DataError(f"line {line_no}: empty province cell")
+    year = _parse_cell(row[1], "int", "year", line_no)
+    month = _parse_cell(row[2], "int", "month", line_no)
+    if minmax:
+        tmin = _parse_cell(row[3], "climate", "temp_min", line_no)
+        tmax = _parse_cell(row[4], "climate", "temp_max", line_no)
+        if math.isnan(tmin) != math.isnan(tmax):
+            raise DataError(
+                f"line {line_no}: temp_min and temp_max must be both present or both empty"
+            )
+        temp = (tmin + tmax) / 2.0
+        rest = row[5:]
+    else:
+        temp = _parse_cell(row[3], "climate", "temp_mean", line_no)
+        rest = row[4:]
+    climate = (
+        temp,
+        _parse_cell(rest[0], "climate", "rainfall", line_no),
+        _parse_cell(rest[1], "climate", "rel_humidity", line_no),
+    )
+    population = _parse_cell(rest[2], "int", "population", line_no)
+    cases = _parse_cell(rest[3], "int", "cases", line_no)
+    try:
+        ordinal = _ordinal(MonthKey(year, month))
+    except DataError as exc:
+        raise DataError(f"line {line_no}: {exc}") from None
+    return province, ordinal, (line_no, climate, population, cases)
+
+
+def ingest_csv(source) -> Dataset:
     """Read a monthly dataset CSV from a path or an open text stream.
 
     Accepts either the ``temp_mean`` header or the ``temp_min,temp_max``
-    variant (the two are averaged). Empty climate cells become missing
-    values. Errors carry the offending 1-based file line number.
+    variant (the two are averaged). Rows may come in any order. Empty climate
+    cells become missing values; ``nan`` and ``inf`` are refused. Each
+    province needs one row per month, without gaps, over the same month range
+    as every other. Errors carry the offending 1-based file line number.
     """
     if hasattr(source, "read"):
-        return _ingest_rows(source, source, known_provinces, scheme)
+        return _to_dataset(_read_rows(source, source))
     with open(source, "r", encoding="utf-8", newline="") as fh:
-        return _ingest_rows(fh, source, known_provinces, scheme)
+        rows = _read_rows(fh, source)
+    return _to_dataset(rows)
 
 
-def _ingest_rows(fh, path, known_provinces, scheme) -> Dataset:
-    known = set(known_provinces) if known_provinces is not None else None
+def _read_rows(fh, path) -> dict[str, dict[int, tuple]]:
+    """province -> month ordinal -> (line, climate triple, population, cases)."""
     reader = csv.reader(fh)
+    rows: dict[str, dict[int, tuple]] = {}
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
-    if header == CSV_HEADER:
-        minmax = False
-    elif header == CSV_HEADER_MINMAX:
-        minmax = True
-    else:
-        raise DataError(f"{path}: unrecognized header {header!r}")
-
-    series: dict[str, list[MonthlyRecord]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-        province = row[0].strip()
-        if not province:
-            raise DataError(f"line {line_no}: empty province cell")
-        if known is not None and province not in known:
-            raise DataError(f"line {line_no}: unknown province {province!r}")
-        year = _parse_cell(row[1], "int", "year", line_no)
-        month = _parse_cell(row[2], "int", "month", line_no)
-        if minmax:
-            tmin = _parse_cell(row[3], "climate", "temp_min", line_no)
-            tmax = _parse_cell(row[4], "climate", "temp_max", line_no)
-            if (tmin is None) != (tmax is None):
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        if header not in (CSV_HEADER, CSV_HEADER_MINMAX):
+            raise DataError(f"{path}: unrecognized header {header!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            province, ordinal, cell = _parse_row(row, line_no, header == CSV_HEADER_MINMAX)
+            cells = rows.setdefault(province, {})
+            if ordinal in cells:
                 raise DataError(
-                    f"line {line_no}: temp_min and temp_max must be both present or both empty"
+                    f"line {line_no}: duplicate row for {province} {_month(ordinal)} "
+                    f"(first on line {cells[ordinal][0]})"
                 )
-            temp = None if tmin is None else (tmin + tmax) / 2.0
-            rest = row[5:]
-        else:
-            temp = _parse_cell(row[3], "climate", "temp_mean", line_no)
-            rest = row[4:]
-        rainfall = _parse_cell(rest[0], "climate", "rainfall", line_no)
-        humidity = _parse_cell(rest[1], "climate", "rel_humidity", line_no)
-        population = _parse_cell(rest[2], "int", "population", line_no)
-        cases = _parse_cell(rest[3], "int", "cases", line_no)
-        try:
-            month_key = MonthKey(year, month)
-            record = MonthlyRecord(
-                province, month_key, temp, rainfall, humidity, population, cases
-            )
-        except DataError as exc:
-            raise DataError(f"line {line_no}: {exc}") from None
-        series.setdefault(province, []).append(record)
-
-    if not series:
+            cells[ordinal] = cell
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead, so the bad byte is somewhere after this line.
+        raise DataError(f"{path}: not UTF-8 after line {reader.line_num}: {exc.reason}") from None
+    if not rows:
         raise DataError(f"{path}: no data rows")
-    for records in series.values():
-        records.sort(key=lambda r: r.month)
-    return Dataset(scheme or _infer_scheme(series), series)
+    return rows
 
 
-def _fmt_climate(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _to_dataset(rows: dict[str, dict[int, tuple]]) -> Dataset:
+    """Check the month axes, then build the arrays; errors name the line."""
+    provinces = sorted(rows)
+    series = [sorted(rows[p].items()) for p in provinces]
+    for province, cells in zip(provinces, series):
+        for (prev, _), (cur, (line_no, *_)) in zip(cells, cells[1:]):
+            if cur != prev + 1:
+                raise DataError(
+                    f"line {line_no}: month gap for province {province} between "
+                    f"{_month(prev)} and {_month(cur)}"
+                )
+    first, last = series[0][0][0], series[0][-1][0]
+    for province, cells in zip(provinces, series):
+        if (cells[0][0], cells[-1][0]) != (first, last):
+            raise DataError(
+                f"line {cells[0][1][0]}: provinces cover different month ranges: "
+                f"{province} {_month(cells[0][0])}..{_month(cells[-1][0])}, "
+                f"{provinces[0]} {_month(first)}..{_month(last)}"
+            )
+
+    lines, climate, population, cases = (
+        np.array([[cell[k] for _, cell in cells] for cells in series], dtype=dtype)
+        for k, dtype in enumerate((np.int64, np.float64, np.int64, np.int64))
+    )
+    for bad, values, rule in _violations(climate, population, cases):
+        if bad.any():
+            line_no = lines[bad].min()
+            raise DataError(f"line {line_no}: {rule}, got {values[lines == line_no][0]}")
+    return Dataset(provinces, _month(first), climate, population, cases)
+
+
+def _fmt_climate(value: float) -> str:
+    return "" if math.isnan(value) else repr(value)
 
 
 def write_csv(dataset: Dataset, path) -> None:
     """Emit a dataset in the canonical CSV layout, provinces sorted."""
+    months = dataset.months()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for province in dataset.provinces:
-            for rec in dataset.series[province]:
-                writer.writerow(
-                    [
-                        province,
-                        rec.month.year,
-                        rec.month.month,
-                        _fmt_climate(rec.temp_mean),
-                        _fmt_climate(rec.rainfall),
-                        _fmt_climate(rec.rel_humidity),
-                        rec.population,
-                        rec.cases,
-                    ]
+        for p, province in enumerate(dataset.provinces):
+            writer.writerows(
+                [province, month.year, month.month, *map(_fmt_climate, climate), population, cases]
+                for month, climate, population, cases in zip(
+                    months,
+                    dataset.climate[p].tolist(),
+                    dataset.population[p].tolist(),
+                    dataset.cases[p].tolist(),
                 )
+            )
 
 
 def read_map_csv(path) -> RedistrictingMap:
@@ -354,42 +380,22 @@ def read_map_csv(path) -> RedistrictingMap:
     return RedistrictingMap(mapping)
 
 
-def expand_population(
-    annual: Mapping[tuple[str, int], int], months: Sequence[MonthKey]
-) -> dict[tuple[str, MonthKey], int]:
-    """Spread annual population counts over months, constant within a year."""
-    provinces = sorted({province for province, _ in annual})
-    out: dict[tuple[str, MonthKey], int] = {}
-    for province in provinces:
-        for month in months:
-            key = (province, month.year)
-            if key not in annual:
-                raise CoverageError(
-                    f"no population for province {province} in year {month.year}"
-                )
-            out[(province, month)] = annual[key]
-    return out
-
-
-def _mean(values: Sequence[float]) -> float:
-    return float(sum(values) / len(values))
-
-
-def _combine(records: Sequence[MonthlyRecord], name: str) -> MonthlyRecord:
-    for rec in records:
-        if rec.has_missing_climate():
-            raise DataError(
-                f"missing climate value for {rec.province} at {rec.month}; "
-                "run imputation before aggregating"
-            )
-    return MonthlyRecord(
-        province=name,
-        month=records[0].month,
-        temp_mean=_mean([r.temp_mean for r in records]),
-        rainfall=_mean([r.rainfall for r in records]),
-        rel_humidity=_mean([r.rel_humidity for r in records]),
-        population=sum(r.population for r in records),
-        cases=sum(r.cases for r in records),
+def _regroup(dataset: Dataset, names: list[str], groups: list[list[int]]) -> Dataset:
+    """One row per group: the member rows' climate mean and count sums, the
+    members added in the given order."""
+    missing = np.isnan(dataset.climate).any(axis=2)
+    if missing.any():
+        p, t = np.argwhere(missing)[0]
+        raise DataError(
+            f"missing climate value for {dataset.provinces[p]} at {dataset.months()[t]}; "
+            "run imputation before aggregating"
+        )
+    return Dataset(
+        names,
+        dataset.start,
+        [dataset.climate[idx].sum(axis=0) / len(idx) for idx in groups],
+        np.array([dataset.population[idx].sum(axis=0) for idx in groups]),
+        np.array([dataset.cases[idx].sum(axis=0) for idx in groups]),
     )
 
 
@@ -403,29 +409,16 @@ def aggregate_provinces(dataset: Dataset, redistricting: RedistrictingMap) -> Da
     for province in dataset.provinces:
         if province not in redistricting:
             raise DataError(f"province {province!r} is not in the redistricting map")
+    rows = {name: p for p, name in enumerate(dataset.provinces)}
     for old in redistricting.mapping:
-        if old not in dataset.series:
+        if old not in rows:
             raise CoverageError(f"dataset is missing mapped province {old!r}")
-
-    months = dataset.months()
-    series: dict[str, list[MonthlyRecord]] = {}
-    for new_province in redistricting.new_provinces():
-        members = redistricting.members(new_province)
-        rows = [dataset.series[m] for m in members]
-        series[new_province] = [
-            _combine([rows[j][i] for j in range(len(members))], new_province)
-            for i in range(len(months))
-        ]
-    return Dataset("new", series)
+    names = redistricting.new_provinces()
+    return _regroup(
+        dataset, names, [[rows[m] for m in redistricting.members(name)] for name in names]
+    )
 
 
 def to_country_level(dataset: Dataset) -> Dataset:
     """Collapse province series into one national series (same combine rules)."""
-    months = dataset.months()
-    provinces = dataset.provinces
-    rows = [dataset.series[p] for p in provinces]
-    records = [
-        _combine([rows[j][i] for j in range(len(provinces))], COUNTRY_NAME)
-        for i in range(len(months))
-    ]
-    return Dataset("country", {COUNTRY_NAME: records})
+    return _regroup(dataset, [COUNTRY_NAME], [list(range(len(dataset.provinces)))])

@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .core_math import Rng
-from .data_model import Dataset, MonthlyRecord
+from .data_model import Dataset
 from .errors import ShapeError
 from .parallel import pmap
 
@@ -301,24 +301,11 @@ def missforest_impute(
     )
 
 
-CLIMATE_FIELDS = ("temp_mean", "rainfall", "rel_humidity")
-
-
-def _province_matrix(records) -> np.ndarray:
+def _province_matrix(dataset: Dataset, province: str) -> np.ndarray:
     """Climate columns plus cyclical month-of-year features (never missing)."""
-    rows = []
-    for rec in records:
-        angle = 2.0 * math.pi * (rec.month.month - 1) / 12.0
-        rows.append(
-            [
-                np.nan if rec.temp_mean is None else rec.temp_mean,
-                np.nan if rec.rainfall is None else rec.rainfall,
-                np.nan if rec.rel_humidity is None else rec.rel_humidity,
-                math.sin(angle),
-                math.cos(angle),
-            ]
-        )
-    return np.asarray(rows, dtype=np.float64)
+    angles = [2.0 * math.pi * (month.month - 1) / 12.0 for month in dataset.months()]
+    season = [[math.sin(angle), math.cos(angle)] for angle in angles]
+    return np.hstack([dataset.climate[dataset.row(province)], season])
 
 
 def impute_dataset(
@@ -330,33 +317,26 @@ def impute_dataset(
     """Impute climate fields province by province.
 
     Each province gets its own matrix of (temp, rainfall, humidity, month
-    sin/cos) and its own child generator, so provinces are independent, run
-    on a process pool (:func:`parallel.pmap`), and the whole pass is
-    deterministic. Population and cases are never touched.
+    sin/cos) and its own child generator ``rng.split(P)[p]``, so provinces
+    are independent and the whole pass is deterministic. Only provinces with
+    a missing cell are imputed, on a process pool (:func:`parallel.pmap`);
+    the results hold those provinces. Population and cases are never touched.
     """
     rng = rng or Rng(0)
-    provinces = dataset.provinces
-    matrices = [_province_matrix(dataset.series[p]) for p in provinces]
+    rngs = rng.split(len(dataset.provinces))
+    todo = np.flatnonzero(np.isnan(dataset.climate).any(axis=(1, 2)))
     imputed = pmap(
-        missforest_impute, matrices, repeat(config), rng.split(len(provinces)), repeat(max_iter)
+        missforest_impute,
+        [_province_matrix(dataset, dataset.provinces[p]) for p in todo],
+        repeat(config),
+        [rngs[p] for p in todo],
+        repeat(max_iter),
     )
-    series: dict[str, list[MonthlyRecord]] = {}
-    results: dict[str, ImputationResult] = {}
-    for province, result in zip(provinces, imputed):
-        records = dataset.series[province]
-        results[province] = result
-        filled = []
-        for i, rec in enumerate(records):
-            filled.append(
-                MonthlyRecord(
-                    province=rec.province,
-                    month=rec.month,
-                    temp_mean=rec.temp_mean if rec.temp_mean is not None else float(result.completed[i, 0]),
-                    rainfall=rec.rainfall if rec.rainfall is not None else float(result.completed[i, 1]),
-                    rel_humidity=rec.rel_humidity if rec.rel_humidity is not None else float(result.completed[i, 2]),
-                    population=rec.population,
-                    cases=rec.cases,
-                )
-            )
-        series[province] = filled
-    return Dataset(dataset.scheme, series), results
+    climate = dataset.climate.copy()
+    for p, result in zip(todo, imputed):
+        missing = np.isnan(climate[p])
+        climate[p][missing] = result.completed[:, :3][missing]
+    return (
+        Dataset(dataset.provinces, dataset.start, climate, dataset.population, dataset.cases),
+        {dataset.provinces[p]: result for p, result in zip(todo, imputed)},
+    )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core_math import MinMaxScaler, Rng, gate_activation
-from .data_model import MonthKey
+from .data_model import Dataset, MonthKey
 from .errors import DataError, DivergenceError, ShapeError
 from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows
 
@@ -385,19 +385,19 @@ def predict(model: TrainedModel, windows) -> np.ndarray:
 
 
 def forecast_test_horizon(
-    model: TrainedModel, series, recursive: bool = False
+    model: TrainedModel, dataset: Dataset, province: str, recursive: bool = False
 ) -> tuple[list[MonthKey], np.ndarray, np.ndarray]:
     """One-step-ahead forecasts for every month after the model's training.
 
-    Rebuilds windows with the model's spec, keeps those whose target month
-    comes after ``model.train_end``, scales with the model's own scalers, and
-    returns (months, observed, predicted) in case counts. With
+    Rebuilds windows of ``province`` with the model's spec, keeps those whose
+    target month comes after ``model.train_end``, scales with the model's own
+    scalers, and returns (months, observed, predicted) in case counts. With
     ``recursive=True`` the case feature of each horizon window is replaced by
     the model's earlier predictions, so forecasts no longer consume observed
     cases beyond the training boundary; the horizon must then start at the
     month after ``model.train_end``, or a DataError is raised.
     """
-    w = make_windows(series, model.spec)
+    w = make_windows(dataset, province, model.spec)
     split = next((k for k, month in enumerate(w.months) if month > model.train_end), w.samples)
     if split == w.samples:
         raise DataError(

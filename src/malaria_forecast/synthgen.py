@@ -10,16 +10,10 @@ imputation and forecasting can be scored against known values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .core_math import Rng
-from .data_model import (
-    OLD_PROVINCES,
-    Dataset,
-    MonthKey,
-    MonthlyRecord,
-    expand_population,
-)
+from .data_model import OLD_PROVINCES, Dataset, MonthKey
 from .errors import ConfigError
 
 __all__ = ["SynthConfig", "ClimateParams", "generate", "case_rate"]
@@ -63,7 +57,6 @@ class SynthConfig:
     rain_weight: float = 0.35
     temp_weight: float = 0.2
     pop_growth: float = 0.02
-    climate_params: dict[str, ClimateParams] | None = field(default=None)
 
     def validate(self):
         if self.months < 22:
@@ -91,7 +84,7 @@ class SynthConfig:
                 raise ConfigError(f"unknown synth config key {key!r}")
             if key in ("seed", "months", "start_year", "start_month"):
                 kwargs[key] = int(raw)
-            elif key in ("provinces", "climate_params"):
+            elif key == "provinces":
                 raise ConfigError(f"{key} cannot be set from a key-value file")
             else:
                 kwargs[key] = float(raw)
@@ -149,76 +142,62 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
     Identical configs produce bit-identical output.
     """
     cfg.validate()
-    root = Rng(cfg.seed)
-    r_params, r_climate, r_cases, r_mask = root.split(4)
+    r_params, r_climate, r_cases, r_mask = Rng(cfg.seed).split(4)
+    years = [cfg.start_year + (cfg.start_month - 1 + t) // 12 for t in range(cfg.months)]
 
-    months = [MonthKey(cfg.start_year, cfg.start_month)]
-    while len(months) < cfg.months:
-        months.append(months[-1].next())
-    years = sorted({m.year for m in months})
-
-    climate_params = {}
-    annual_pop: dict[tuple[str, int], int] = {}
+    params, population = {}, {}
     for province in cfg.provinces:
-        if cfg.climate_params and province in cfg.climate_params:
-            climate_params[province] = cfg.climate_params[province]
-            _draw_climate_params(r_params)  # keep the stream layout stable
-        else:
-            climate_params[province] = _draw_climate_params(r_params)
+        params[province] = _draw_climate_params(r_params)
         base = r_params.uniform(250_000.0, 950_000.0)
-        for year in years:
-            grown = base * (1.0 + cfg.pop_growth) ** (year - cfg.start_year)
-            annual_pop[(province, year)] = max(1, round(grown))
-    monthly_pop = expand_population(annual_pop, months)
+        population[province] = [
+            max(1, round(base * (1.0 + cfg.pop_growth) ** (year - cfg.start_year)))
+            for year in years
+        ]
 
-    truth_series: dict[str, list[MonthlyRecord]] = {}
-    masked_series: dict[str, list[MonthlyRecord]] = {}
+    truth, masked, cases = {}, {}, {}
     for province in cfg.provinces:
-        p = climate_params[province]
-        temps, rains, hums = [], [], []
+        p = params[province]
+        rows = []
         for t in range(cfg.months):
             noise_t = r_climate.normal(0.0, 1.0)
             noise_r = r_climate.normal(0.0, 1.0)
             noise_h = r_climate.normal(0.0, 1.0)
-            temps.append(_season(p.temp_mean, p.temp_amp, p.temp_phase, t) + cfg.climate_noise * 0.4 * noise_t)
-            rains.append(max(0.0, _season(p.rain_mean, p.rain_amp, p.rain_phase, t) + cfg.climate_noise * 8.0 * noise_r))
-            hums.append(min(100.0, max(0.0, _season(p.hum_mean, p.hum_amp, p.hum_phase, t) + cfg.climate_noise * 2.0 * noise_h)))
+            rows.append((
+                _season(p.temp_mean, p.temp_amp, p.temp_phase, t) + cfg.climate_noise * 0.4 * noise_t,
+                max(0.0, _season(p.rain_mean, p.rain_amp, p.rain_phase, t) + cfg.climate_noise * 8.0 * noise_r),
+                min(100.0, max(0.0, _season(p.hum_mean, p.hum_amp, p.hum_phase, t) + cfg.climate_noise * 2.0 * noise_h)),
+            ))
+        truth[province] = rows
 
-        truth_records = []
-        masked_records = []
-        for t, month in enumerate(months):
-            population = monthly_pop[(province, month)]
+        counts = []
+        for t, pop in enumerate(population[province]):
             rate = case_rate(
                 cfg,
                 p,
-                population,
-                rains[t - 1] if t >= 1 else None,
-                temps[t - 2] if t >= 2 else None,
+                pop,
+                rows[t - 1][1] if t >= 1 else None,
+                rows[t - 2][0] if t >= 2 else None,
             )
-            cases = round(rate)
+            count = round(rate)
             if cfg.case_noise > 0:
                 drawn = int(r_cases.poisson(rate))
-                cases = round(rate + cfg.case_noise * (drawn - rate))
-            cases = max(0, cases)
+                count = round(rate + cfg.case_noise * (drawn - rate))
+            counts.append(max(0, count))
+        cases[province] = counts
+        masked[province] = [
+            [value if r_mask.uniform(0.0, 1.0) >= cfg.missing_rate else math.nan for value in row]
+            for row in rows
+        ]
 
-            truth_records.append(
-                MonthlyRecord(province, month, temps[t], rains[t], hums[t], population, cases)
-            )
-            keep_t = r_mask.uniform(0.0, 1.0) >= cfg.missing_rate
-            keep_r = r_mask.uniform(0.0, 1.0) >= cfg.missing_rate
-            keep_h = r_mask.uniform(0.0, 1.0) >= cfg.missing_rate
-            masked_records.append(
-                MonthlyRecord(
-                    province,
-                    month,
-                    temps[t] if keep_t else None,
-                    rains[t] if keep_r else None,
-                    hums[t] if keep_h else None,
-                    population,
-                    cases,
-                )
-            )
-        truth_series[province] = truth_records
-        masked_series[province] = masked_records
-
-    return Dataset("old", truth_series), Dataset("old", masked_series)
+    names = sorted(cfg.provinces)
+    start = MonthKey(cfg.start_year, cfg.start_month)
+    return tuple(
+        Dataset(
+            names,
+            start,
+            [climate[n] for n in names],
+            [population[n] for n in names],
+            [cases[n] for n in names],
+        )
+        for climate in (truth, masked)
+    )

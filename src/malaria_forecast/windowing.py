@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_math import MinMaxScaler
-from .data_model import MonthKey, MonthlyRecord
+from .data_model import Dataset, MonthKey
 from .errors import DataError
 
 __all__ = ["WindowSpec", "WindowedDataset", "make_windows", "split_train_test"]
 
 VARIANTS = ("univariate", "multivariate")
-# Feature order for the multivariate variant; cases are last in both variants.
-MULTIVARIATE_FEATURES = ("temp_mean", "rainfall", "rel_humidity", "population", "cases")
 
 
 @dataclass(frozen=True)
@@ -66,35 +64,28 @@ class WindowedDataset:
         return self.inputs.shape[0]
 
 
-def _features(rec: MonthlyRecord, variant: str) -> list[float]:
-    if variant == "univariate":
-        return [float(rec.cases)]
-    return [
-        rec.temp_mean,
-        rec.rainfall,
-        rec.rel_humidity,
-        float(rec.population),
-        float(rec.cases),
-    ]
-
-
-def make_windows(series: Sequence[MonthlyRecord], spec: WindowSpec) -> WindowedDataset:
-    """Slice a complete province series into (window, next-month cases) pairs."""
-    n = len(series)
+def make_windows(dataset: Dataset, province: str, spec: WindowSpec) -> WindowedDataset:
+    """Slice one complete province series into (window, next-month cases)
+    pairs: ``sliding_window_view`` over the month axis, copied once."""
+    p = dataset.row(province)
+    n = dataset.cases.shape[1]
     if n <= spec.lookback:
         raise DataError(
             f"series has {n} months but lookback {spec.lookback} needs at least {spec.lookback + 1}"
         )
-    for rec in series:
-        if spec.variant == "multivariate" and rec.has_missing_climate():
+    cases = dataset.cases[p].astype(np.float64)
+    if spec.variant == "univariate":
+        rows = cases[:, None]
+    else:
+        missing = np.isnan(dataset.climate[p]).any(axis=1)
+        if missing.any():
             raise DataError(
-                f"missing climate value at {rec.month}; impute before windowing"
+                f"missing climate value at {dataset.months()[missing.argmax()]}; impute before windowing"
             )
-    rows = np.asarray([_features(rec, spec.variant) for rec in series], dtype=np.float64)
-    samples = n - spec.lookback
-    inputs = np.stack([rows[i : i + spec.lookback] for i in range(samples)])
-    targets = np.asarray([float(series[i + spec.lookback].cases) for i in range(samples)])
-    months = [series[i + spec.lookback].month for i in range(samples)]
+        # temp_mean, rainfall, rel_humidity, population, cases
+        rows = np.column_stack([dataset.climate[p], dataset.population[p], cases])
+    inputs = sliding_window_view(rows[:-1], spec.lookback, axis=0).transpose(0, 2, 1).copy()
+    targets, months = cases[spec.lookback :], dataset.months()[spec.lookback :]
     return WindowedDataset(spec=spec, inputs=inputs, targets=targets, months=months)
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from malaria_forecast.data_model import Dataset, MonthKey, MonthlyRecord
+from malaria_forecast.data_model import CLIMATE_FIELDS, Dataset, MonthKey
 
 
 def walk_tree(forest, t, X):
@@ -34,33 +34,68 @@ def month_seq(start_year, start_month, n):
     return months
 
 
-def make_record(province, month, temp=20.0, rain=100.0, hum=70.0, population=1000, cases=10):
-    return MonthlyRecord(province, month, temp, rain, hum, population, cases)
-
-
-def make_series(province, n, start=(2010, 1), cases=None, **kwargs):
-    months = month_seq(start[0], start[1], n)
-    out = []
-    for i, m in enumerate(months):
-        c = cases[i] if cases is not None else 10 + i
-        out.append(make_record(province, m, cases=int(c), **kwargs))
-    return out
+def make_series(province, n, start=(2010, 1), cases=None, temp=20.0, rain=100.0, hum=70.0, population=1000):
+    """A one-province dataset of ``n`` months; cases default to 10, 11, ..."""
+    cases = [10 + i for i in range(n)] if cases is None else [int(c) for c in cases]
+    return Dataset(
+        [province],
+        MonthKey(*start),
+        [[[temp, rain, hum]] * n],
+        np.full((1, n), population, dtype=np.int64),
+        np.array([cases], dtype=np.int64),
+    )
 
 
 def sinusoid_series(n=200, amplitude=40.0, mean=60.0, province="Signal"):
     """Noiseless period-12 case series for learnability checks."""
-    months = month_seq(2000, 1, n)
-    records = []
-    for t, m in enumerate(months):
-        cases = round(mean + amplitude * np.sin(2.0 * np.pi * t / 12.0))
-        records.append(make_record(province, m, cases=int(cases)))
-    return records
+    cases = [round(mean + amplitude * np.sin(2.0 * np.pi * t / 12.0)) for t in range(n)]
+    return make_series(province, n, start=(2000, 1), cases=cases)
+
+
+def month_slice(dataset, lo=None, hi=None):
+    """The dataset restricted to months ``lo:hi`` (slice semantics)."""
+    t = range(dataset.cases.shape[1])[lo:hi]
+    return Dataset(
+        dataset.provinces,
+        dataset.months()[t.start],
+        dataset.climate[:, t.start : t.stop],
+        dataset.population[:, t.start : t.stop],
+        dataset.cases[:, t.start : t.stop],
+    )
+
+
+def with_cell(dataset, province, t, **values):
+    """A copy of ``dataset`` with fields of one province-month replaced
+    (climate fields by name, ``population``/``cases``); None means NaN."""
+    climate, population, cases = (a.copy() for a in (dataset.climate, dataset.population, dataset.cases))
+    p = dataset.row(province)
+    for name, value in values.items():
+        if name in CLIMATE_FIELDS:
+            climate[p, t, CLIMATE_FIELDS.index(name)] = np.nan if value is None else value
+        else:
+            {"population": population, "cases": cases}[name][p, t] = value
+    return Dataset(dataset.provinces, dataset.start, climate, population, cases)
+
+
+def same_dataset(a, b):
+    """Same provinces and months, and bit-identical arrays (NaN where NaN)."""
+    return (
+        a.provinces == b.provinces
+        and a.start == b.start
+        and a.climate.tobytes() == b.climate.tobytes()
+        and np.array_equal(a.population, b.population)
+        and np.array_equal(a.cases, b.cases)
+    )
 
 
 @pytest.fixture
 def two_province_dataset():
-    series = {
-        "Alpha": make_series("Alpha", 6),
-        "Beta": make_series("Beta", 6, cases=[5, 5, 5, 5, 5, 5]),
-    }
-    return Dataset("old", series)
+    alpha = make_series("Alpha", 6)
+    beta = make_series("Beta", 6, cases=[5, 5, 5, 5, 5, 5])
+    return Dataset(
+        ["Alpha", "Beta"],
+        alpha.start,
+        np.concatenate([alpha.climate, beta.climate]),
+        np.concatenate([alpha.population, beta.population]),
+        np.concatenate([alpha.cases, beta.cases]),
+    )

@@ -115,7 +115,7 @@ def test_criterion_3_univariate_learnability():
     start = time.monotonic()
     amplitude = 40.0
     series = sinusoid_series(n=200, amplitude=amplitude, mean=60.0)
-    windows = make_windows(series, WindowSpec(12, "univariate"))
+    windows = make_windows(series, "Signal", WindowSpec(12, "univariate"))
     train_part, test_part = split_train_test(windows, 0.8)
     model = train(train_part, TrainConfig(hidden=16, epochs=500, seed=0))
     observed = test_part.target_scaler.inverse(test_part.targets.reshape(-1, 1)).ravel()
@@ -139,7 +139,7 @@ def test_criterion_4_multivariate_beats_persistence():
             rain_weight=0.4, temp_weight=0.25,
         )
         truth, _ = generate(cfg)
-        windows = make_windows(truth.series["Alpha"], WindowSpec(12, "multivariate"))
+        windows = make_windows(truth, "Alpha", WindowSpec(12, "multivariate"))
         train_part, test_part = split_train_test(windows, 0.8)
         model = train(train_part, TrainConfig(hidden=16, epochs=300, seed=seed))
         observed = test_part.target_scaler.inverse(test_part.targets.reshape(-1, 1)).ravel()
@@ -164,8 +164,8 @@ def test_criterion_5_imputation_beats_mean():
             climate_noise=1.0, case_noise=1.0,
         )
         truth, masked = generate(cfg)
-        X_truth = _province_matrix(truth.series["Alpha"])
-        X_masked = _province_matrix(masked.series["Alpha"])
+        X_truth = _province_matrix(truth, "Alpha")
+        X_masked = _province_matrix(masked, "Alpha")
         mask = np.isnan(X_masked)
         result = missforest_impute(X_masked, ForestConfig(n_trees=25), Rng(seed))
         observed_intact += np.array_equal(result.completed[~mask], X_masked[~mask])
@@ -189,19 +189,20 @@ def test_criterion_6_aggregation_conservation():
     months = truth.months()
     counts_exact = True
     climate_close = True
+    old_rows, new_rows, c = truth.row, new.row, country.row(COUNTRY_NAME)
     for i in range(len(months)):
-        old_cases = sum(truth.series[p][i].cases for p in truth.provinces)
-        new_cases = sum(new.series[p][i].cases for p in new.provinces)
-        counts_exact &= old_cases == new_cases == country.series[COUNTRY_NAME][i].cases
-        old_pop = sum(truth.series[p][i].population for p in truth.provinces)
-        counts_exact &= old_pop == country.series[COUNTRY_NAME][i].population
+        old_cases = sum(int(truth.cases[old_rows(p), i]) for p in truth.provinces)
+        new_cases = sum(int(new.cases[new_rows(p), i]) for p in new.provinces)
+        counts_exact &= old_cases == new_cases == int(country.cases[c, i])
+        old_pop = sum(int(truth.population[old_rows(p), i]) for p in truth.provinces)
+        counts_exact &= old_pop == int(country.population[c, i])
         for new_province in new.provinces:
             members = BURUNDI_REDISTRICTING.members(new_province)
-            for field in ("temp_mean", "rainfall", "rel_humidity"):
-                direct = sum(getattr(truth.series[m][i], field) for m in members) / len(members)
-                climate_close &= abs(getattr(new.series[new_province][i], field) - direct) < 1e-9
-        direct_country = sum(getattr(new.series[p][i], "temp_mean") for p in new.provinces) / 5.0
-        climate_close &= abs(country.series[COUNTRY_NAME][i].temp_mean - direct_country) < 1e-9
+            for k in range(3):  # temp_mean, rainfall, rel_humidity
+                direct = sum(float(truth.climate[old_rows(m), i, k]) for m in members) / len(members)
+                climate_close &= abs(float(new.climate[new_rows(new_province), i, k]) - direct) < 1e-9
+        direct_country = sum(float(new.climate[new_rows(p), i, 0]) for p in new.provinces) / 5.0
+        climate_close &= abs(float(country.climate[c, i, 0]) - direct_country) < 1e-9
     _report(6, "aggregation conservation", counts_exact and climate_close)
 
 
@@ -241,7 +242,7 @@ def test_criterion_8_rmse_closed_forms():
 def test_criterion_9_split_law():
     """10 samples at 0.8 -> exactly 8/2, chronological."""
     series = sinusoid_series(n=22)
-    windows = make_windows(series, WindowSpec(12, "univariate"))
+    windows = make_windows(series, "Signal", WindowSpec(12, "univariate"))
     assert windows.samples == 10
     train_part, test_part = split_train_test(windows, 0.8)
     sizes_ok = train_part.samples == 8 and test_part.samples == 2

@@ -198,6 +198,26 @@ class TestTrainForecastEvaluate:
         assert run(["evaluate", "--out-dir", tmp_path / "eval", forecast]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:completeness:")
 
+    @pytest.mark.parametrize("region, variant", [("../../escaped", "univariate"), ("Gitega", "../x")])
+    def test_evaluate_refuses_unknown_region_or_variant(self, tmp_path, capsys, region, variant):
+        # Curve files are named after the region and variant cells, so
+        # these would be written outside the out_dir.
+        header = "province,variant,year,month,observed,predicted\n"
+        paths = []
+        (tmp_path / "forecasts").mkdir()
+        for name in REGION_ORDER:
+            rows = [f"{name},{v},2019,{m},10.0,11.0\n" for v in ("univariate", "multivariate") for m in (1, 2)]
+            paths.append(tmp_path / "forecasts" / f"{name}.csv")
+            paths[-1].write_text(header + "".join(rows))
+        paths.append(tmp_path / "forecasts" / "bad.csv")
+        paths[-1].write_text(header + f"{region},{variant},2019,1,10.0,11.0\n")
+        out = tmp_path / "a" / "b" / "out"
+        assert run(["evaluate", "--out-dir", out] + paths) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error:data: {paths[-1]} line 2: unknown region or variant {[region, variant]!r}"]
+        written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert written == {p.relative_to(tmp_path).as_posix() for p in paths}
+
 
 class TestPipeline:
     def test_rerun_is_byte_identical(self, tmp_path):

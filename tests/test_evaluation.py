@@ -52,22 +52,22 @@ class TestRmse:
 class TestPersistence:
     def test_constant_series_perfect(self):
         series = make_series("A", 10, cases=[7] * 10)
-        w = make_windows(series, WindowSpec(3, "univariate"))
+        w = make_windows(series, "A", WindowSpec(3, "univariate"))
         preds = persistence_baseline(w)
         assert rmse(w.targets, preds) == 0.0
 
     def test_small_example(self):
         series = make_series("A", 3, cases=[1, 2, 3])
-        w = make_windows(series, WindowSpec(2, "univariate"))
+        w = make_windows(series, "A", WindowSpec(2, "univariate"))
         assert persistence_baseline(w).tolist() == [2.0]
         assert w.targets.tolist() == [3.0]
 
     def test_inverts_scaled_partitions(self):
         series = make_series("A", 30, cases=list(range(10, 40)))
-        w = make_windows(series, WindowSpec(6, "univariate"))
+        w = make_windows(series, "A", WindowSpec(6, "univariate"))
         _, test = split_train_test(w, 0.8)
         preds = persistence_baseline(test)
-        raw_expected = [float(series[i].cases) for i in range(len(series) - test.samples, len(series))]
+        raw_expected = [float(c) for c in series.cases[0, 30 - test.samples :]]
         # each prediction is the case count of the month before its target
         assert np.allclose(preds, [v - 1 for v in w.targets[-test.samples :]], atol=1e-9)
         assert np.allclose(preds, np.asarray(raw_expected) - 1.0, atol=1e-9)
@@ -82,7 +82,7 @@ class TestPersistence:
             climate_noise=0.0, case_noise=0.0, rain_weight=0.4, temp_weight=0.2,
         )
         truth, _ = generate(cfg)
-        w = make_windows(truth.series["Alpha"], WindowSpec(12, "univariate"))
+        w = make_windows(truth, "Alpha", WindowSpec(12, "univariate"))
         train_part, test_part = split_train_test(w, 0.8)
         observed = test_part.target_scaler.inverse(test_part.targets.reshape(-1, 1)).ravel()
         persistence_rmse = rmse(observed, persistence_baseline(test_part))

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
-from conftest import walk_tree
+from conftest import same_dataset, walk_tree
 
 from malaria_forecast.core_math import Rng
 from malaria_forecast.errors import ShapeError
+from malaria_forecast.data_model import Dataset
 from malaria_forecast.imputation import (
     ForestConfig,
+    _province_matrix,
     fit_tree,
     forest_fit,
     forest_predict,
     impute_dataset,
     missforest_impute,
 )
+from malaria_forecast.parallel import pmap
 from malaria_forecast.synthgen import SynthConfig, generate
 
 
@@ -165,8 +168,6 @@ class TestForest:
 
 
 def masked_climate_matrix(seed, months=60, missing=0.1):
-    from malaria_forecast.imputation import _province_matrix
-
     cfg = SynthConfig(
         seed=seed,
         months=months,
@@ -177,8 +178,8 @@ def masked_climate_matrix(seed, months=60, missing=0.1):
     )
     truth, masked = generate(cfg)
     return (
-        _province_matrix(truth.series["Alpha"]),
-        _province_matrix(masked.series["Alpha"]),
+        _province_matrix(truth, "Alpha"),
+        _province_matrix(masked, "Alpha"),
     )
 
 
@@ -261,18 +262,44 @@ class TestImputeDataset:
         _, masked = self.make_masked_dataset()
         completed, results = impute_dataset(masked, ForestConfig(n_trees=8), Rng(0))
         assert not completed.has_missing_climate()
-        for province in masked.provinces:
-            for before, after in zip(masked.series[province], completed.series[province]):
-                assert after.population == before.population
-                assert after.cases == before.cases
-                for field in ("temp_mean", "rainfall", "rel_humidity"):
-                    original = getattr(before, field)
-                    if original is not None:
-                        assert getattr(after, field) == original
+        assert np.array_equal(completed.population, masked.population)
+        assert np.array_equal(completed.cases, masked.cases)
+        observed = ~np.isnan(masked.climate)
+        assert np.array_equal(completed.climate[observed], masked.climate[observed])
         assert set(results) == {"Alpha", "Beta"}
 
     def test_deterministic(self):
         _, masked = self.make_masked_dataset()
         a, _ = impute_dataset(masked, ForestConfig(n_trees=6), Rng(1))
         b, _ = impute_dataset(masked, ForestConfig(n_trees=6), Rng(1))
-        assert a.series == b.series
+        assert same_dataset(a, b)
+
+    def test_maps_only_provinces_with_a_missing_cell(self, monkeypatch):
+        # Alpha and Gamma miss a cell, Beta does not; each imputed province
+        # keeps the child generator of its index, so the fills equal those
+        # of a full three-province pass.
+        from malaria_forecast import imputation
+
+        truth, masked = generate(
+            SynthConfig(seed=6, months=40, missing_rate=0.15, provinces=("Alpha", "Beta", "Gamma"))
+        )
+        rows = [masked.climate[0], truth.climate[1], masked.climate[2]]
+        mixed = Dataset(masked.provinces, masked.start, rows, masked.population, masked.cases)
+        calls = []
+
+        def recording_pmap(fn, matrices, *rest):
+            matrices = list(matrices)
+            calls.append([p for p in mixed.provinces
+                          if any(np.array_equal(m, _province_matrix(mixed, p), equal_nan=True) for m in matrices)])
+            return pmap(fn, matrices, *rest)
+
+        full, _ = impute_dataset(masked, ForestConfig(n_trees=4), Rng(2), max_iter=3)
+        monkeypatch.setattr(imputation, "pmap", recording_pmap)
+        completed, results = impute_dataset(mixed, ForestConfig(n_trees=4), Rng(2), max_iter=3)
+        assert calls == [["Alpha", "Gamma"]]
+        assert set(results) == {"Alpha", "Gamma"}
+        assert np.array_equal(completed.climate[[0, 2]], full.climate[[0, 2]])
+        assert np.array_equal(completed.climate[1], truth.climate[1])
+
+        impute_dataset(truth, ForestConfig(n_trees=4), Rng(2))
+        assert calls[1:] == [[]]

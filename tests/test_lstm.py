@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import malaria_forecast
-from conftest import sinusoid_series
+from conftest import month_slice, sinusoid_series
 from malaria_forecast.core_math import Rng
 from malaria_forecast.errors import DataError, DivergenceError, ShapeError
 from malaria_forecast.lstm import (
@@ -283,7 +283,7 @@ class TestAdam:
 
 def sinusoid_partitions(n=120, lookback=12):
     series = sinusoid_series(n=n)
-    w = make_windows(series, WindowSpec(lookback, "univariate"))
+    w = make_windows(series, "Signal", WindowSpec(lookback, "univariate"))
     return split_train_test(w, 0.8)
 
 
@@ -334,7 +334,7 @@ class TestTrain:
         from malaria_forecast.synthgen import SynthConfig, generate
 
         truth, _ = generate(SynthConfig(seed=0, months=40, provinces=("Alpha",), missing_rate=0.0))
-        w = make_windows(truth.series["Alpha"], WindowSpec(12, "multivariate"))
+        w = make_windows(truth, "Alpha", WindowSpec(12, "multivariate"))
         multi_part, _ = split_train_test(w, 0.8)
         multi_model = train(multi_part, TrainConfig(hidden=4, epochs=1, seed=0))
         for (name, a), (_, b) in zip(uni_model.params.tensors(), multi_model.params.tensors()):
@@ -362,14 +362,14 @@ class TestPredict:
 class TestForecastHorizon:
     def make_model(self):
         series = sinusoid_series(n=100)
-        w = make_windows(series, WindowSpec(12, "univariate"))
+        w = make_windows(series, "Signal", WindowSpec(12, "univariate"))
         train_part, test_part = split_train_test(w, 0.8)
         model = train(train_part, TrainConfig(hidden=8, epochs=150, seed=1))
         return model, series, test_part
 
     def test_alignment_with_test_partition(self):
         model, series, test_part = self.make_model()
-        months, observed, predicted = forecast_test_horizon(model, series)
+        months, observed, predicted = forecast_test_horizon(model, series, "Signal")
         assert months == test_part.months
         expected_obs = model.target_scaler.inverse(test_part.targets.reshape(-1, 1)).ravel()
         assert np.allclose(observed, expected_obs, atol=1e-9)
@@ -377,8 +377,8 @@ class TestForecastHorizon:
 
     def test_recursive_first_step_matches_one_step(self):
         model, series, _ = self.make_model()
-        _, _, one_step = forecast_test_horizon(model, series, recursive=False)
-        _, _, recursive = forecast_test_horizon(model, series, recursive=True)
+        _, _, one_step = forecast_test_horizon(model, series, "Signal", recursive=False)
+        _, _, recursive = forecast_test_horizon(model, series, "Signal", recursive=True)
         # The first test window contains no predicted months yet; batched vs
         # single-window matmuls may differ in the last bit only.
         assert recursive[0] == pytest.approx(one_step[0], rel=1e-12)
@@ -391,26 +391,26 @@ class TestForecastHorizon:
         # the first 80 months a re-derived 0.8 split would score 2005-07 ..
         # 2006-08, all of them training months.
         series = sinusoid_series(n=100)
-        train_part, _ = split_train_test(make_windows(series, WindowSpec(12, "univariate")), 0.8)
+        train_part, _ = split_train_test(make_windows(series, "Signal", WindowSpec(12, "univariate")), 0.8)
         model = train(train_part, TrainConfig(hidden=2, epochs=0, seed=1))
         assert str(model.train_end) == "2006-10"
         with pytest.raises(DataError, match="after the model's last training month 2006-10"):
-            forecast_test_horizon(model, series[:80])
-        months, _, _ = forecast_test_horizon(model, series[:90])
-        assert [str(m) for m in months] == [str(r.month) for r in series[82:90]]
+            forecast_test_horizon(model, month_slice(series, None, 80), "Signal")
+        months, _, _ = forecast_test_horizon(model, month_slice(series, None, 90), "Signal")
+        assert [str(m) for m in months] == [str(m) for m in series.months()[82:90]]
 
     def test_recursive_refuses_a_horizon_after_a_gap(self):
         # Trained to 2006-10; a series from 2007-01 would feed the observed
         # cases of 2007-01..2007-12 into the first recursive windows.
         series = sinusoid_series(n=100)
-        train_part, _ = split_train_test(make_windows(series, WindowSpec(12, "univariate")), 0.8)
+        train_part, _ = split_train_test(make_windows(series, "Signal", WindowSpec(12, "univariate")), 0.8)
         model = train(train_part, TrainConfig(hidden=2, epochs=0, seed=1))
-        late = series[84:]
-        assert str(late[0].month) == "2007-01"
+        late = month_slice(series, 84)
+        assert str(late.start) == "2007-01"
         with pytest.raises(DataError, match="must start at 2006-11"):
-            forecast_test_horizon(model, late, recursive=True)
-        assert len(forecast_test_horizon(model, late)[0]) == 4
-        months, _, _ = forecast_test_horizon(model, series[70:], recursive=True)
+            forecast_test_horizon(model, late, "Signal", recursive=True)
+        assert len(forecast_test_horizon(model, late, "Signal")[0]) == 4
+        months, _, _ = forecast_test_horizon(model, month_slice(series, 70), "Signal", recursive=True)
         assert str(months[0]) == "2006-11"
 
 

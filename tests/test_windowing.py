@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_series
-from malaria_forecast.data_model import MonthlyRecord
+from conftest import make_series, with_cell
 from malaria_forecast.errors import DataError
 from malaria_forecast.windowing import WindowSpec, make_windows, split_train_test
 
@@ -22,17 +21,17 @@ class TestWindowSpec:
 class TestMakeWindows:
     def test_sample_count_law(self):
         series = make_series("A", 14)
-        w = make_windows(series, WindowSpec(12, "univariate"))
+        w = make_windows(series, "A", WindowSpec(12, "univariate"))
         assert w.samples == 2
 
     def test_sample_count_law_random_lengths(self):
         for n, lookback in ((20, 3), (25, 24), (13, 12), (50, 7)):
-            w = make_windows(make_series("A", n), WindowSpec(lookback, "univariate"))
+            w = make_windows(make_series("A", n), "A", WindowSpec(lookback, "univariate"))
             assert w.samples == n - lookback
 
     def test_univariate_window_contents(self):
         series = make_series("A", 3, cases=[1, 2, 3])
-        w = make_windows(series, WindowSpec(2, "univariate"))
+        w = make_windows(series, "A", WindowSpec(2, "univariate"))
         assert w.inputs.shape == (1, 2, 1)
         assert w.inputs[0].tolist() == [[1.0], [2.0]]
         assert w.targets.tolist() == [3.0]
@@ -40,46 +39,57 @@ class TestMakeWindows:
 
     def test_multivariate_width_and_order(self):
         series = make_series("A", 4, temp=21.0, rain=80.0, hum=65.0, population=500, cases=[7, 8, 9, 10])
-        w = make_windows(series, WindowSpec(3, "multivariate"))
+        w = make_windows(series, "A", WindowSpec(3, "multivariate"))
         assert w.inputs.shape == (1, 3, 5)
         assert w.inputs[0, 0].tolist() == [21.0, 80.0, 65.0, 500.0, 7.0]
         assert w.targets[0] == 10.0
 
     def test_too_short_reports_minimum(self):
         with pytest.raises(DataError, match="13"):
-            make_windows(make_series("A", 12), WindowSpec(12, "univariate"))
+            make_windows(make_series("A", 12), "A", WindowSpec(12, "univariate"))
 
     def test_multivariate_requires_complete_climate(self):
-        series = make_series("A", 5)
-        r = series[2]
-        series[2] = MonthlyRecord(r.province, r.month, None, r.rainfall, r.rel_humidity, r.population, r.cases)
-        with pytest.raises(DataError, match="impute"):
-            make_windows(series, WindowSpec(3, "multivariate"))
+        series = with_cell(make_series("A", 5), "A", 2, temp_mean=None)
+        with pytest.raises(DataError, match="2010-03; impute"):
+            make_windows(series, "A", WindowSpec(3, "multivariate"))
+        assert make_windows(series, "A", WindowSpec(3, "univariate")).samples == 2
+
+    def test_windows_equal_explicit_slices(self):
+        from malaria_forecast.synthgen import SynthConfig, generate
+
+        truth, _ = generate(SynthConfig(seed=2, months=30, provinces=("Alpha", "Beta"), missing_rate=0.0))
+        w = make_windows(truth, "Beta", WindowSpec(4, "multivariate"))
+        climate, population, cases = truth.climate[1].tolist(), truth.population[1].tolist(), truth.cases[1].tolist()
+        rows = [[*climate[t], float(population[t]), float(cases[t])] for t in range(30)]
+        assert w.inputs.flags.c_contiguous
+        assert w.inputs.tolist() == [rows[i : i + 4] for i in range(26)]
+        assert w.targets.tolist() == [float(c) for c in cases[4:]]
+        assert w.months == truth.months()[4:]
 
     def test_reconstruction_from_windows(self):
         cases = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
         series = make_series("A", 10, cases=cases)
-        w = make_windows(series, WindowSpec(4, "univariate"))
+        w = make_windows(series, "A", WindowSpec(4, "univariate"))
         rebuilt = [float(v) for v in w.inputs[0][:, -1]] + [float(t) for t in w.targets]
         assert rebuilt == [float(c) for c in cases]
 
 
 class TestSplit:
     def test_eighty_twenty(self):
-        w = make_windows(make_series("A", 22), WindowSpec(12, "univariate"))
+        w = make_windows(make_series("A", 22), "A", WindowSpec(12, "univariate"))
         assert w.samples == 10
         train, test = split_train_test(w, 0.8)
         assert train.samples == 8
         assert test.samples == 2
 
     def test_floor_rule(self):
-        w = make_windows(make_series("A", 17), WindowSpec(12, "univariate"))
+        w = make_windows(make_series("A", 17), "A", WindowSpec(12, "univariate"))
         assert w.samples == 5
         train, test = split_train_test(w, 0.8)
         assert (train.samples, test.samples) == (4, 1)
 
     def test_chronological_no_overlap(self):
-        w = make_windows(make_series("A", 30), WindowSpec(6, "univariate"))
+        w = make_windows(make_series("A", 30), "A", WindowSpec(6, "univariate"))
         train, test = split_train_test(w, 0.8)
         assert max(train.months) < min(test.months)
 
@@ -87,7 +97,7 @@ class TestSplit:
         # Rising series: the test range exceeds the training range, so scaled
         # test values land above 1 - the documented consequence of no leakage.
         cases = list(range(10, 40))
-        w = make_windows(make_series("A", 30, cases=cases), WindowSpec(6, "univariate"))
+        w = make_windows(make_series("A", 30, cases=cases), "A", WindowSpec(6, "univariate"))
         train, test = split_train_test(w, 0.8)
         assert float(train.targets.max()) == 1.0
         assert float(test.targets.max()) > 1.0
@@ -95,25 +105,25 @@ class TestSplit:
         assert train.target_scaler.maxs[0] < full_max
 
     def test_round_trip_through_scalers(self):
-        w = make_windows(make_series("A", 30), WindowSpec(6, "multivariate"))
+        w = make_windows(make_series("A", 30), "A", WindowSpec(6, "multivariate"))
         train, _ = split_train_test(w, 0.8)
         raw = train.input_scaler.inverse(train.inputs)
         assert np.allclose(raw, w.inputs[: train.samples], atol=1e-9)
 
     def test_fraction_bounds(self):
-        w = make_windows(make_series("A", 20), WindowSpec(6, "univariate"))
+        w = make_windows(make_series("A", 20), "A", WindowSpec(6, "univariate"))
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 split_train_test(w, bad)
 
     def test_empty_partition_rejected(self):
-        w = make_windows(make_series("A", 8), WindowSpec(6, "univariate"))
+        w = make_windows(make_series("A", 8), "A", WindowSpec(6, "univariate"))
         assert w.samples == 2
         with pytest.raises(ValueError, match="empty"):
             split_train_test(w, 0.1)
 
     def test_partitions_carry_bookkeeping(self):
-        w = make_windows(make_series("A", 30), WindowSpec(6, "univariate"))
+        w = make_windows(make_series("A", 30), "A", WindowSpec(6, "univariate"))
         train, test = split_train_test(w, 0.75)
         assert (train.samples, test.samples) == (18, 6)
         assert test.months[0] == w.months[18] == train.months[-1].next()
