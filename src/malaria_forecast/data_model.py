@@ -28,8 +28,10 @@ and the int64 sums of up to 1,024 members are exact too.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -46,6 +48,7 @@ __all__ = [
     "COUNTRY_NAME",
     "ingest_csv",
     "write_csv",
+    "read_csv",
     "read_map_csv",
     "aggregate_provinces",
     "to_country_level",
@@ -188,6 +191,11 @@ class Dataset:
         for array in (self.climate, self.population, self.cases):
             array.flags.writeable = False
 
+    def __reduce__(self):
+        # Rebuilt by the constructor, so a copy sent to a worker process is
+        # checked and read-only too.
+        return Dataset, (self.provinces, self.start, self.climate, self.population, self.cases)
+
     def months(self) -> list[MonthKey]:
         first = _ordinal(self.start)
         return [_month(first + t) for t in range(self.cases.shape[1])]
@@ -259,6 +267,31 @@ def _parse_row(row: list[str], line_no: int, minmax: bool) -> tuple[str, int, tu
     return province, ordinal, (line_no, climate, population, cases)
 
 
+def read_csv(source):
+    """Yield ``(line number, cells)`` for each record of a CSV path or open
+    text stream, the header included. Bytes that are not UTF-8 and csv-level
+    faults (an unclosed quote, a field over the csv module's size limit)
+    raise DataError with the path and line."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        raw = Path(source).read_bytes()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            good_lines = raw.count(b"\n", 0, exc.start)
+            raise DataError(f"{source}: not UTF-8 after line {good_lines}: {exc.reason}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"{source} line {reader.line_num}: {exc}") from None
+        yield reader.line_num, row
+
+
 def ingest_csv(source) -> Dataset:
     """Read a monthly dataset CSV from a path or an open text stream.
 
@@ -268,43 +301,26 @@ def ingest_csv(source) -> Dataset:
     province needs one row per month, without gaps, over the same month range
     as every other. Errors carry the offending 1-based file line number.
     """
-    if hasattr(source, "read"):
-        return _to_dataset(_read_rows(source, source))
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        rows = _read_rows(fh, source)
-    return _to_dataset(rows)
-
-
-def _read_rows(fh, path) -> dict[str, dict[int, tuple]]:
-    """province -> month ordinal -> (line, climate triple, population, cases)."""
-    reader = csv.reader(fh)
+    records = read_csv(source)
+    header = [h.strip() for h in next(records, (0, []))[1]]
+    if header not in (CSV_HEADER, CSV_HEADER_MINMAX):
+        raise DataError(f"{source}: unrecognized header {header!r}")
+    # province -> month ordinal -> (line, climate triple, population, cases)
     rows: dict[str, dict[int, tuple]] = {}
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if header not in (CSV_HEADER, CSV_HEADER_MINMAX):
-            raise DataError(f"{path}: unrecognized header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            province, ordinal, cell = _parse_row(row, line_no, header == CSV_HEADER_MINMAX)
-            cells = rows.setdefault(province, {})
-            if ordinal in cells:
-                raise DataError(
-                    f"line {line_no}: duplicate row for {province} {_month(ordinal)} "
-                    f"(first on line {cells[ordinal][0]})"
-                )
-            cells[ordinal] = cell
-    except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        # The decoder reads ahead, so the bad byte is somewhere after this line.
-        raise DataError(f"{path}: not UTF-8 after line {reader.line_num}: {exc.reason}") from None
+    for line_no, row in records:
+        if not row:
+            continue
+        province, ordinal, cell = _parse_row(row, line_no, header == CSV_HEADER_MINMAX)
+        cells = rows.setdefault(province, {})
+        if ordinal in cells:
+            raise DataError(
+                f"line {line_no}: duplicate row for {province} {_month(ordinal)} "
+                f"(first on line {cells[ordinal][0]})"
+            )
+        cells[ordinal] = cell
     if not rows:
-        raise DataError(f"{path}: no data rows")
-    return rows
+        raise DataError(f"{source}: no data rows")
+    return _to_dataset(rows)
 
 
 def _to_dataset(rows: dict[str, dict[int, tuple]]) -> Dataset:
@@ -363,20 +379,19 @@ def write_csv(dataset: Dataset, path) -> None:
 def read_map_csv(path) -> RedistrictingMap:
     """Read a two-column ``old_province,new_province`` mapping."""
     mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if header != ["old_province", "new_province"]:
-            raise DataError(f"{path}: unrecognized map header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or not row[0].strip() or not row[1].strip():
-                raise DataError(f"line {line_no}: malformed map row {row!r}")
-            old = row[0].strip()
-            if old in mapping:
-                raise DataError(f"line {line_no}: duplicate old province {old!r}")
-            mapping[old] = row[1].strip()
+    records = read_csv(path)
+    header = [h.strip() for h in next(records, (0, []))[1]]
+    if header != ["old_province", "new_province"]:
+        raise DataError(f"{path}: unrecognized map header {header!r}")
+    for line_no, row in records:
+        if not row:
+            continue
+        if len(row) != 2 or not row[0].strip() or not row[1].strip():
+            raise DataError(f"line {line_no}: malformed map row {row!r}")
+        old = row[0].strip()
+        if old in mapping:
+            raise DataError(f"line {line_no}: duplicate old province {old!r}")
+        mapping[old] = row[1].strip()
     return RedistrictingMap(mapping)
 
 

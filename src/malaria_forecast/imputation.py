@@ -25,7 +25,7 @@ import numpy as np
 
 from .core_math import Rng
 from .data_model import Dataset
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .parallel import pmap
 
 __all__ = [
@@ -38,6 +38,9 @@ __all__ = [
     "missforest_impute",
     "impute_dataset",
 ]
+
+
+MAX_ITER = 10  # the default cap on missForest sweeps
 
 
 @dataclass(frozen=True)
@@ -53,15 +56,15 @@ class ForestConfig:
     min_samples_leaf: int = 5
     max_depth: int | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.mtry is not None and self.mtry < 1:
-            raise ValueError(f"mtry must be >= 1, got {self.mtry}")
+            raise ConfigError(f"mtry must be >= 1, got {self.mtry}")
         if self.min_samples_leaf < 1:
-            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+            raise ConfigError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
         if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+            raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
 
     def resolve_mtry(self, n_features: int) -> int:
         if self.mtry is not None:
@@ -88,7 +91,6 @@ class Forest:
 
 
 def _checked_inputs(X, y, config: ForestConfig):
-    config.validate()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -241,7 +243,7 @@ def _delta(new, old, mask) -> float:
 
 
 def missforest_impute(
-    X, config: ForestConfig | None = None, rng: Rng | None = None, max_iter: int = 10
+    X, config: ForestConfig | None = None, rng: Rng | None = None, max_iter: int = MAX_ITER
 ) -> ImputationResult:
     """Fill NaN entries of a (rows, features) matrix.
 
@@ -250,7 +252,6 @@ def missforest_impute(
     column has predictors.
     """
     config = config or ForestConfig()
-    config.validate()
     rng = rng or Rng(0)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -312,7 +313,7 @@ def impute_dataset(
     dataset: Dataset,
     config: ForestConfig | None = None,
     rng: Rng | None = None,
-    max_iter: int = 10,
+    max_iter: int = MAX_ITER,
 ) -> tuple[Dataset, dict[str, ImputationResult]]:
     """Impute climate fields province by province.
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core_math import MinMaxScaler, Rng, gate_activation
 from .data_model import Dataset, MonthKey
-from .errors import DataError, DivergenceError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows
 
 __all__ = [
@@ -112,17 +112,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
         if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0 or self.eps <= 0 or self.clip_norm <= 0:
-            raise ValueError("learning_rate, eps and clip_norm must be positive")
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if not all(0.0 < v < math.inf for v in (self.learning_rate, self.eps, self.clip_norm)):
+            raise ConfigError("learning_rate, eps and clip_norm must be positive and finite")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 < b < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {b}")
+                raise ConfigError(f"{name} must be in (0, 1), got {b}")
         if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass

@@ -10,13 +10,15 @@ imputation and forecasting can be scored against known values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .core_math import Rng
-from .data_model import OLD_PROVINCES, Dataset, MonthKey
+from .data_model import MAX_COUNT, OLD_PROVINCES, Dataset, MonthKey
 from .errors import ConfigError
 
 __all__ = ["SynthConfig", "ClimateParams", "generate", "case_rate"]
+
+MAX_BASE_POPULATION = 950_000.0  # a province's first-year population is below it
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class SynthConfig:
     """
 
     seed: int = 0
-    months: int = 156
+    months: int = 120
     start_year: int = 2010
     start_month: int = 1
     provinces: tuple[str, ...] = tuple(OLD_PROVINCES)
@@ -58,37 +60,33 @@ class SynthConfig:
     temp_weight: float = 0.2
     pop_growth: float = 0.02
 
-    def validate(self):
+    def __post_init__(self):
         if self.months < 22:
             raise ConfigError(f"months must be >= 22, got {self.months}")
         if not 0.0 <= self.missing_rate < 1.0:
             raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate}")
+        for name in ("climate_noise", "case_noise", "baseline", "rain_weight", "temp_weight", "pop_growth"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.climate_noise < 0 or self.case_noise < 0:
             raise ConfigError("noise levels must be non-negative")
         if self.baseline <= 0:
             raise ConfigError(f"baseline incidence must be positive, got {self.baseline}")
         if not self.provinces:
             raise ConfigError("province list must be non-empty")
-        for name in ("rain_weight", "temp_weight", "pop_growth"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        MonthKey(self.start_year, self.start_month)
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "SynthConfig":
-        """Build from a flat key-value mapping (strings allowed for values)."""
-        kwargs = {}
-        casts = {f.name: f.type for f in fields(cls)}
-        for key, raw in mapping.items():
-            if key not in casts:
-                raise ConfigError(f"unknown synth config key {key!r}")
-            if key in ("seed", "months", "start_year", "start_month"):
-                kwargs[key] = int(raw)
-            elif key == "provinces":
-                raise ConfigError(f"{key} cannot be set from a key-value file")
-            else:
-                kwargs[key] = float(raw)
-        return cls(**kwargs)
+        if not 1 <= self.start_month <= 12:
+            raise ConfigError(f"start_month must be in 1..12, got {self.start_month}")
+        # The largest population drawn is below MAX_BASE_POPULATION times
+        # the growth factor of the last year.
+        years = (self.start_month + self.months - 2) // 12
+        try:
+            peak = MAX_BASE_POPULATION * abs(1.0 + self.pop_growth) ** years
+        except OverflowError:
+            peak = math.inf
+        if peak > MAX_COUNT:
+            raise ConfigError(
+                f"pop_growth {self.pop_growth} takes a population past 2**53 within {self.months} months"
+            )
 
 
 def _draw_climate_params(rng: Rng) -> ClimateParams:
@@ -127,11 +125,10 @@ def case_rate(
     z_temp = 0.0
     if temp_lag2 is not None and params.temp_amp > 0:
         z_temp = (temp_lag2 - params.temp_mean) / (params.temp_amp / math.sqrt(2.0))
-    return (
-        cfg.baseline
-        * population
-        * math.exp(cfg.rain_weight * z_rain + cfg.temp_weight * z_temp)
-    )
+    try:
+        return cfg.baseline * population * math.exp(cfg.rain_weight * z_rain + cfg.temp_weight * z_temp)
+    except OverflowError:
+        return math.inf
 
 
 def generate(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
@@ -141,14 +138,13 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
     climate cells removed uniformly at random at ``cfg.missing_rate``.
     Identical configs produce bit-identical output.
     """
-    cfg.validate()
     r_params, r_climate, r_cases, r_mask = Rng(cfg.seed).split(4)
     years = [cfg.start_year + (cfg.start_month - 1 + t) // 12 for t in range(cfg.months)]
 
     params, population = {}, {}
     for province in cfg.provinces:
         params[province] = _draw_climate_params(r_params)
-        base = r_params.uniform(250_000.0, 950_000.0)
+        base = r_params.uniform(250_000.0, MAX_BASE_POPULATION)
         population[province] = [
             max(1, round(base * (1.0 + cfg.pop_growth) ** (year - cfg.start_year)))
             for year in years
@@ -169,6 +165,8 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
             ))
         truth[province] = rows
 
+        if not all(math.isfinite(value) for row in rows for value in row):
+            raise ConfigError(f"climate_noise {cfg.climate_noise} draws a non-finite climate value")
         counts = []
         for t, pop in enumerate(population[province]):
             rate = case_rate(
@@ -178,11 +176,17 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
                 rows[t - 1][1] if t >= 1 else None,
                 rows[t - 2][0] if t >= 2 else None,
             )
-            count = round(rate)
+            if not rate <= MAX_COUNT:  # NaN too
+                raise ConfigError(
+                    f"case rate {rate} of {province} in month {t} is beyond 2**53; "
+                    "lower baseline, rain_weight or temp_weight"
+                )
+            count = rate
             if cfg.case_noise > 0:
-                drawn = int(r_cases.poisson(rate))
-                count = round(rate + cfg.case_noise * (drawn - rate))
-            counts.append(max(0, count))
+                count = rate + cfg.case_noise * (int(r_cases.poisson(rate)) - rate)
+                if count > MAX_COUNT:
+                    raise ConfigError(f"case_noise {cfg.case_noise} draws a count beyond 2**53")
+            counts.append(round(max(0.0, count)))
         cases[province] = counts
         masked[province] = [
             [value if r_mask.uniform(0.0, 1.0) >= cfg.missing_rate else math.nan for value in row]

@@ -107,6 +107,28 @@ class TestAggregateCommand:
         assert run(["aggregate", "--in", masked, "--out", tmp_path / "o.csv", "--level", "new"]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:data:")
 
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            (b"old_province,new_province\nGitega," + b"x" * 200_000 + b"\n", "line 2: field larger than field limit"),
+            (b"old_province,new_province\nGitega,Gitega\nK\xe9,Gitega\n", "not UTF-8 after line 2"),
+        ],
+        ids=["huge field", "not UTF-8"],
+    )
+    def test_faulty_map_file_is_one_data_error(self, tmp_path, capsys, content, expected):
+        truth = tmp_path / "truth.csv"
+        run(["synth", "--seed", 7, "--months", 26, "--missing-rate", 0.0,
+             "--out-truth", truth, "--out-masked", tmp_path / "m.csv"])
+        map_path = tmp_path / "map.csv"
+        map_path.write_bytes(content)
+        capsys.readouterr()
+        assert run(["aggregate", "--in", truth, "--out", tmp_path / "new.csv", "--level", "new",
+                    "--map", map_path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error:data: {map_path}") and expected in err[0]
+        assert not (tmp_path / "new.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def province_csv(tmp_path_factory):
@@ -218,6 +240,35 @@ class TestTrainForecastEvaluate:
         written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
         assert written == {p.relative_to(tmp_path).as_posix() for p in paths}
 
+    def test_forecast_file_with_huge_field_is_one_data_error(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text("province,variant,year,month,observed,predicted\n"
+                        "Gitega,univariate,2019,1,10.0,11.0\n"
+                        f"Gitega,univariate,2019,2,{'1' * 200_000},11.0\n")
+        assert run(["evaluate", "--out-dir", tmp_path / "out", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error:data: {path} line 3: field larger than field limit (131072)"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--region", "Gitega", "--variant", "univariate", "--hidden", "0"],
+            ["train", "--region", "Gitega", "--variant", "univariate", "--lookback", "0"],
+            ["impute", "--max-iter", "0"],
+            ["impute", "--mtry", "-1"],
+        ],
+        ids=["train hidden", "train lookback", "impute max-iter", "impute mtry"],
+    )
+    def test_stage_setting_is_checked_before_reading(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = argv + ["--in", tmp_path / "absent.csv"]
+        argv += ["--out-model", out] if argv[0] == "train" else ["--out", out]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPipeline:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -281,10 +332,10 @@ class TestPipeline:
 
         train = cli.run_train
 
-        def failing_train(in_path, region, *args):
+        def failing_train(dataset, region, *args):
             if region == "Gitega":
                 raise DataError("no data for Gitega")
-            train(in_path, region, *args)
+            return train(dataset, region, *args)
 
         # Workers are forked, so they run the patched stage.
         monkeypatch.setattr(cli, "run_train", failing_train)
@@ -292,6 +343,55 @@ class TestPipeline:
         assert run(argv + ["--out_dir", tmp_path / "failed"]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == "error:data: no data for Gitega"
         assert_no_children()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("train.hidden", "0"),
+            ("window.lookback", "0"),
+            ("train.batch_size", "-3"),
+            ("impute.n_trees", "0"),
+            ("impute.max_iter", "0"),
+        ],
+    )
+    def test_bad_setting_is_refused_before_anything_is_written(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        argv = ["pipeline", "--seed", 21, "--out_dir", out] + SMALL_PIPELINE + [f"--{key}", value]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config:")
+        assert err[0].endswith(f"got {value}")
+        assert not out.exists()
+
+    def test_rerun_from_its_own_run_config(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["pipeline", "--seed", 21, "--out_dir", first] + SMALL_PIPELINE) == 0
+        assert run(["pipeline", "--config", first / "run_config.txt", "--out_dir", second]) == 0
+        assert snapshot(first) == snapshot(second)
+        lines = [(first / "run_config.txt").read_text().splitlines(),
+                 (second / "run_config.txt").read_text().splitlines()]
+        assert lines[1] == [f"out_dir = {second}" if line.startswith("out_dir =") else line
+                            for line in lines[0]]
+
+    def test_datasets_and_models_stay_in_memory(self, tmp_path, monkeypatch):
+        from malaria_forecast import data_model, lstm
+
+        calls = []
+        for module, name in ((data_model, "ingest_csv"), (lstm, "load_model")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # count in this process
+        argv = ["pipeline", "--seed", 21] + SMALL_PIPELINE
+        assert run(argv + ["--out_dir", tmp_path / "synth"]) == 0
+        assert calls == []
+        masked = tmp_path / "synth" / "masked.csv"
+        assert run(argv + ["--out_dir", tmp_path / "input", "--input_csv", masked]) == 0
+        assert calls == ["ingest_csv"]
+        files = snapshot(tmp_path / "synth")
+        del files["truth.csv"], files["masked.csv"]
+        assert snapshot(tmp_path / "input") == files
 
     def test_env_var_supplies_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

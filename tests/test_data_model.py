@@ -1,5 +1,6 @@
 import csv
 import io
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -104,6 +105,14 @@ class TestDatasetInvariants:
         ds = make_series("A", 3)
         with pytest.raises(ValueError):
             ds.cases[0, 0] = 1
+
+    def test_pickled_copy_is_equal_and_read_only(self):
+        # The pipeline sends datasets to its worker processes by pickle.
+        ds = with_cell(make_series("A", 3), "A", 1, rainfall=None)
+        copy = pickle.loads(pickle.dumps(ds))
+        assert same_dataset(copy, ds)
+        for array in (copy.climate, copy.population, copy.cases):
+            assert not array.flags.writeable
 
 
 def write_rows(path, header, rows):

@@ -2,37 +2,89 @@ import numpy as np
 import pytest
 
 from conftest import same_dataset
-from malaria_forecast.data_model import OLD_PROVINCES, MonthKey
+from malaria_forecast import cli
+from malaria_forecast.core_math import derive_seed
+from malaria_forecast.data_model import MAX_COUNT, OLD_PROVINCES, MonthKey, ingest_csv
 from malaria_forecast.errors import ConfigError
-from malaria_forecast.synthgen import SynthConfig, case_rate, generate
+from malaria_forecast.synthgen import MAX_BASE_POPULATION, SynthConfig, case_rate, generate
 
 
 class TestConfig:
     def test_defaults_are_burundi_shaped(self):
         cfg = SynthConfig()
         assert len(cfg.provinces) == 18
-        assert cfg.months == 156
+        assert cfg.months == 120
         assert cfg.start_year == 2010
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            SynthConfig(months=10).validate()
+            SynthConfig(months=10)
         with pytest.raises(ConfigError):
-            SynthConfig(missing_rate=1.0).validate()
+            SynthConfig(missing_rate=1.0)
         with pytest.raises(ConfigError):
-            SynthConfig(baseline=0.0).validate()
+            SynthConfig(baseline=0.0)
         with pytest.raises(ConfigError):
-            SynthConfig(climate_noise=-1.0).validate()
+            SynthConfig(climate_noise=-1.0)
+        with pytest.raises(ConfigError):
+            SynthConfig(start_month=13)
 
-    def test_from_mapping(self):
-        cfg = SynthConfig.from_mapping({"seed": "7", "months": "48", "missing_rate": "0.2"})
-        assert cfg.seed == 7
-        assert cfg.months == 48
-        assert cfg.missing_rate == 0.2
+    def test_config_file_values_are_applied(self, tmp_path):
+        cfg_path = tmp_path / "synth.cfg"
+        cfg_path.write_text("seed = 7\nmonths = 48\nmissing_rate = 0.2\n")
+        paths = [tmp_path / name for name in ("t1.csv", "m1.csv", "t2.csv", "m2.csv")]
+        assert cli.main(["synth", "--config", str(cfg_path),
+                         "--out-truth", str(paths[0]), "--out-masked", str(paths[1])]) == 0
+        assert cli.main(["synth", "--seed", "7", "--months", "48", "--missing-rate", "0.2",
+                         "--out-truth", str(paths[2]), "--out-masked", str(paths[3])]) == 0
+        assert paths[0].read_bytes() == paths[2].read_bytes()
+        assert paths[1].read_bytes() == paths[3].read_bytes()
+        assert same_dataset(
+            ingest_csv(paths[1]), generate(SynthConfig(seed=derive_seed(7, "synth"), months=48, missing_rate=0.2))[1]
+        )
 
-    def test_from_mapping_rejects_unknown(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            SynthConfig.from_mapping({"bogus": "1"})
+    @pytest.mark.parametrize(
+        "line",
+        ["bogus = 1", "provinces = Alpha", "synth.months = 30", "out_dir = x"],
+        ids=["bogus", "provinces", "prefixed", "out_dir"],
+    )
+    def test_config_file_rejects_unknown_key(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "synth.cfg"
+        cfg_path.write_text(line + "\n")
+        out = [str(tmp_path / "t.csv"), str(tmp_path / "m.csv")]
+        assert cli.main(["synth", "--config", str(cfg_path), "--out-truth", out[0], "--out-masked", out[1]]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err.splitlines() == [f"error:config: {cfg_path}: unknown config key {key!r}"]
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize(
+        "flags, setting",
+        [
+            (["--pop-growth", "12"], "pop_growth"),  # 120 months by default
+            (["--months", "30", "--pop-growth=-1e5"], "pop_growth"),
+            (["--months", "30", "--pop-growth", "1e300"], "pop_growth"),
+            (["--months", "30", "--rain-weight", "1e3"], "rain_weight"),
+            (["--months", "30", "--temp-weight", "1e300"], "temp_weight"),
+            (["--months", "30", "--baseline", "1e300"], "baseline"),
+            (["--months", "30", "--case-noise", "1e300"], "case_noise"),
+            (["--months", "30", "--climate-noise", "1e308"], "climate_noise"),
+            (["--months", "30", "--climate-noise", "nan"], "climate_noise"),
+        ],
+    )
+    def test_unrepresentable_draws_are_config_errors(self, tmp_path, capsys, flags, setting):
+        out = [str(tmp_path / "t.csv"), str(tmp_path / "m.csv")]
+        argv = ["synth", "--seed", "1", *flags, "--out-truth", out[0], "--out-masked", out[1]]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error:config:") and setting in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_representable_growth_is_accepted(self):
+        # 30 months from January end in the third year: two growth steps.
+        limit = (MAX_COUNT / MAX_BASE_POPULATION) ** 0.5 - 1.0
+        truth, _ = generate(SynthConfig(seed=1, months=30, pop_growth=limit * (1 - 1e-9), case_noise=0.0))
+        assert truth.population.max() <= MAX_COUNT
+        with pytest.raises(ConfigError, match="pop_growth"):
+            SynthConfig(months=30, pop_growth=limit * (1 + 1e-9))
 
 
 class TestGenerate:
