@@ -404,6 +404,14 @@ def run_pipeline(cfg: Config) -> None:
     if cfg["map_csv"]:
         redistricting = data_model.read_map_csv(cfg["map_csv"])
     masked = data_model.ingest_csv(cfg["input_csv"]) if cfg["input_csv"] else None
+    # Every model splits the same number of windows, known before any file
+    # is written.
+    months = cfg.synth.months if masked is None else masked.cases.shape[1]
+    lookback = cfg["window.lookback"]
+    try:
+        windowing.split_index(max(months - lookback, 0), cfg["window.train_fraction"])
+    except ValueError as exc:
+        raise ConfigError(f"{months} months at window.lookback {lookback}: {exc}") from None
 
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)

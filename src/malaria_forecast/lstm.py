@@ -6,11 +6,10 @@ reverse-mode derivation through the unrolled sequence; ``gradient_check``
 verifies it against central finite differences, which only ever call the
 forward pass.
 
-The four gates share one weight matrix (layout in :class:`LstmParams`). The
-input projection ``x @ w[:, :F].T + b`` runs for every timestep at once,
-before the recurrence; each step then adds one ``h @ w[:, F:].T`` and
-applies one activation, :func:`core_math.gate_activation`, to all four
-gate blocks.
+The four gates share one weight matrix (layout in :class:`LstmParams`) and
+one activation, :func:`core_math.gate_activation`. Activations are stored
+batch last (:class:`ForwardCache`), so each step's gates come from one GEMM
+``[b | w] @ [1; x_t; h_t]`` and every gate block is a contiguous array.
 
 The univariate and multivariate models share every routine here; they differ
 only in the feature width of their windows (1 vs 5).
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core_math import MinMaxScaler, Rng, gate_activation
+from .core_math import MinMaxScaler, Rng
 from .data_model import Dataset, MonthKey
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows
@@ -156,22 +155,51 @@ def init_params(features: int, hidden: int, rng: Rng) -> LstmParams:
     return LstmParams(w=np.hstack([w_x, w_h]), b=b, w_y=w_y, b_y=rng.uniform(-k, k, size=1))
 
 
-def _blocks(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Views of the i, f, g, o column blocks of an (n, 4H) gate array."""
-    h = a.shape[1] // 4
-    return a[:, :h], a[:, h : 2 * h], a[:, 2 * h : 3 * h], a[:, 3 * h :]
-
-
 @dataclass
 class ForwardCache:
-    """Per-step activations kept for backpropagation through time."""
+    """Activations of one batch, batch last, kept for backpropagation
+    through time, plus the workspace ``backward`` writes into.
 
-    x: np.ndarray  # (n, L, features)
-    gates: np.ndarray  # (n, L, 4 * hidden): activated i, f, g, o blocks
-    c: np.ndarray  # (n, L, hidden)
-    tanh_c: np.ndarray
-    h: np.ndarray
-    params_id: int
+    Every per-step block is one contiguous (rows, n) array. ``xh[t]`` is the
+    gate input of step t, [1 ; x_t ; h_t] with h_t the state before the step:
+    the row of ones carries the bias through the gate GEMM, and ``x`` and
+    ``h`` are views of the other rows. ``c`` and ``h`` hold L + 1 states;
+    index 0 is the zero initial state and is never written. ``train`` passes
+    one cache to every step of a batch size, so that training allocates no
+    array of size n·L after its first step.
+    """
+
+    xh: np.ndarray  # (L + 1, 1 + F + H, n)
+    gates: np.ndarray  # (L, 4H, n): activated i, f, g, o blocks
+    c: np.ndarray  # (L + 1, H, n)
+    tanh_c: np.ndarray  # (L, H, n)
+    dz: np.ndarray  # (L, 4H, n): dLoss/d(pre-activation), written by backward
+    dw: np.ndarray  # (L, 4H, 1 + F + H): [db | dw] of each step
+    features: int
+    params_id: int = 0
+
+    @classmethod
+    def empty(cls, n: int, length: int, features: int, hidden: int) -> "ForwardCache":
+        width = 1 + features + hidden
+        xh = np.zeros((length + 1, width, n))
+        xh[:, 0] = 1.0
+        return cls(
+            xh=xh,
+            gates=np.empty((length, 4 * hidden, n)),
+            c=np.zeros((length + 1, hidden, n)),
+            tanh_c=np.empty((length, hidden, n)),
+            dz=np.empty((length, 4 * hidden, n)),
+            dw=np.empty((length, 4 * hidden, width)),
+            features=features,
+        )
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.xh[:-1, 1 : 1 + self.features]
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.xh[:, 1 + self.features :]
 
 
 def _as_batch(window) -> tuple[np.ndarray, bool]:
@@ -183,11 +211,13 @@ def _as_batch(window) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"window must be (L, features) or (n, L, features), got {arr.shape}")
 
 
-def forward(params: LstmParams, window):
+def forward(params: LstmParams, window, cache: ForwardCache | None = None):
     """Thread the cell through a window from zero state; head off the last h.
 
     Accepts one (L, features) window or a batch (n, L, features); returns a
-    scalar or an (n,) vector of predictions plus the activation cache.
+    scalar or an (n,) vector of predictions plus the activation cache. A
+    ``cache`` from an earlier call of the same shape is overwritten instead
+    of allocating a new one.
     """
     x, single = _as_batch(window)
     n, length, feat = x.shape
@@ -196,27 +226,31 @@ def forward(params: LstmParams, window):
     if feat != params.features:
         raise ShapeError(f"window has {feat} features, params expect {params.features}")
     hdim = params.hidden
-    shape = (n, length, hdim)
-    # Contiguous copies of the two column blocks keep both GEMMs on BLAS.
-    w_x = np.ascontiguousarray(params.w[:, :feat].T)
-    w_h = np.ascontiguousarray(params.w[:, feat:].T)
-    # Input projection for every step at once; each step's activated gates
-    # then overwrite its slice.
-    gates = x.reshape(n * length, feat) @ w_x
-    gates += params.b
-    gates = gates.reshape(n, length, 4 * hdim)
-    cache = ForwardCache(x, gates, np.empty(shape), np.empty(shape), np.empty(shape), id(params))
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hdim)  # logistic on i, f, o; tanh on g
-    h = np.zeros((n, hdim))
-    c = np.zeros((n, hdim))
+    if cache is None:
+        cache = ForwardCache.empty(n, length, feat, hdim)
+    elif cache.gates.shape != (length, 4 * hdim, n) or cache.features != feat:
+        raise ShapeError(f"cache does not fit a ({n}, {length}, {feat}) batch at hidden size {hdim}")
+    cache.params_id = id(params)
+    # Halving the rows of the logistic gates is exact, so tanh of the folded
+    # pre-activation is tanh(z/2), and ½·tanh(z/2) + ½ is the logistic σ(z).
+    w = np.hstack([params.b[:, None], params.w])
+    w *= np.repeat([0.5, 0.5, 1.0, 0.5], hdim)[:, None]
+    np.copyto(cache.x, x.transpose(1, 2, 0))
+    xh, c, h, tanh_c = cache.xh, cache.c, cache.h, cache.tanh_c
     for t in range(length):
-        gates[:, t] = gate_activation(gates[:, t] + h @ w_h, scale)
-        i, f, g, o = _blocks(gates[:, t])
-        c = f * c + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        cache.c[:, t], cache.tanh_c[:, t], cache.h[:, t] = c, tanh_c, h
-    preds = h @ params.w_y + params.b_y[0]
+        z = cache.gates[t]
+        np.matmul(w, xh[t], out=z)
+        np.tanh(z, out=z)
+        z[: 2 * hdim] *= 0.5
+        z[: 2 * hdim] += 0.5
+        z[3 * hdim :] *= 0.5
+        z[3 * hdim :] += 0.5
+        i, f, g, o = z.reshape(4, hdim, n)
+        np.multiply(f, c[t], out=c[t + 1])
+        c[t + 1] += i * g
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=h[t + 1])
+    preds = params.w_y @ h[length] + params.b_y[0]
     return (float(preds[0]) if single else preds), cache
 
 
@@ -239,41 +273,45 @@ def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> dict[str
     if cache.params_id != id(params):
         raise ValueError("cache was produced by a different parameter set")
     d_pred = np.atleast_1d(np.asarray(d_predictions, dtype=np.float64))
-    n, length, feat = cache.x.shape
+    length, _, n = cache.gates.shape
     if d_pred.shape != (n,):
         raise ShapeError(f"d_predictions has shape {d_pred.shape}, expected ({n},)")
     hdim = params.hidden
-    w_h = params.w[:, feat:]
+    w_h_t = params.w[:, cache.features :].T
+    c, dz = cache.c, cache.dz
 
-    # dz holds dLoss/d(pre-activation) of all four blocks at every step.
-    dz = np.empty((n, length, 4 * hdim))
-    dh = np.outer(d_pred, params.w_y)
+    dh = np.outer(params.w_y, d_pred)
     dc = np.zeros_like(dh)
     for t in range(length - 1, -1, -1):
-        i, f, g, o = _blocks(cache.gates[:, t])
-        dz_i, dz_f, dz_g, dz_o = _blocks(dz[:, t])
-        tanh_c = cache.tanh_c[:, t]
-        c_prev = cache.c[:, t - 1] if t > 0 else np.zeros_like(dc)
+        i, f, g, o = cache.gates[t].reshape(4, hdim, n)
+        dz_i, dz_f, dz_g, dz_o = dz[t].reshape(4, hdim, n)
+        tanh_c = cache.tanh_c[t]
 
-        dz_o[:] = dh * tanh_c * o * (1.0 - o)
-        dc = dc + dh * o * (1.0 - tanh_c**2)
-        dz_f[:] = dc * c_prev * f * (1.0 - f)
-        dz_i[:] = dc * g * i * (1.0 - i)
-        dz_g[:] = dc * i * (1.0 - g**2)
+        np.multiply(dh, o, out=dh)
+        np.multiply(dh, tanh_c, out=dz_o)
+        dz_o *= 1.0 - o
+        dc += dh * (1.0 - tanh_c * tanh_c)
+        np.multiply(dc, c[t], out=dz_f)
+        dz_f *= f
+        dz_f *= 1.0 - f
+        np.multiply(dc, i, out=dz_g)
+        np.multiply(dc, g, out=dz_i)
+        dz_i *= i
+        dz_i *= 1.0 - i
+        dz_g *= 1.0 - g * g
 
-        dh = dz[:, t] @ w_h
-        dc = dc * f
+        np.matmul(w_h_t, dz[t], out=dh)
+        dc *= f
 
-    # Each step's gate input is [x_t | h_{t-1}], with h_{-1} = 0. dw sums one
-    # GEMM per step (inner dimension n): OpenBLAS rounds a single GEMM over
-    # all n * L rows differently for different thread counts.
-    xh = np.zeros((n, length, feat + hdim))
-    xh[:, :, :feat] = cache.x
-    xh[:, 1:, feat:] = cache.h[:, :-1]
+    # [db | dw] sums one GEMM per step (inner dimension n): OpenBLAS rounds a
+    # single GEMM over all n * L columns differently for different thread
+    # counts.
+    np.matmul(dz, cache.xh[:-1].transpose(0, 2, 1), out=cache.dw)
+    dbw = cache.dw.sum(axis=0)
     return {
-        "w": np.matmul(dz.transpose(1, 2, 0), xh.transpose(1, 0, 2)).sum(axis=0),
-        "b": dz.reshape(n * length, 4 * hdim).sum(axis=0),
-        "w_y": cache.h[:, -1].T @ d_pred,
+        "w": dbw[:, 1:],
+        "b": dbw[:, 0],
+        "w_y": cache.h[length] @ d_pred,
         "b_y": np.array([d_pred.sum()]),
     }
 
@@ -348,18 +386,22 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
     step = 0
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
     order = np.arange(n)
+    # One workspace per batch size: the full batches and a short last one.
+    caches = {}
     for epoch in range(cfg.epochs):
         if batch < n:
             rng.shuffle(order)
         epoch_loss = 0.0
         for lo in range(0, n, batch):
             idx = order[lo : lo + batch]
-            preds, cache = forward(params, X[idx])
-            preds = np.atleast_1d(preds)
-            loss = loss_mse(preds, y[idx])
+            window, target = (X, y) if batch == n else (X[idx], y[idx])
+            if idx.size not in caches:
+                caches[idx.size] = ForwardCache.empty(idx.size, X.shape[1], X.shape[2], cfg.hidden)
+            preds, cache = forward(params, window, caches[idx.size])
+            loss = loss_mse(preds, target)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            grads = backward(params, cache, 2.0 * (preds - y[idx]) / idx.size)
+            grads = backward(params, cache, 2.0 * (preds - target) / idx.size)
             step += 1
             adam_step(params, grads, moments, step, cfg)
             epoch_loss += loss * idx.size

@@ -20,7 +20,7 @@ from .core_math import MinMaxScaler
 from .data_model import Dataset, MonthKey
 from .errors import DataError
 
-__all__ = ["WindowSpec", "WindowedDataset", "make_windows", "split_train_test"]
+__all__ = ["WindowSpec", "WindowedDataset", "make_windows", "split_index", "split_train_test"]
 
 VARIANTS = ("univariate", "multivariate")
 
@@ -89,6 +89,19 @@ def make_windows(dataset: Dataset, province: str, spec: WindowSpec) -> WindowedD
     return WindowedDataset(spec=spec, inputs=inputs, targets=targets, months=months)
 
 
+def split_index(samples: int, train_fraction: float) -> int:
+    """Size of the training partition, floor(fraction * samples); raises
+    ValueError unless both partitions are non-empty."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    split = math.floor(train_fraction * samples)
+    if split < 1 or split >= samples:
+        raise ValueError(
+            f"split of {samples} samples at fraction {train_fraction} leaves an empty partition"
+        )
+    return split
+
+
 def split_train_test(
     windows: WindowedDataset, train_fraction: float
 ) -> tuple[WindowedDataset, WindowedDataset]:
@@ -98,14 +111,8 @@ def split_train_test(
     applied to both partitions. Test values outside the training range land
     outside [0, 1]; that is expected and preserved.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n = windows.samples
-    split = math.floor(train_fraction * n)
-    if split < 1 or split >= n:
-        raise ValueError(
-            f"split of {n} samples at fraction {train_fraction} leaves an empty partition"
-        )
+    split = split_index(n, train_fraction)
     width = windows.spec.feature_width
     input_scaler = MinMaxScaler.fit(windows.inputs[:split].reshape(-1, width))
     target_scaler = MinMaxScaler.fit(windows.targets[:split].reshape(-1, 1))

@@ -363,6 +363,25 @@ class TestPipeline:
         assert err[0].endswith(f"got {value}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["synth", "input_csv"])
+    def test_empty_split_is_refused_before_anything_is_written(self, tmp_path, capsys, source):
+        # 30 months at lookback 12 give 18 windows; 1% of them trains none.
+        argv = ["pipeline", "--seed", 1, "--out_dir", tmp_path / "out", "--window.train_fraction", "0.01",
+                "--impute.n_trees", "3", "--train.epochs", "1"]
+        if source == "synth":
+            argv += ["--synth.months", "30"]
+        else:
+            masked = tmp_path / "masked.csv"
+            assert run(["synth", "--seed", 1, "--months", 30, "--out-truth", tmp_path / "truth.csv",
+                        "--out-masked", masked]) == 0
+            argv += ["--input_csv", masked]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error:config: 30 months at window.lookback 12: split of 18 samples at "
+                       "fraction 0.01 leaves an empty partition"]
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_from_its_own_run_config(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
         assert run(["pipeline", "--seed", 21, "--out_dir", first] + SMALL_PIPELINE) == 0

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from malaria_forecast.core_math import MinMaxScaler, Rng, derive_seed, gate_activation
 from malaria_forecast.errors import ShapeError
@@ -63,6 +66,23 @@ class TestMinMaxScaler:
         scaler = MinMaxScaler.fit(data)
         back = scaler.inverse(scaler.transform(data))
         assert np.all(np.abs(back - data) < 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(2, 30), st.integers(1, 6)),
+            elements=st.floats(-1e12, 1e12, allow_subnormal=False),
+        )
+    )
+    def test_round_trip_on_random_columns(self, data):
+        # Both directions share the computed span, so the round trip errs by
+        # a few roundings of the column's largest magnitude.
+        data[0, data.max(axis=0) == data.min(axis=0)] += 1.0  # no constant column
+        scaler = MinMaxScaler.fit(data)
+        back = scaler.inverse(scaler.transform(data))
+        magnitude = np.abs(data).max(axis=0)
+        assert np.all(np.abs(back - data) <= 8 * np.finfo(np.float64).eps * magnitude)
 
     def test_constant_feature_maps_to_zero(self):
         scaler = MinMaxScaler.fit(np.array([[7.0], [7.0], [7.0]]))

@@ -3,18 +3,27 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import malaria_forecast
+from malaria_forecast import lstm
 from conftest import month_slice, sinusoid_series
-from malaria_forecast.core_math import Rng
+from malaria_forecast.core_math import MinMaxScaler, Rng, gate_activation
+from malaria_forecast.data_model import MonthKey
 from malaria_forecast.errors import DataError, DivergenceError, ShapeError
+from malaria_forecast.synthgen import SynthConfig, generate
 from malaria_forecast.lstm import (
     AdamMoments,
+    ForwardCache,
     LstmParams,
     TrainConfig,
+    TrainedModel,
     adam_step,
     backward,
     clip_gradients,
@@ -28,7 +37,7 @@ from malaria_forecast.lstm import (
     save_model,
     train,
 )
-from malaria_forecast.windowing import WindowSpec, make_windows, split_train_test
+from malaria_forecast.windowing import VARIANTS, WindowSpec, make_windows, split_train_test
 
 
 def zero_params(features=3, hidden=4):
@@ -73,6 +82,8 @@ class TestCellStep:
         # candidate g=tanh(atanh 0.5)=0.5, o=sigma(20)~1, so c' ~ 0.5 and
         # h' ~ tanh(0.5) = 0.46212. A second step with x=0 shuts the input
         # gate, and the open forget gate (sigma(20)) carries c' through.
+        # The cache is indexed [state, unit, sample]; state 0 is the zero
+        # initial state, so state t + 1 follows step t.
         params = zero_params(features=1, hidden=1)
         i, f, g, o = blocks(1)
         params.w[i, 0] = 40.0
@@ -81,12 +92,12 @@ class TestCellStep:
         params.b[g] = math.atanh(0.5)
         params.b[o] = 20.0
         _, cache = forward(params, np.array([[1.0]]))
-        assert cache.c[0, 0, 0] == pytest.approx(0.5, abs=1e-8)
-        assert cache.h[0, 0, 0] == pytest.approx(0.4621, abs=1e-4)
-        assert cache.h[0, 0, 0] == pytest.approx(math.tanh(0.5), abs=1e-8)
+        assert cache.c[1, 0, 0] == pytest.approx(0.5, abs=1e-8)
+        assert cache.h[1, 0, 0] == pytest.approx(0.4621, abs=1e-4)
+        assert cache.h[1, 0, 0] == pytest.approx(math.tanh(0.5), abs=1e-8)
         _, cache = forward(params, np.array([[1.0], [0.0]]))
-        assert cache.c[0, 1, 0] == pytest.approx(0.5, abs=1e-8)
-        assert cache.h[0, 1, 0] == pytest.approx(math.tanh(0.5), abs=1e-8)
+        assert cache.c[2, 0, 0] == pytest.approx(0.5, abs=1e-8)
+        assert cache.h[2, 0, 0] == pytest.approx(math.tanh(0.5), abs=1e-8)
 
     def test_purity(self):
         params = init_params(2, 3, Rng(5))
@@ -149,6 +160,16 @@ class TestForward:
         for i in range(4):
             single, _ = forward(params, batch[i])
             assert single == pytest.approx(preds[i], abs=1e-15)
+
+    def test_folded_half_changes_no_bit(self):
+        # forward halves the logistic rows of [b | w] before its GEMM; every
+        # step's gates equal gate_activation of the unfolded pre-activation.
+        params, x, _ = random_problem(7, 6, 3, 5, seed=4)
+        _, cache = forward(params, x)
+        w = np.hstack([params.b[:, None], params.w])
+        scale = np.repeat([0.5, 0.5, 1.0, 0.5], 5)[:, None]
+        for t in range(6):
+            assert bits([cache.gates[t]]) == bits([gate_activation(np.matmul(w, cache.xh[t]), scale)])
 
     def test_hidden_state_bounded(self):
         params = init_params(3, 8, Rng(8))
@@ -235,6 +256,75 @@ class TestBackward:
             assert set(errors) == {name for name, _ in params.tensors()}
             worst = max(worst, max(errors.values()))
         assert worst < 1e-4
+
+
+def bits(values):
+    return [np.asarray(a).tobytes() for a in values]
+
+
+def random_problem(n, length, features, hidden, seed):
+    """Spread weights, inputs and output gradients for one batch."""
+    rng = Rng(seed)
+    params = init_params(features, hidden, rng)
+    for _, arr in params.tensors():
+        arr *= rng.uniform(0.5, 3.0)
+    return params, rng.uniform(-2.0, 2.0, size=(n, length, features)), rng.uniform(-1.0, 1.0, size=n)
+
+
+shapes = st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 5), st.integers(1, 6))
+
+
+class TestWorkspace:
+    """A cache reused across calls gives the bytes of a fresh one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(shapes, min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(
+                st.tuples(st.sampled_from(pool), st.integers(0, 2**32 - 1)), min_size=2, max_size=8
+            )
+        )
+    )
+    def test_reused_cache_matches_a_fresh_one(self, calls):
+        caches = {}
+        for shape, seed in calls:
+            params, x, d_pred = random_problem(*shape, seed)
+            fresh_preds, fresh_cache = forward(params, x)
+            fresh_grads = backward(params, fresh_cache, d_pred)
+            if shape not in caches:
+                caches[shape] = ForwardCache.empty(*shape)
+            preds, cache = forward(params, x, caches[shape])
+            assert cache is caches[shape]
+            grads = backward(params, cache, d_pred)
+            assert bits([preds]) == bits([fresh_preds])
+            assert bits(grads.values()) == bits(fresh_grads.values())
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(30, 60), st.integers(2, 6), st.integers(2, 9), st.sampled_from(VARIANTS),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_training_reuses_its_caches_without_changing_a_bit(self, months, lookback, batch, variant, seed):
+        truth, _ = generate(SynthConfig(seed=seed, months=months, provinces=("Alpha",), missing_rate=0.0))
+        part, _ = split_train_test(make_windows(truth, "Alpha", WindowSpec(lookback, variant)), 0.8)
+        assume(part.samples % batch != 0 and batch < part.samples)  # a short last batch
+        cfg = TrainConfig(hidden=4, epochs=3, seed=seed, batch_size=batch)
+        reused = train(part, cfg)
+
+        def fresh_forward(params, window, cache=None):
+            return forward(params, window)
+
+        with mock.patch.object(lstm, "forward", fresh_forward):
+            fresh = train(part, cfg)
+        assert reused.loss_history == fresh.loss_history
+        assert bits(a for _, a in reused.params.tensors()) == bits(a for _, a in fresh.params.tensors())
+
+    def test_cache_of_another_shape_is_refused(self):
+        params = init_params(3, 4, Rng(0))
+        with pytest.raises(ShapeError, match="cache does not fit"):
+            forward(params, np.zeros((2, 5, 3)), ForwardCache.empty(3, 5, 3, 4))
+        with pytest.raises(ShapeError, match="cache does not fit"):
+            forward(params, np.zeros((2, 5, 3)), ForwardCache.empty(2, 5, 3, 5))
 
 
 class TestAdam:
@@ -331,8 +421,6 @@ class TestTrain:
         # Same code path for both variants; parameter shapes differ only in
         # the input columns of the gate matrix (1 vs 5, then 4 recurrent).
         uni_model = train(sinusoid_partitions()[0], TrainConfig(hidden=4, epochs=1, seed=0))
-        from malaria_forecast.synthgen import SynthConfig, generate
-
         truth, _ = generate(SynthConfig(seed=0, months=40, provinces=("Alpha",), missing_rate=0.0))
         w = make_windows(truth, "Alpha", WindowSpec(12, "multivariate"))
         multi_part, _ = split_train_test(w, 0.8)
@@ -429,6 +517,34 @@ class TestSerialization:
         assert np.array_equal(loaded.input_scaler.maxs, model.input_scaler.maxs)
         assert np.array_equal(loaded.target_scaler.mins, model.target_scaler.mins)
         assert np.array_equal(loaded.target_scaler.maxs, model.target_scaler.maxs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, data):
+        features, hidden = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        params = LstmParams(
+            **{name: data.draw(arrays(np.float64, shape, elements=finite))
+               for name, shape in LstmParams.shapes(features, hidden).items()}
+        )
+        scalers = []
+        for width in (features, 1):
+            a, b = (data.draw(arrays(np.float64, width, elements=finite)) for _ in range(2))
+            scalers.append(MinMaxScaler(np.minimum(a, b), np.maximum(a, b)))
+        model = TrainedModel(
+            params=params,
+            spec=WindowSpec(data.draw(st.integers(1, 10**6)), data.draw(st.sampled_from(VARIANTS))),
+            input_scaler=scalers[0],
+            target_scaler=scalers[1],
+            train_end=MonthKey(data.draw(st.integers(0, 9999)), data.draw(st.integers(1, 12))),
+        )
+        path = tmp_path_factory.mktemp("model") / "model.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert bits(a for _, a in loaded.params.tensors()) == bits(a for _, a in params.tensors())
+        for new, old in zip((loaded.input_scaler, loaded.target_scaler), scalers):
+            assert bits([new.mins, new.maxs]) == bits([old.mins, old.maxs])
+        assert (loaded.spec, loaded.train_end) == (model.spec, model.train_end)
 
     def test_save_is_byte_stable(self, tmp_path):
         train_part, _ = sinusoid_partitions()
