@@ -404,6 +404,8 @@ def run_pipeline(cfg: Config) -> None:
     if cfg["map_csv"]:
         redistricting = data_model.read_map_csv(cfg["map_csv"])
     masked = data_model.ingest_csv(cfg["input_csv"]) if cfg["input_csv"] else None
+    if masked is not None:
+        imputation.require_observed(masked)
     # Every model splits the same number of windows, known before any file
     # is written.
     months = cfg.synth.months if masked is None else masked.cases.shape[1]

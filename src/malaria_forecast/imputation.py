@@ -10,9 +10,13 @@ matrix from the previous sweep, or after ``max_iter`` sweeps.
 Trees are plain CART regressors: greedy variance-reduction splits with ties
 broken by lowest feature index, then lowest threshold. A forest's trees grow
 together, one depth level per step, over presorted columns with each
-bootstrap held as row counts, and are stored as flat node arrays. All
-randomness (bootstrap, feature subsampling) is owned by an explicit seeded
-generator, so runs reproduce bit-for-bit.
+bootstrap held as row counts, and are stored as flat node arrays. A level is
+one array pass over all features: a (features, entries) array of per-feature
+entry lists, one cumulative sum along each, each entry's side worked out once
+and every list partitioned by counts. The forests are bit-identical to those
+of the earlier grower that looped over the features. All randomness
+(bootstrap, feature subsampling) is owned by an explicit seeded generator, so
+runs reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from itertools import repeat
 import numpy as np
 
 from .core_math import Rng
-from .data_model import Dataset
-from .errors import ConfigError, ShapeError
+from .data_model import CLIMATE_FIELDS, Dataset
+from .errors import ConfigError, DataError, ShapeError
 from .parallel import pmap
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
     "forest_predict",
     "missforest_impute",
     "impute_dataset",
+    "require_observed",
 ]
 
 
@@ -90,13 +95,20 @@ class Forest:
     n_features: int
 
 
-def _checked_inputs(X, y, config: ForestConfig):
+def _require_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} holds a NaN or infinite value; forests take finite values only")
+
+
+def _checked_inputs(X, y):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValueError(f"X {X.shape} and y {y.shape} must be (n, p) and (n,)")
     if X.shape[0] < 1:
         raise ValueError("cannot fit a tree on zero rows")
+    _require_finite("X", X)
+    _require_finite("y", y)
     return X, y
 
 
@@ -106,35 +118,49 @@ def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: Rng) -> Forest:
 
     Each in-bag (tree, row) pair is an entry weighted by its count. Every
     feature keeps a list of the entries grouped by open node and sorted by
-    that feature inside each node, so one cumulative sum per feature scores
-    every threshold of every open node. The sums are of ``w * (y - node
-    mean)``: they stay small across node boundaries, and the parent's term
-    of the variance reduction is zero. A split needs a gain above zero and
-    ``min_samples_leaf`` weight on each side; among equal gains the lowest
-    feature, then the lowest threshold, wins. ``rng`` draws each level's
+    that feature inside each node; the lists are the rows of one (p,
+    entries) array, and each level is one pass over all of them. One
+    cumulative sum along each list scores every threshold of every open
+    node. The sums are of ``w * (y - node mean)``: they stay small across
+    node boundaries, and the parent's term of the variance reduction is
+    zero. A split needs a gain above zero and ``min_samples_leaf`` weight on
+    each side; ``np.maximum.at`` finds each node's top gain, and among equal
+    gains the lowest feature, then the lowest threshold, wins. An entry's
+    side of the split is the same in every list, so it is worked out once,
+    from list 0, and every list is partitioned stably by counts of
+    right-goers. Each row sums in the order of the earlier per-feature loop,
+    so the forests are bit-identical to it. ``rng`` draws each level's
     feature subsets, unless ``mtry`` covers every feature.
     """
-    n, p = X.shape
+    p = X.shape[1]
+    n_trees = weights.shape[0]
     msl = cfg.min_samples_leaf
     mtry = cfg.resolve_mtry(p)
     tree_of, row_of = np.nonzero(weights)
-    w = weights[tree_of, row_of].astype(np.float64)
-    ye, xe = y[row_of], X[row_of].T
-    rank = np.argsort(np.argsort(X, axis=0, kind="stable"), axis=0)
-    lists = [np.argsort(tree_of * n + rank[row_of, f]) for f in range(p)]
-    sizes = np.bincount(tree_of, minlength=weights.shape[0])  # entries per open node
+    m = tree_of.size
+    # Each entry's x, w and y, once per feature: feature f's copy of entry e
+    # is column f * m + e. The lists hold such flat indices, so one take
+    # gathers all three.
+    table = np.stack(
+        (X[row_of].T.ravel(), np.tile(weights[tree_of, row_of], p), np.tile(y[row_of], p))
+    )
+    # List f: each tree's in-bag entries, the tree's rows taken in order of
+    # feature f (ties by row).
+    entry = np.full(weights.shape, -1)
+    entry[tree_of, row_of] = np.arange(m)
+    by_value = entry[:, np.argsort(X, axis=0, kind="stable").T].transpose(1, 0, 2)
+    lists = by_value[by_value >= 0].reshape(p, m) + np.arange(0, p * m, m)[:, None]
+    sizes = np.bincount(tree_of, minlength=n_trees)  # entries per open node
     levels = []
-    base = 0
     while True:
-        k = sizes.size
+        k, width = sizes.size, lists.shape[1]
         starts = np.cumsum(sizes) - sizes
-        ends = starts + sizes
         node = np.repeat(np.arange(k), sizes)  # open node at each list position
-        y0, w0 = ye[lists[0]], w[lists[0]]
-        wn = np.bincount(node, w0, k)
-        value = np.bincount(node, w0 * y0, k) / wn
+        xs, ws, ys = np.take(table, lists, axis=1)
+        wn = np.bincount(node, ws[0], k)
+        value = np.bincount(node, ws[0] * ys[0], k) / wn
         splittable = (wn >= 2 * msl) & (
-            np.minimum.reduceat(y0, starts) < np.maximum.reduceat(y0, starts)
+            np.minimum.reduceat(ys[0], starts) < np.maximum.reduceat(ys[0], starts)
         )
         if cfg.max_depth is not None and len(levels) >= cfg.max_depth:
             splittable[:] = False
@@ -142,48 +168,84 @@ def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: Rng) -> Forest:
         if mtry < p and splittable.any():
             draws = rng.uniform(0.0, 1.0, size=(int(splittable.sum()), p))
             picked[splittable] = np.argsort(np.argsort(draws, axis=1), axis=1) < mtry
-        same = node[:-1] == node[1:]
-        found = []
-        for f, order in enumerate(lists):
-            xs = xe[f, order]
-            wsum = np.concatenate(([0.0], np.cumsum(w[order])))
-            csum = np.concatenate(([0.0], np.cumsum(w[order] * (ye[order] - value[node]))))
-            j = np.flatnonzero(same & (xs[:-1] < xs[1:]) & picked[node[:-1], f])
-            s = node[j]
-            wl = wsum[j + 1] - wsum[starts[s]]
-            sl = csum[j + 1] - csum[starts[s]]
-            sr = csum[ends[s]] - csum[j + 1]
-            gain = sl * sl / wl + sr * sr / (wn[s] - wl)
-            ok = (wl >= msl) & (wn[s] - wl >= msl) & (gain > 0)
-            lo, hi = xs[j[ok]], xs[j[ok] + 1]
-            mid = (lo + hi) / 2.0  # rounds up to ``hi`` when the two are adjacent floats
-            found.append((s[ok], gain[ok], np.full(lo.size, f), np.where(mid < hi, mid, lo)))
-        s, gain, feat, thr = (np.concatenate(col) for col in zip(*found))
-        best = np.lexsort((thr, feat, -gain, s))
-        best = best[np.unique(s[best], return_index=True)[1]]
+        # Prefix sums of w and of w * (y - node mean) along each list, after
+        # a leading zero; ``wsum`` and ``csum`` are the two flattened.
+        sums = np.empty((2, p, width + 1))
+        sums[..., 0] = 0.0
+        sums[0, :, 1:] = ws
+        np.subtract(ys, value[node], out=sums[1, :, 1:])
+        sums[1, :, 1:] *= ws
+        np.cumsum(sums[..., 1:], axis=2, out=sums[..., 1:])
+        wsum, csum = sums.reshape(2, -1)
+        # Candidate thresholds: the positions whose value is below the next
+        # one in the same node, as flat (feature, position) indices ``q``, so
+        # in (feature, threshold) order.
+        cand = np.repeat(picked.T, sizes, axis=1)
+        cand[:, starts + sizes - 1] = False
+        cand[:, :-1] &= xs[:, :-1] < xs[:, 1:]
+        q = np.flatnonzero(cand)
+        f = q // width
+        s = node[q - f * width]
+        at = q + f + 1  # the sums up to and including the candidate's entry
+        lo = f * (width + 1) + starts[s]  # the sums before the node's first entry
+        hi = lo + sizes[s]
+        wl = wsum[at] - wsum[lo]
+        wr = wn[s] - wl
+        sl = csum[at] - csum[lo]
+        sr = csum[hi] - csum[at]
+        gain = sl * sl / wl + sr * sr / wr
+        gain[(wl < msl) | (wr < msl) | (gain <= 0)] = -np.inf
+        top = np.full(k, -np.inf)
+        np.maximum.at(top, s, gain)
+        split = top > 0
+        hits = np.flatnonzero(gain == top[s])
+        first = np.full(k, q.size)  # each node's first candidate with the top gain
+        np.minimum.at(first, s[hits], hits)
+        below, above = xs.ravel()[q[first[split]]], xs.ravel()[q[first[split]] + 1]
+        mid = (below + above) / 2.0  # rounds up to ``above`` when the two are adjacent floats
         feature = np.full(k, -1)
         threshold = np.zeros(k)
-        feature[s[best]], threshold[s[best]] = feat[best], thr[best]
-        split = feature >= 0
-        slot = np.where(split, 2 * np.cumsum(split) - 2, -1)  # left child's index in the next level
-        left = np.where(split, base + k + slot, -1)
-        levels.append((feature, threshold, left, np.where(split, left + 1, -1), value))
+        feature[split], threshold[split] = f[first[split]], np.where(mid < above, mid, below)
+        levels.append((feature, threshold, value))
         if not split.any():
             break
-        go = feature[node]
-        for f, order in enumerate(lists):
-            dest = np.where(go >= 0, slot[node] + (xe[go, order] > threshold[node]), -1)
-            lists[f] = order[dest >= 0][np.argsort(dest[dest >= 0], kind="stable")]
-        sizes = np.bincount(dest[dest >= 0], minlength=2 * int(split.sum()))
-        base += k
-    feature, threshold, left, right, value = (np.concatenate(col) for col in zip(*levels))
-    return Forest(feature, threshold, left, right, value, weights.shape[0], p)
+        # Each entry's side, found from list 0, is the same in every list.
+        keep = split[node]
+        node = node[keep]
+        width = node.size
+        entries = lists.compress(keep, axis=1)
+        right = np.zeros(p * m, dtype=bool)
+        right[entries[0]] = table[0, feature[node] * m + entries[0]] > threshold[node]
+        right.reshape(p, m)[1:] = right[:m]
+        goes = right[entries]
+        # A stable two-way partition of each split node in each list, by
+        # counts. Every list holds the same entries per node, so as many
+        # right-goers precede a node's block in every list.
+        n_right = np.bincount(node[goes[0]], minlength=k)
+        sizes = np.where(split, sizes, 0)
+        ahead = np.cumsum(goes, axis=1)
+        ahead -= (np.cumsum(n_right) - n_right)[node]
+        # A left-goer moves back past the right-goers ahead of it in its
+        # node; the j-th right-goer moves to the j-th slot after the node's
+        # left-goers.
+        dest = np.arange(width) - ahead
+        np.add(ahead, (np.cumsum(sizes) - n_right - 1)[node], out=dest, where=goes)
+        dest += np.arange(0, p * width, width)[:, None]
+        lists = np.empty_like(entries)
+        lists.ravel()[dest] = entries
+        sizes = np.ravel([sizes - n_right, n_right], order="F")[np.repeat(split, 2)]
+    feature, threshold, value = (np.concatenate(col) for col in zip(*levels))
+    # Levels list the children of their parents' level in order, so the
+    # children of the i-th inner node are nodes n_trees + 2i and n_trees + 2i + 1.
+    inner = feature >= 0
+    left = np.where(inner, n_trees + 2 * np.cumsum(inner) - 2, -1)
+    return Forest(feature, threshold, left, np.where(inner, left + 1, -1), value, n_trees, p)
 
 
 def fit_tree(X, y, config: ForestConfig, rng: Rng) -> Forest:
     """Fit one CART regression tree: a one-tree forest whose only
     bootstrap is every row once. ``rng`` draws the feature subsets."""
-    X, y = _checked_inputs(X, y, config)
+    X, y = _checked_inputs(X, y)
     return _fit_levelwise(X, y, np.ones((1, X.shape[0]), dtype=np.intp), config, rng)
 
 
@@ -195,7 +257,7 @@ def forest_fit(X, y, config: ForestConfig, rng: Rng) -> Forest:
     trees are grown. ``rng`` itself then draws the feature subsets of every
     level of every tree, in one call per level.
     """
-    X, y = _checked_inputs(X, y, config)
+    X, y = _checked_inputs(X, y)
     n = X.shape[0]
     trees = rng.split(config.n_trees)
     weights = np.stack([np.bincount(t.integers(0, n, size=n), minlength=n) for t in trees])
@@ -209,6 +271,7 @@ def forest_predict(forest: Forest, X) -> np.ndarray:
         raise ShapeError(
             f"forest fitted on {forest.n_features} features, got input shape {X.shape}"
         )
+    _require_finite("X", X)
     rows = np.arange(X.shape[0])
     node = np.repeat(np.arange(forest.n_trees)[:, None], X.shape[0], axis=1)
     feature = forest.feature[node]
@@ -309,6 +372,18 @@ def _province_matrix(dataset: Dataset, province: str) -> np.ndarray:
     return np.hstack([dataset.climate[dataset.row(province)], season])
 
 
+def require_observed(dataset: Dataset) -> None:
+    """Raise DataError for the first province with a climate column that has
+    no observed month, as missForest has nothing to fit it on."""
+    blank = np.argwhere(np.isnan(dataset.climate).all(axis=1))
+    if blank.size:
+        province, column = blank[0]
+        raise DataError(
+            f"{dataset.provinces[province]}: {CLIMATE_FIELDS[column]} has no observed month;"
+            " cannot impute"
+        )
+
+
 def impute_dataset(
     dataset: Dataset,
     config: ForestConfig | None = None,
@@ -322,7 +397,9 @@ def impute_dataset(
     are independent and the whole pass is deterministic. Only provinces with
     a missing cell are imputed, on a process pool (:func:`parallel.pmap`);
     the results hold those provinces. Population and cases are never touched.
+    Every province is checked with :func:`require_observed` first.
     """
+    require_observed(dataset)
     rng = rng or Rng(0)
     rngs = rng.split(len(dataset.provinces))
     todo = np.flatnonzero(np.isnan(dataset.climate).any(axis=(1, 2)))

@@ -34,6 +34,21 @@ def snapshot(out: Path):
     return {rel: (out / rel).read_bytes() for rel in pipeline_files(out)}
 
 
+def blank_column(tmp_path, province, column):
+    """A masked synth CSV whose ``column`` is empty in every month of ``province``."""
+    masked = tmp_path / "masked.csv"
+    assert run(["synth", "--seed", 1, "--months", 30, "--out-truth", tmp_path / "truth.csv",
+                "--out-masked", masked]) == 0
+    rows = [line.split(",") for line in masked.read_text().splitlines()]
+    at = rows[0].index(column)
+    for row in rows[1:]:
+        if row[0] == province:
+            row[at] = ""
+    blank = tmp_path / "blank.csv"
+    blank.write_text("".join(",".join(row) + "\n" for row in rows))
+    return blank
+
+
 class TestSynthCommand:
     def test_writes_parseable_pair(self, tmp_path):
         truth, masked = tmp_path / "truth.csv", tmp_path / "masked.csv"
@@ -85,6 +100,15 @@ class TestImputeCommand:
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert run(["impute", "--in", tmp_path / "nope.csv", "--out", tmp_path / "o.csv"]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:io:")
+
+    def test_column_with_no_observed_month_is_data_error(self, tmp_path, capsys):
+        blank = blank_column(tmp_path, "Bubanza", "rainfall")
+        out, log = tmp_path / "completed.csv", tmp_path / "impute_log.csv"
+        capsys.readouterr()
+        assert run(["impute", "--in", blank, "--out", out, "--log", log, "--n-trees", 2]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error:data: Bubanza: rainfall has no observed month; cannot impute"]
+        assert not out.exists() and not log.exists()
 
 
 class TestAggregateCommand:
@@ -381,6 +405,17 @@ class TestPipeline:
         assert err == ["error:config: 30 months at window.lookback 12: split of 18 samples at "
                        "fraction 0.01 leaves an empty partition"]
         assert not (tmp_path / "out").exists()
+
+    def test_column_with_no_observed_month_is_refused_before_anything_is_written(
+        self, tmp_path, capsys
+    ):
+        blank = blank_column(tmp_path, "Bubanza", "rel_humidity")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(["pipeline", "--seed", 1, "--input_csv", blank, "--out_dir", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error:data: Bubanza: rel_humidity has no observed month; cannot impute"]
+        assert not out.exists()
 
     def test_rerun_from_its_own_run_config(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"

@@ -7,6 +7,12 @@ keeps them as counts, so the two sum in different orders. They are
 compared by partition (in-bag predictions and leaf count), not by node
 feature: several features can give the same partition with gains that
 differ only in the last digits.
+
+The second reference is the level-wise grower as it was before each level
+became one pass over all features: a Python loop over the features, a
+``lexsort`` for the best split and a stable ``argsort`` to repartition each
+feature's list. It sums in the same order as the grower under test, so the
+two must give bit-identical forests and consume the same random draws.
 """
 
 from dataclasses import dataclass
@@ -17,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malaria_forecast.core_math import Rng
-from malaria_forecast.imputation import ForestConfig, fit_tree, forest_fit, forest_predict
+from malaria_forecast.imputation import Forest, ForestConfig, fit_tree, forest_fit, forest_predict
 
 
 @dataclass
@@ -159,3 +165,129 @@ def test_forest_matches_recursive_oracle(problem):
 def test_tree_matches_recursive_oracle(problem):
     X, y, cfg, seed = problem
     assert_same_tree(fit_tree(X, y, cfg, Rng(seed)), 0, ref_grow(X, y, cfg), X)
+
+
+def levelwise_reference(X, y, weights, cfg, rng):
+    """The per-feature level-wise grower: grows one tree per row of the count
+    matrix ``weights``, all trees together, one depth level per step."""
+    n, p = X.shape
+    msl = cfg.min_samples_leaf
+    mtry = cfg.resolve_mtry(p)
+    tree_of, row_of = np.nonzero(weights)
+    w = weights[tree_of, row_of].astype(np.float64)
+    ye, xe = y[row_of], X[row_of].T
+    rank = np.argsort(np.argsort(X, axis=0, kind="stable"), axis=0)
+    lists = [np.argsort(tree_of * n + rank[row_of, f]) for f in range(p)]
+    sizes = np.bincount(tree_of, minlength=weights.shape[0])  # entries per open node
+    levels = []
+    base = 0
+    while True:
+        k = sizes.size
+        starts = np.cumsum(sizes) - sizes
+        ends = starts + sizes
+        node = np.repeat(np.arange(k), sizes)  # open node at each list position
+        y0, w0 = ye[lists[0]], w[lists[0]]
+        wn = np.bincount(node, w0, k)
+        value = np.bincount(node, w0 * y0, k) / wn
+        splittable = (wn >= 2 * msl) & (
+            np.minimum.reduceat(y0, starts) < np.maximum.reduceat(y0, starts)
+        )
+        if cfg.max_depth is not None and len(levels) >= cfg.max_depth:
+            splittable[:] = False
+        picked = np.repeat(splittable[:, None], p, axis=1)
+        if mtry < p and splittable.any():
+            draws = rng.uniform(0.0, 1.0, size=(int(splittable.sum()), p))
+            picked[splittable] = np.argsort(np.argsort(draws, axis=1), axis=1) < mtry
+        same = node[:-1] == node[1:]
+        found = []
+        for f, order in enumerate(lists):
+            xs = xe[f, order]
+            wsum = np.concatenate(([0.0], np.cumsum(w[order])))
+            csum = np.concatenate(([0.0], np.cumsum(w[order] * (ye[order] - value[node]))))
+            j = np.flatnonzero(same & (xs[:-1] < xs[1:]) & picked[node[:-1], f])
+            s = node[j]
+            wl = wsum[j + 1] - wsum[starts[s]]
+            sl = csum[j + 1] - csum[starts[s]]
+            sr = csum[ends[s]] - csum[j + 1]
+            gain = sl * sl / wl + sr * sr / (wn[s] - wl)
+            ok = (wl >= msl) & (wn[s] - wl >= msl) & (gain > 0)
+            lo, hi = xs[j[ok]], xs[j[ok] + 1]
+            mid = (lo + hi) / 2.0  # rounds up to ``hi`` when the two are adjacent floats
+            found.append((s[ok], gain[ok], np.full(lo.size, f), np.where(mid < hi, mid, lo)))
+        s, gain, feat, thr = (np.concatenate(col) for col in zip(*found))
+        best = np.lexsort((thr, feat, -gain, s))
+        best = best[np.unique(s[best], return_index=True)[1]]
+        feature = np.full(k, -1)
+        threshold = np.zeros(k)
+        feature[s[best]], threshold[s[best]] = feat[best], thr[best]
+        split = feature >= 0
+        slot = np.where(split, 2 * np.cumsum(split) - 2, -1)  # left child's index in the next level
+        left = np.where(split, base + k + slot, -1)
+        levels.append((feature, threshold, left, np.where(split, left + 1, -1), value))
+        if not split.any():
+            break
+        go = feature[node]
+        for f, order in enumerate(lists):
+            dest = np.where(go >= 0, slot[node] + (xe[go, order] > threshold[node]), -1)
+            lists[f] = order[dest >= 0][np.argsort(dest[dest >= 0], kind="stable")]
+        sizes = np.bincount(dest[dest >= 0], minlength=2 * int(split.sum()))
+        base += k
+    feature, threshold, left, right, value = (np.concatenate(col) for col in zip(*levels))
+    return Forest(feature, threshold, left, right, value, weights.shape[0], p)
+
+
+ADJACENT = [1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(np.nextafter(1.0, 2.0), 2.0))]
+
+
+@st.composite
+def exact_problems(draw):
+    """Problems with exact gain ties: duplicated rows, a column that repeats
+    another, integer targets, and adjacent floats whose midpoint rounds up."""
+    p = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.integers(0, len(COLUMN_VALUES)), min_size=p, max_size=p))
+    values = COLUMN_VALUES + [st.sampled_from(ADJACENT)]
+    rows = draw(st.lists(st.tuples(*(values[k] for k in kinds)), min_size=2, max_size=20))
+    dup = draw(st.lists(st.integers(0, len(rows) - 1), max_size=8))
+    X = np.array(rows + [rows[i] for i in dup], dtype=np.float64)
+    if p > 1 and draw(st.booleans()):
+        X[:, draw(st.integers(1, p - 1))] = X[:, 0]
+    if draw(st.booleans()):
+        y = np.array(draw(st.lists(st.integers(0, 3), min_size=len(X), max_size=len(X))), dtype=np.float64)
+    else:
+        y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(10.0, 3.0, X.shape[0])
+    cfg = ForestConfig(
+        n_trees=draw(st.integers(1, 30)),
+        mtry=draw(st.integers(1, p)),
+        min_samples_leaf=draw(st.integers(1, 6)),
+        max_depth=draw(st.none() | st.integers(0, 4)),
+    )
+    return X, y, cfg, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_identical(forest, reference, rng, reference_rng):
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert np.array_equal(getattr(forest, name), getattr(reference, name)), name
+    assert (forest.n_trees, forest.n_features) == (reference.n_trees, reference.n_features)
+    assert rng.uniform(0.0, 1.0) == reference_rng.uniform(0.0, 1.0), "random draws differ"
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_problems())
+def test_forest_is_bit_identical_to_the_levelwise_reference(problem):
+    X, y, cfg, seed = problem
+    rng, reference_rng = Rng(seed), Rng(seed)
+    forest = forest_fit(X, y, cfg, rng)
+    n = X.shape[0]
+    trees = reference_rng.split(cfg.n_trees)
+    weights = np.stack([np.bincount(t.integers(0, n, size=n), minlength=n) for t in trees])
+    assert_identical(forest, levelwise_reference(X, y, weights, cfg, reference_rng), rng, reference_rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_problems())
+def test_tree_is_bit_identical_to_the_levelwise_reference(problem):
+    X, y, cfg, seed = problem
+    rng, reference_rng = Rng(seed), Rng(seed)
+    tree = fit_tree(X, y, cfg, rng)
+    weights = np.ones((1, X.shape[0]), dtype=np.intp)
+    assert_identical(tree, levelwise_reference(X, y, weights, cfg, reference_rng), rng, reference_rng)

@@ -3,7 +3,7 @@ import pytest
 from conftest import same_dataset, walk_tree
 
 from malaria_forecast.core_math import Rng
-from malaria_forecast.errors import ShapeError
+from malaria_forecast.errors import DataError, ShapeError
 from malaria_forecast.data_model import Dataset
 from malaria_forecast.imputation import (
     ForestConfig,
@@ -124,6 +124,23 @@ class TestFitTree:
         tree = fit_tree(np.zeros((3, 2)), np.zeros(3), ForestConfig(), Rng(0))
         with pytest.raises(ShapeError):
             forest_predict(tree, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("fit", [fit_tree, forest_fit])
+    @pytest.mark.parametrize("name", ["X", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fit_input_rejected(self, fit, name, bad):
+        X, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+        (X if name == "X" else y).flat[3] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds a NaN or infinite value"):
+            fit(X, y, ForestConfig(n_trees=2, min_samples_leaf=1), Rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_predict_input_rejected(self, bad):
+        X = np.arange(12.0).reshape(6, 2)
+        tree = fit_tree(X, np.arange(6.0), ForestConfig(min_samples_leaf=1), Rng(0))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="^X holds a NaN or infinite value"):
+            forest_predict(tree, X)
 
 
 class TestForest:
@@ -303,3 +320,15 @@ class TestImputeDataset:
 
         impute_dataset(truth, ForestConfig(n_trees=4), Rng(2))
         assert calls[1:] == [[]]
+
+    def test_column_with_no_observed_month_is_named(self, monkeypatch):
+        from malaria_forecast import imputation
+
+        _, masked = self.make_masked_dataset()
+        climate = masked.climate.copy()
+        climate[1, :, 2] = np.nan
+        climate[1, :, 0] = np.nan
+        blank = Dataset(masked.provinces, masked.start, climate, masked.population, masked.cases)
+        monkeypatch.setattr(imputation, "pmap", lambda *args: pytest.fail("imputed before the check"))
+        with pytest.raises(DataError, match="^Beta: temp_mean has no observed month; cannot impute$"):
+            impute_dataset(blank, ForestConfig(n_trees=2), Rng(0))
