@@ -216,13 +216,12 @@ class Config:
         return "".join(f"{key} = {0 if v is None else v}\n" for key, v in self.values.items())
 
 
-def run_synth(cfg: synthgen.SynthConfig, truth_path, masked_path) -> Dataset:
-    """Write the truth and masked datasets; returns the masked one."""
+def run_synth(cfg: synthgen.SynthConfig, datasets, truth_path, masked_path) -> None:
+    """Write the truth and masked ``datasets`` that ``cfg`` generated."""
     log(f"synth: seed={cfg.seed} months={cfg.months} missing_rate={cfg.missing_rate}")
-    truth, masked = synthgen.generate(cfg)
+    truth, masked = datasets
     atomic_write(truth_path, lambda p: data_model.write_csv(truth, p))
     atomic_write(masked_path, lambda p: data_model.write_csv(masked, p))
-    return masked
 
 
 def run_impute(dataset: Dataset, out_path, log_path, forest_cfg, seed, max_iter) -> Dataset:
@@ -403,12 +402,13 @@ def run_pipeline(cfg: Config) -> None:
     redistricting = data_model.BURUNDI_REDISTRICTING
     if cfg["map_csv"]:
         redistricting = data_model.read_map_csv(cfg["map_csv"])
-    masked = data_model.ingest_csv(cfg["input_csv"]) if cfg["input_csv"] else None
-    if masked is not None:
-        imputation.require_observed(masked)
+    # The synthetic pair is generated in memory, and checked like an input.
+    synthetic = None if cfg["input_csv"] else synthgen.generate(cfg.synth)
+    masked = data_model.ingest_csv(cfg["input_csv"]) if cfg["input_csv"] else synthetic[1]
+    imputation.require_observed(masked)
     # Every model splits the same number of windows, known before any file
     # is written.
-    months = cfg.synth.months if masked is None else masked.cases.shape[1]
+    months = masked.cases.shape[1]
     lookback = cfg["window.lookback"]
     try:
         windowing.split_index(max(months - lookback, 0), cfg["window.train_fraction"])
@@ -422,8 +422,8 @@ def run_pipeline(cfg: Config) -> None:
     atomic_write_text(out / "run_config.txt", cfg.to_text())
     log(f"pipeline: seed={cfg['seed']} out={out} workers={parallel.usable_cpus()}")
 
-    if masked is None:
-        masked = run_synth(cfg.synth, out / "truth.csv", out / "masked.csv")
+    if synthetic:
+        run_synth(cfg.synth, synthetic, out / "truth.csv", out / "masked.csv")
     completed = run_impute(
         masked,
         out / "completed.csv",
@@ -521,7 +521,7 @@ def main(argv=None) -> int:
         values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
         cfg = Config(values)
         if args.command == "synth":
-            run_synth(cfg.synth, args.out_truth, args.out_masked)
+            run_synth(cfg.synth, synthgen.generate(cfg.synth), args.out_truth, args.out_masked)
         elif args.command == "impute":
             run_impute(
                 data_model.ingest_csv(args.in_path),

@@ -142,9 +142,6 @@ class Rng:
         """In-place shuffle."""
         self._gen.shuffle(values)
 
-    def choice(self, values, size=None, replace=True):
-        return self._gen.choice(values, size=size, replace=replace)
-
 
 def derive_seed(seed: int, label: str) -> int:
     """Stable per-stage seed: hash of the global seed and a stage label.

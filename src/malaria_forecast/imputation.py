@@ -14,9 +14,10 @@ bootstrap held as row counts, and are stored as flat node arrays. A level is
 one array pass over all features: a (features, entries) array of per-feature
 entry lists, one cumulative sum along each, each entry's side worked out once
 and every list partitioned by counts. The forests are bit-identical to those
-of the earlier grower that looped over the features. All randomness
-(bootstrap, feature subsampling) is owned by an explicit seeded generator, so
-runs reproduce bit-for-bit.
+of the earlier grower that looped over the features. All randomness is
+owned by an explicit seeded generator, so runs reproduce bit-for-bit: one
+call draws every tree's bootstrap, and one call per level draws the feature
+subsets.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "Forest",
     "ImputationResult",
     "fit_tree",
+    "bootstrap_weights",
     "forest_fit",
     "forest_predict",
     "missforest_impute",
@@ -112,6 +114,24 @@ def _checked_inputs(X, y):
     return X, y
 
 
+def _pick_features(draws: np.ndarray, mtry: int) -> np.ndarray:
+    """Mark the ``mtry`` smallest draws of each row, as ranking the row with
+    a stable argsort would: among equal draws the lower index comes first.
+
+    One partition finds each row's ``mtry``-th smallest draw, and the draws
+    up to it are picked; only where that picks too many are the ties with
+    it cut back in index order.
+    """
+    kth = np.partition(draws, mtry - 1, axis=1)[:, mtry - 1 : mtry]
+    picked = draws <= kth
+    if np.count_nonzero(picked) > mtry * draws.shape[0]:
+        below = draws < kth
+        tied = picked & ~below
+        room = mtry - below.sum(axis=1, keepdims=True)
+        picked = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    return picked
+
+
 def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: Rng) -> Forest:
     """Grow one tree per row of the count matrix ``weights`` (trees, rows),
     all trees together, one depth level per step.
@@ -167,7 +187,7 @@ def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: Rng) -> Forest:
         picked = np.repeat(splittable[:, None], p, axis=1)
         if mtry < p and splittable.any():
             draws = rng.uniform(0.0, 1.0, size=(int(splittable.sum()), p))
-            picked[splittable] = np.argsort(np.argsort(draws, axis=1), axis=1) < mtry
+            picked[splittable] = _pick_features(draws, mtry)
         # Prefix sums of w and of w * (y - node mean) along each list, after
         # a leading zero; ``wsum`` and ``csum`` are the two flattened.
         sums = np.empty((2, p, width + 1))
@@ -249,18 +269,23 @@ def fit_tree(X, y, config: ForestConfig, rng: Rng) -> Forest:
     return _fit_levelwise(X, y, np.ones((1, X.shape[0]), dtype=np.intp), config, rng)
 
 
+def bootstrap_weights(rng: Rng, n_trees: int, n: int) -> np.ndarray:
+    """Every tree's bootstrap of ``n`` rows as per-row counts (n_trees, n):
+    one draw of all the row indices, counted by one offset bincount."""
+    draws = rng.integers(0, n, size=(n_trees, n))
+    draws += np.arange(0, n_trees * n, n)[:, None]
+    return np.bincount(draws.ravel(), minlength=n_trees * n).reshape(n_trees, n)
+
+
 def forest_fit(X, y, config: ForestConfig, rng: Rng) -> Forest:
     """Fit a bootstrap ensemble of ``config.n_trees`` trees.
 
-    ``rng.split(n_trees)`` gives one child generator per tree, which draws
-    that tree's bootstrap rows, so the bootstraps do not depend on how the
-    trees are grown. ``rng`` itself then draws the feature subsets of every
-    level of every tree, in one call per level.
+    ``rng`` first draws every tree's bootstrap with
+    :func:`bootstrap_weights`, then the feature subsets of every level of
+    every tree, in one call per level.
     """
     X, y = _checked_inputs(X, y)
-    n = X.shape[0]
-    trees = rng.split(config.n_trees)
-    weights = np.stack([np.bincount(t.integers(0, n, size=n), minlength=n) for t in trees])
+    weights = bootstrap_weights(rng, config.n_trees, X.shape[0])
     return _fit_levelwise(X, y, weights, config, rng)
 
 

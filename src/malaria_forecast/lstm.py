@@ -511,7 +511,7 @@ _MONTH = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 
 def _floats_line(values: np.ndarray) -> str:
-    return " ".join(float.hex(float(v)) for v in values) + "\n"
+    return " ".join(map(float.hex, values.tolist())) + "\n"
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -416,6 +416,13 @@ class TestPipeline:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error:data: Bubanza: rel_humidity has no observed month; cannot impute"]
         assert not out.exists()
+        # The synth masks every month of a column at this rate and length.
+        synth = ["--synth.months", 30, "--synth.missing_rate", 0.9,
+                 "--impute.n_trees", 2, "--train.epochs", 1]
+        assert run(["pipeline", "--seed", 1, "--out_dir", out] + synth) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error:data: Kirundo: temp_mean has no observed month; cannot impute"]
+        assert not out.exists()
 
     def test_rerun_from_its_own_run_config(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"

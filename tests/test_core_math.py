@@ -128,14 +128,13 @@ class TestRng:
         draws = Rng(2024).uniform(0.0, 1.0, size=100_000)
         assert abs(float(draws.mean()) - 0.5) <= 0.01
 
-    def test_shuffle_and_choice_reproducible(self):
+    def test_shuffle_reproducible(self):
         a, b = Rng(9), Rng(9)
         xs = np.arange(20)
         ys = np.arange(20)
         a.shuffle(xs)
         b.shuffle(ys)
         assert np.array_equal(xs, ys)
-        assert np.array_equal(a.choice(xs, size=5, replace=False), b.choice(ys, size=5, replace=False))
 
     def test_split_reproducible(self):
         kids_a = Rng(5).split(3)

@@ -23,7 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malaria_forecast.core_math import Rng
-from malaria_forecast.imputation import Forest, ForestConfig, fit_tree, forest_fit, forest_predict
+from malaria_forecast.imputation import (
+    Forest,
+    ForestConfig,
+    bootstrap_weights,
+    fit_tree,
+    forest_fit,
+    forest_predict,
+)
 
 
 @dataclass
@@ -152,9 +159,9 @@ def assert_same_tree(forest, t, root, X_in):
 def test_forest_matches_recursive_oracle(problem):
     X, y, cfg, seed = problem
     forest = forest_fit(X, y, cfg, Rng(seed))
-    n = X.shape[0]
-    for t, tree_rng in enumerate(Rng(seed).split(cfg.n_trees)):
-        idx = tree_rng.integers(0, n, size=n)
+    rows = np.arange(X.shape[0])
+    for t, counts in enumerate(bootstrap_weights(Rng(seed), cfg.n_trees, X.shape[0])):
+        idx = np.repeat(rows, counts)
         assert_same_tree(forest, t, ref_grow(X[idx], y[idx], cfg), X[idx])
     per_tree = [walk_tree(forest, t, X) for t in range(cfg.n_trees)]
     assert np.array_equal(forest_predict(forest, X), sum(per_tree) / cfg.n_trees)
@@ -277,9 +284,7 @@ def test_forest_is_bit_identical_to_the_levelwise_reference(problem):
     X, y, cfg, seed = problem
     rng, reference_rng = Rng(seed), Rng(seed)
     forest = forest_fit(X, y, cfg, rng)
-    n = X.shape[0]
-    trees = reference_rng.split(cfg.n_trees)
-    weights = np.stack([np.bincount(t.integers(0, n, size=n), minlength=n) for t in trees])
+    weights = bootstrap_weights(reference_rng, cfg.n_trees, X.shape[0])
     assert_identical(forest, levelwise_reference(X, y, weights, cfg, reference_rng), rng, reference_rng)
 
 

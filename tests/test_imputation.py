@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 from conftest import same_dataset, walk_tree
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malaria_forecast.core_math import Rng
 from malaria_forecast.errors import DataError, ShapeError
 from malaria_forecast.data_model import Dataset
 from malaria_forecast.imputation import (
     ForestConfig,
+    _pick_features,
     _province_matrix,
+    bootstrap_weights,
     fit_tree,
     forest_fit,
     forest_predict,
@@ -182,6 +186,59 @@ class TestForest:
         forest = forest_fit(np.zeros((4, 2)), np.zeros(4), ForestConfig(n_trees=1), Rng(0))
         with pytest.raises(ShapeError):
             forest_predict(forest, np.zeros((2, 5)))
+
+
+def double_argsort_pick(draws, mtry):
+    """The pick by ranks: each row's stable argsort, ranked again."""
+    return np.argsort(np.argsort(draws, axis=1, kind="stable"), axis=1) < mtry
+
+
+@st.composite
+def feature_draws(draw):
+    p = draw(st.integers(2, 8))
+    mtry = draw(st.sampled_from([1, p - 1, draw(st.integers(1, p - 1))]))
+    # A few distinct values, so that most rows hold ties.
+    value = st.sampled_from([0.0, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0, exclude_max=True)
+    rows = draw(st.lists(st.lists(value, min_size=p, max_size=p), min_size=1, max_size=6))
+    return np.array(rows), mtry
+
+
+class TestFeatureSubsets:
+    @pytest.mark.parametrize(
+        "rows, mtry, picked",
+        [
+            ([[0.5, 0.5, 0.5, 0.5]], 2, [[1, 1, 0, 0]]),
+            ([[0.9, 0.2, 0.2, 0.1]], 2, [[0, 1, 0, 1]]),
+            ([[0.9, 0.2, 0.2, 0.1]], 3, [[0, 1, 1, 1]]),
+            ([[0.3, 0.1, 0.3, 0.3, 0.0]], 3, [[1, 1, 0, 0, 1]]),
+            ([[0.3, 0.1, 0.3, 0.3, 0.0]], 4, [[1, 1, 1, 0, 1]]),
+            ([[0.7, 0.7, 0.1]], 1, [[0, 0, 1]]),
+            ([[0.1, 0.7, 0.7]], 2, [[1, 1, 0]]),
+            # One row ties at its mtry-th draw, the other does not.
+            ([[0.4, 0.3, 0.2, 0.1], [0.6, 0.2, 0.6, 0.6]], 2, [[0, 0, 1, 1], [1, 1, 0, 0]]),
+        ],
+    )
+    def test_ties_go_to_the_lower_feature(self, rows, mtry, picked):
+        draws = np.array(rows)
+        assert _pick_features(draws, mtry).astype(int).tolist() == picked
+        assert np.array_equal(_pick_features(draws, mtry), double_argsort_pick(draws, mtry))
+
+    @settings(max_examples=300, deadline=None)
+    @given(feature_draws())
+    def test_equals_the_double_argsort_pick(self, problem):
+        draws, mtry = problem
+        picked = _pick_features(draws, mtry)
+        assert np.array_equal(picked, double_argsort_pick(draws, mtry))
+        assert (picked.sum(axis=1) == mtry).all()
+
+
+class TestBootstrapWeights:
+    def test_each_row_counts_its_trees_draw(self):
+        weights = bootstrap_weights(Rng(11), 6, 9)
+        draws = Rng(11).integers(0, 9, size=(6, 9))
+        assert weights.shape == (6, 9)
+        for counts, rows in zip(weights, draws):
+            assert np.array_equal(counts, np.bincount(rows, minlength=9))
 
 
 def masked_climate_matrix(seed, months=60, missing=0.1):
