@@ -4,7 +4,9 @@ Pipeline: ingest (or synthesize) monthly climate/population/case series,
 impute missing climate values with an iterative random forest, aggregate the
 18 former Burundi provinces into the 5 current ones, train univariate and
 multivariate LSTM forecasters, and report RMSE tables, horizon totals, and
-forecast curves.
+forecast curves. The API lives in the submodules (``malaria_forecast.cli``,
+``.imputation``, ``.lstm`` and so on); the package itself exports only
+``__version__``.
 """
 
 import os
@@ -16,55 +18,3 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 __version__ = "0.1.0"
-
-from .core_math import MinMaxScaler, Rng, derive_seed
-from .data_model import (
-    BURUNDI_REDISTRICTING,
-    Dataset,
-    MonthKey,
-    RedistrictingMap,
-    aggregate_provinces,
-    ingest_csv,
-    to_country_level,
-    write_csv,
-)
-from .evaluation import ForecastReport, build_comparison, make_report, persistence_baseline, rmse
-from .imputation import ForestConfig, impute_dataset, missforest_impute
-from .lstm import TrainConfig, TrainedModel, forecast_test_horizon, load_model, predict, save_model, train
-from .synthgen import SynthConfig, generate
-from .windowing import WindowSpec, make_windows, split_train_test
-
-__all__ = [
-    "__version__",
-    "MinMaxScaler",
-    "Rng",
-    "derive_seed",
-    "BURUNDI_REDISTRICTING",
-    "Dataset",
-    "MonthKey",
-    "RedistrictingMap",
-    "aggregate_provinces",
-    "ingest_csv",
-    "to_country_level",
-    "write_csv",
-    "ForecastReport",
-    "build_comparison",
-    "make_report",
-    "persistence_baseline",
-    "rmse",
-    "ForestConfig",
-    "impute_dataset",
-    "missforest_impute",
-    "TrainConfig",
-    "TrainedModel",
-    "forecast_test_horizon",
-    "load_model",
-    "predict",
-    "save_model",
-    "train",
-    "SynthConfig",
-    "generate",
-    "WindowSpec",
-    "make_windows",
-    "split_train_test",
-]

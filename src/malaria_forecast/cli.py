@@ -10,10 +10,9 @@ and ``provinces``), :class:`ForestConfig` and :class:`TrainConfig` (less
 declared in the table itself. The table gives the pipeline's
 ``--section.field`` flags and config keys, the lines of ``run_config.txt``,
 the stage commands' ``--field-name`` flags and the ``synth --config`` keys.
-For the ``int | None`` fields (mtry, max_depth, batch_size), 0 means None on
-the command line and in files. Every value is checked once, when the
-:class:`Config` is built, so a bad one ends in ``error:config`` before any
-file is written.
+Flag and file values are parsed by :func:`parse_setting` and checked once,
+when the :class:`Config` is built, so a bad one ends in ``error:config``
+before any file is written.
 
 Every command takes the global seed and derives its own stage seed from it,
 so a full pipeline run and the equivalent sequence of individual commands
@@ -95,7 +94,7 @@ def atomic_write_text(path, text: str) -> None:
 def parse_kv_file(path) -> dict[str, str]:
     """Flat ``key = value`` file; blank lines and # comments ignored."""
     mapping: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(data_model.read_text(path, ConfigError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -172,6 +171,15 @@ SETTINGS = {
 }
 
 
+def parse_setting(key: str, raw: str, where, name: str):
+    """Setting ``key`` parsed from the text ``raw`` that ``where`` (a config
+    file or the command line) gave for ``name``."""
+    try:
+        return SETTINGS[key].parse(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: bad value for {name}: {raw!r}") from None
+
+
 def read_config(path, prefix: str = "") -> dict:
     """Setting values from a ``key = value`` file whose keys are setting
     keys without ``prefix``; ``seed`` is always bare."""
@@ -180,10 +188,7 @@ def read_config(path, prefix: str = "") -> dict:
         key = name if name == "seed" else prefix + name
         if key not in SETTINGS:
             raise ConfigError(f"{path}: unknown config key {name!r}")
-        try:
-            values[key] = SETTINGS[key].parse(raw)
-        except ValueError:
-            raise ConfigError(f"{path}: bad value for {name}: {raw!r}") from None
+        values[key] = parse_setting(key, raw, path, name)
     return values
 
 
@@ -443,21 +448,28 @@ def run_pipeline(cfg: Config) -> None:
     run_evaluate(forecasts, out)
 
 
+def _flag(key: str, stage: bool) -> str:
+    """A stage command's ``--field-name`` flag, or the pipeline's ``--key``."""
+    return "--" + (SETTINGS[key].name.replace("_", "-") if stage else key)
+
+
 def _add_settings(parser, *sections: str) -> None:
     """``--field-name`` flags for the settings of ``sections`` (a bare key
     is its own section), or ``--key`` flags for all of them when no section
-    is named. An absent flag is None; the defaults stay in SETTINGS."""
+    is named. A flag's value stays text, parsed later by
+    :func:`parse_setting`; an absent flag is None and the defaults stay in
+    SETTINGS."""
     for key, s in SETTINGS.items():
         if sections and key.partition(".")[0] not in sections:
             continue
-        flag = "--" + (s.name.replace("_", "-") if sections else key)
+        flag = _flag(key, bool(sections))
         default = 0 if s.default is None else s.default
         if s.parse is _parse_bool and sections:
-            parser.add_argument(flag, dest=key, action="store_true", default=None, help=f"default {default}")
+            parser.add_argument(flag, dest=key, action="store_const", const="true", help=f"default {default}")
             continue
         note = "; 0 = None" if s.parse is _optional_int else ""
         metavar = "BOOL" if s.parse is _parse_bool else s.name.upper()
-        parser.add_argument(flag, dest=key, type=s.parse, metavar=metavar, help=f"default {default}{note}")
+        parser.add_argument(flag, dest=key, metavar=metavar, help=f"default {default}{note}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,7 +530,12 @@ def main(argv=None) -> int:
             values = read_config(args.config, "synth." if args.command == "synth" else "")
         if args.command == "pipeline" and os.environ.get(OUT_DIR_ENV):
             values.setdefault("out_dir", os.environ[OUT_DIR_ENV])
-        values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
+        stage = args.command != "pipeline"
+        values.update(
+            (k, parse_setting(k, v, "command line", _flag(k, stage)))
+            for k, v in vars(args).items()
+            if k in SETTINGS and v is not None
+        )
         cfg = Config(values)
         if args.command == "synth":
             run_synth(cfg.synth, synthgen.generate(cfg.synth), args.out_truth, args.out_masked)

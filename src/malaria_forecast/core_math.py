@@ -1,7 +1,6 @@
-"""Dense numeric kernel: the LSTM gate activation, min-max scaling, seeded RNG.
+"""Numeric helpers: min-max scaling, the seeded RNG and stage seeds.
 
-Everything runs in 64-bit floats. Matrices are plain 2-D ``numpy`` arrays;
-the helpers here add the shape checking the rest of the toolkit relies on.
+Everything runs in 64-bit floats.
 """
 
 from __future__ import annotations
@@ -12,34 +11,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = [
-    "gate_activation",
-    "MinMaxScaler",
-    "Rng",
-    "derive_seed",
-]
-
-
-def as_matrix(data) -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    a = np.asarray(data, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
-    return a
-
-
-def gate_activation(z, scale):
-    """``scale·tanh(scale·z) + (1 − scale)`` elementwise.
-
-    With scale ½ this is the logistic function, since σ(z) = ½·tanh(z/2) + ½;
-    with scale 1 it is tanh. ``scale`` broadcasts against ``z``, so one call
-    activates a row of LSTM gates with the logistic and tanh blocks side by
-    side. Saturates to exactly 0/1 or ±1 without overflow.
-    """
-    out = np.tanh(np.multiply(scale, z))
-    out *= scale
-    out += 1.0 - scale
-    return out
+__all__ = ["MinMaxScaler", "Rng", "derive_seed"]
 
 
 class MinMaxScaler:
@@ -67,7 +39,9 @@ class MinMaxScaler:
     @classmethod
     def fit(cls, values) -> "MinMaxScaler":
         """Fit on a (rows, features) column block; requires at least one row."""
-        v = as_matrix(values)
+        v = np.asarray(values, dtype=np.float64)
+        if v.ndim != 2:
+            raise ShapeError(f"expected a 2-D matrix, got shape {v.shape}")
         if v.shape[0] < 1:
             raise ValueError("scaler fit requires at least one row")
         return cls(v.min(axis=0), v.max(axis=0))
@@ -105,14 +79,12 @@ class Rng:
     def __init__(self, seed: int):
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {seed!r}")
-        self.seed = int(seed)
-        self._seq = np.random.SeedSequence(self.seed)
+        self._seq = np.random.SeedSequence(int(seed))
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
     @classmethod
     def _from_sequence(cls, seq: np.random.SeedSequence) -> "Rng":
         rng = cls.__new__(cls)
-        rng.seed = int(seq.entropy) if isinstance(seq.entropy, int) else -1
         rng._seq = seq
         rng._gen = np.random.Generator(np.random.PCG64(seq))
         return rng

@@ -49,6 +49,7 @@ __all__ = [
     "ingest_csv",
     "write_csv",
     "read_csv",
+    "read_text",
     "read_map_csv",
     "aggregate_provinces",
     "to_country_level",
@@ -209,9 +210,6 @@ class Dataset:
                 f"region {province!r} not in dataset (has {self.provinces})"
             ) from None
 
-    def has_missing_climate(self) -> bool:
-        return bool(np.isnan(self.climate).any())
-
 
 def _parse_cell(raw: str, kind: str, column: str, line_no: int):
     """An int, or a finite float where an empty climate cell gives NaN."""
@@ -267,20 +265,23 @@ def _parse_row(row: list[str], line_no: int, minmax: bool) -> tuple[str, int, tu
     return province, ordinal, (line_no, climate, population, cases)
 
 
+def read_text(path, error=DataError) -> str:
+    """The file at ``path`` decoded as UTF-8. Other bytes raise ``error``
+    naming the path and the number of whole lines before them."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        good_lines = raw.count(b"\n", 0, exc.start)
+        raise error(f"{path}: not UTF-8 after line {good_lines}: {exc.reason}") from None
+
+
 def read_csv(source):
     """Yield ``(line number, cells)`` for each record of a CSV path or open
     text stream, the header included. Bytes that are not UTF-8 and csv-level
     faults (an unclosed quote, a field over the csv module's size limit)
     raise DataError with the path and line."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        raw = Path(source).read_bytes()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            good_lines = raw.count(b"\n", 0, exc.start)
-            raise DataError(f"{source}: not UTF-8 after line {good_lines}: {exc.reason}") from None
+    text = source.read() if hasattr(source, "read") else read_text(source)
     reader = csv.reader(io.StringIO(text, newline=""))
     while True:
         try:

@@ -33,7 +33,6 @@ __all__ = [
     "render_totals_text",
     "write_totals_csv",
     "emit_curves",
-    "read_curves",
     "write_svg",
 ]
 
@@ -143,20 +142,12 @@ def build_comparison(reports: Sequence[ForecastReport]) -> ComparisonTable:
 def render_comparison_text(table: ComparisonTable) -> str:
     """Aligned plain-text table; byte-stable for a fixed report set."""
     headers = ("Province", "Univariate LSTM", "Multivariate LSTM")
-    cells = [(label, f"{uni:.2f}", f"{multi:.2f}") for label, uni, multi in table.rows]
-    widths = [
-        max(len(headers[j]), max(len(row[j]) for row in cells)) for j in range(3)
-    ]
-    lines = [
-        "  ".join(
-            [headers[0].ljust(widths[0]), headers[1].rjust(widths[1]), headers[2].rjust(widths[2])]
-        )
-    ]
-    for row in cells:
-        lines.append(
-            "  ".join([row[0].ljust(widths[0]), row[1].rjust(widths[1]), row[2].rjust(widths[2])])
-        )
-    return "\n".join(lines) + "\n"
+    rows = [headers] + [(label, f"{uni:.2f}", f"{multi:.2f}") for label, uni, multi in table.rows]
+    widths = [max(len(row[j]) for row in rows) for j in range(3)]
+    return "".join(
+        f"{row[0].ljust(widths[0])}  {row[1].rjust(widths[1])}  {row[2].rjust(widths[2])}\n"
+        for row in rows
+    )
 
 
 def write_comparison_csv(table: ComparisonTable, path) -> None:
@@ -215,22 +206,6 @@ def emit_curves(report: ForecastReport, csv_path, svg_path=None) -> None:
             writer.writerow([str(month), repr(float(obs)), repr(float(pred))])
     if svg_path is not None:
         write_svg(report, svg_path)
-
-
-def read_curves(path) -> tuple[list[MonthKey], np.ndarray, np.ndarray]:
-    """Read back a curve CSV written by :func:`emit_curves`."""
-    months, observed, predicted = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["month", "observed", "predicted"]:
-            raise ValueError(f"{path}: unexpected curve header {header!r}")
-        for row in reader:
-            year, month = row[0].split("-")
-            months.append(MonthKey(int(year), int(month)))
-            observed.append(float(row[1]))
-            predicted.append(float(row[2]))
-    return months, np.asarray(observed), np.asarray(predicted)
 
 
 SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 800, 400, 45

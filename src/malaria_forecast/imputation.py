@@ -9,15 +9,12 @@ matrix from the previous sweep, or after ``max_iter`` sweeps.
 
 Trees are plain CART regressors: greedy variance-reduction splits with ties
 broken by lowest feature index, then lowest threshold. A forest's trees grow
-together, one depth level per step, over presorted columns with each
-bootstrap held as row counts, and are stored as flat node arrays. A level is
-one array pass over all features: a (features, entries) array of per-feature
-entry lists, one cumulative sum along each, each entry's side worked out once
-and every list partitioned by counts. The forests are bit-identical to those
-of the earlier grower that looped over the features. All randomness is
-owned by an explicit seeded generator, so runs reproduce bit-for-bit: one
-call draws every tree's bootstrap, and one call per level draws the feature
-subsets.
+together, one depth level per step, each bootstrap held as row counts, and
+are stored as flat node arrays. Each level sums in a fixed order, so the
+forests are bit-identical to the per-feature reference grower
+(``levelwise_reference`` in the forest oracle tests). All randomness is owned
+by an explicit seeded generator: one call draws every tree's bootstrap, and
+one call per level draws the feature subsets.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ __all__ = [
     "ForestConfig",
     "Forest",
     "ImputationResult",
-    "fit_tree",
     "bootstrap_weights",
     "forest_fit",
     "forest_predict",
@@ -139,18 +135,15 @@ def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: Rng) -> Forest:
     Each in-bag (tree, row) pair is an entry weighted by its count. Every
     feature keeps a list of the entries grouped by open node and sorted by
     that feature inside each node; the lists are the rows of one (p,
-    entries) array, and each level is one pass over all of them. One
-    cumulative sum along each list scores every threshold of every open
-    node. The sums are of ``w * (y - node mean)``: they stay small across
-    node boundaries, and the parent's term of the variance reduction is
-    zero. A split needs a gain above zero and ``min_samples_leaf`` weight on
-    each side; ``np.maximum.at`` finds each node's top gain, and among equal
-    gains the lowest feature, then the lowest threshold, wins. An entry's
-    side of the split is the same in every list, so it is worked out once,
-    from list 0, and every list is partitioned stably by counts of
-    right-goers. Each row sums in the order of the earlier per-feature loop,
-    so the forests are bit-identical to it. ``rng`` draws each level's
-    feature subsets, unless ``mtry`` covers every feature.
+    entries) array. One cumulative sum of ``w * (y - node mean)`` along each
+    list scores every threshold of every open node; centring keeps the sums
+    small and makes the parent's term of the variance reduction zero. A
+    split needs a gain above zero and ``min_samples_leaf`` weight on each
+    side; among equal gains the lowest feature, then the lowest threshold,
+    wins. Each list sums in the order of a loop over the features one at a
+    time, which keeps the forests bit-identical to ``levelwise_reference``.
+    ``rng`` draws each level's feature subsets, unless ``mtry`` covers
+    every feature.
     """
     p = X.shape[1]
     n_trees = weights.shape[0]
@@ -260,13 +253,6 @@ def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: Rng) -> Forest:
     inner = feature >= 0
     left = np.where(inner, n_trees + 2 * np.cumsum(inner) - 2, -1)
     return Forest(feature, threshold, left, np.where(inner, left + 1, -1), value, n_trees, p)
-
-
-def fit_tree(X, y, config: ForestConfig, rng: Rng) -> Forest:
-    """Fit one CART regression tree: a one-tree forest whose only
-    bootstrap is every row once. ``rng`` draws the feature subsets."""
-    X, y = _checked_inputs(X, y)
-    return _fit_levelwise(X, y, np.ones((1, X.shape[0]), dtype=np.intp), config, rng)
 
 
 def bootstrap_weights(rng: Rng, n_trees: int, n: int) -> np.ndarray:

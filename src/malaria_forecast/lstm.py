@@ -7,8 +7,8 @@ verifies it against central finite differences, which only ever call the
 forward pass.
 
 The four gates share one weight matrix (layout in :class:`LstmParams`) and
-one activation, :func:`core_math.gate_activation`. Activations are stored
-batch last (:class:`ForwardCache`), so each step's gates come from one GEMM
+one activation: ``forward`` halves the logistic gates' rows exactly, so one
+tanh serves all four gates. Activations are stored batch last (:class:`ForwardCache`), so each step's gates come from one GEMM
 ``[b | w] @ [1; x_t; h_t]`` and every gate block is a contiguous array.
 
 The univariate and multivariate models share every routine here; they differ
@@ -435,8 +435,8 @@ def forecast_test_horizon(
     target month comes after ``model.train_end``, scales with the model's own
     scalers, and returns (months, observed, predicted) in case counts. With
     ``recursive=True`` the case feature of each horizon window is replaced by
-    the model's earlier predictions, so forecasts no longer consume observed
-    cases beyond the training boundary; the horizon must then start at the
+    the model's earlier predictions, so forecasts consume no observed cases
+    beyond the training boundary; the horizon must then start at the
     month after ``model.train_end``, or a DataError is raised.
     """
     w = make_windows(dataset, province, model.spec)

@@ -1,3 +1,4 @@
+import csv
 import multiprocessing
 import os
 
@@ -5,6 +6,46 @@ import numpy as np
 import pytest
 
 from malaria_forecast.data_model import CLIMATE_FIELDS, Dataset, MonthKey
+from malaria_forecast.imputation import _checked_inputs, _fit_levelwise
+
+
+def gate_activation(z, scale):
+    """Reference LSTM gate activation ``scale·tanh(scale·z) + (1 − scale)``.
+
+    With scale ½ this is the logistic function, since σ(z) = ½·tanh(z/2) + ½;
+    with scale 1 it is tanh. ``scale`` broadcasts against ``z``, so one call
+    activates a row of gates with the logistic and tanh blocks side by side.
+    ``lstm.forward`` folds the ½ into the weights and must match this bit for
+    bit.
+    """
+    out = np.tanh(np.multiply(scale, z))
+    out *= scale
+    out += 1.0 - scale
+    return out
+
+
+def fit_tree(X, y, config, rng):
+    """One CART regression tree: a one-tree forest whose only bootstrap is
+    every row once. ``rng`` draws the feature subsets."""
+    X, y = _checked_inputs(X, y)
+    return _fit_levelwise(X, y, np.ones((1, X.shape[0]), dtype=np.intp), config, rng)
+
+
+def read_curves(path):
+    """Months, observed and predicted series of a curve CSV written by
+    ``evaluation.emit_curves``."""
+    months, observed, predicted = [], [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["month", "observed", "predicted"]:
+            raise ValueError(f"{path}: unexpected curve header {header!r}")
+        for row in reader:
+            year, month = row[0].split("-")
+            months.append(MonthKey(int(year), int(month)))
+            observed.append(float(row[1]))
+            predicted.append(float(row[2]))
+    return months, np.asarray(observed), np.asarray(predicted)
 
 
 def walk_tree(forest, t, X):

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from conftest import month_seq, sinusoid_series
+from conftest import month_seq, read_curves, sinusoid_series
 from malaria_forecast import cli
 from malaria_forecast.core_math import Rng
 from malaria_forecast.data_model import (
@@ -24,7 +24,6 @@ from malaria_forecast.evaluation import (
     emit_curves,
     make_report,
     persistence_baseline,
-    read_curves,
     render_comparison_text,
     render_totals_text,
     rmse,

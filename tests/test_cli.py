@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import assert_no_children
@@ -57,8 +58,8 @@ class TestSynthCommand:
         t = ingest_csv(truth)
         m = ingest_csv(masked)
         assert len(t.months()) == 30
-        assert not t.has_missing_climate()
-        assert m.has_missing_climate()
+        assert not np.isnan(t.climate).any()
+        assert np.isnan(m.climate).any()
 
     def test_deterministic(self, tmp_path):
         paths = [tmp_path / f"{i}.csv" for i in range(4)]
@@ -92,7 +93,7 @@ class TestImputeCommand:
         out, log = tmp_path / "completed.csv", tmp_path / "impute_log.csv"
         assert run(["impute", "--seed", 6, "--in", masked, "--out", out,
                     "--log", log, "--n-trees", 4, "--max-iter", 3]) == 0
-        assert not ingest_csv(out).has_missing_climate()
+        assert not np.isnan(ingest_csv(out).climate).any()
         lines = log.read_text().splitlines()
         assert lines[0] == "province,iteration,delta"
         assert len(lines) > 1
@@ -281,8 +282,11 @@ class TestTrainForecastEvaluate:
             ["train", "--region", "Gitega", "--variant", "univariate", "--lookback", "0"],
             ["impute", "--max-iter", "0"],
             ["impute", "--mtry", "-1"],
+            ["train", "--region", "Gitega", "--variant", "univariate", "--epochs", "2.5"],
+            ["train", "--region", "Gitega", "--variant", "univariate", "--batch-size", "none"],
         ],
-        ids=["train hidden", "train lookback", "impute max-iter", "impute mtry"],
+        ids=["train hidden", "train lookback", "impute max-iter", "impute mtry", "train epochs float",
+             "train batch-size text"],
     )
     def test_stage_setting_is_checked_before_reading(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -467,6 +471,35 @@ class TestPipeline:
         monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
         assert run(["pipeline", "--seed", 2]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:config:")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("impute.n_trees", "2.5"), ("forecast.recursive", "maybe"), ("train.batch_size", "none")],
+        ids=["float for int", "bad bool", "bad int or None"],
+    )
+    def test_unparsable_value_is_one_config_error(self, tmp_path, capsys, key, value):
+        # A flag and a config file line go through the same parser.
+        out = tmp_path / "out"
+        assert run(["pipeline", "--out_dir", out, f"--{key}", value]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:config: command line: bad value for --{key}: {value!r}"
+        ]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run(["pipeline", "--config", cfg, "--out_dir", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:config: {cfg}: bad value for {key}: {value!r}"
+        ]
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_config_file_not_utf8_is_one_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\n# \xd0\x28\n")  # a comment that is not UTF-8
+        assert run(["pipeline", "--config", cfg, "--out_dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:config: {cfg}: not UTF-8 after line 1: invalid continuation byte"
+        ]
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

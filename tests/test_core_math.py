@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import gate_activation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from malaria_forecast.core_math import MinMaxScaler, Rng, derive_seed, gate_activation
+from malaria_forecast.core_math import MinMaxScaler, Rng, derive_seed
 from malaria_forecast.errors import ShapeError
 
 

@@ -62,7 +62,7 @@ class TestMonthlyRecord:
 
     def test_climate_may_be_missing(self):
         ds = with_cell(make_series("A", 3), "A", 1, temp_mean=None, rainfall=None, rel_humidity=None)
-        assert ds.has_missing_climate()
+        assert np.isnan(ds.climate).any()
         assert np.isnan(ds.climate[0, 1]).all()
 
     def test_rejects_infinite_climate(self):

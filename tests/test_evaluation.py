@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import make_series, month_seq
+from conftest import make_series, month_seq, read_curves
 from malaria_forecast.core_math import Rng
 from malaria_forecast.errors import CompletenessError
 from malaria_forecast.evaluation import (
@@ -14,7 +14,6 @@ from malaria_forecast.evaluation import (
     emit_curves,
     make_report,
     persistence_baseline,
-    read_curves,
     render_comparison_text,
     render_totals_text,
     rmse,

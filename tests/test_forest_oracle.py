@@ -18,7 +18,7 @@ two must give bit-identical forests and consume the same random draws.
 from dataclasses import dataclass
 
 import numpy as np
-from conftest import walk_tree
+from conftest import fit_tree, walk_tree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,6 @@ from malaria_forecast.imputation import (
     Forest,
     ForestConfig,
     bootstrap_weights,
-    fit_tree,
     forest_fit,
     forest_predict,
 )

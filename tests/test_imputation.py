@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import same_dataset, walk_tree
+from conftest import fit_tree, same_dataset, walk_tree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from malaria_forecast.imputation import (
     _pick_features,
     _province_matrix,
     bootstrap_weights,
-    fit_tree,
     forest_fit,
     forest_predict,
     impute_dataset,
@@ -335,7 +334,7 @@ class TestImputeDataset:
     def test_fills_everything_and_keeps_observed(self):
         _, masked = self.make_masked_dataset()
         completed, results = impute_dataset(masked, ForestConfig(n_trees=8), Rng(0))
-        assert not completed.has_missing_climate()
+        assert not np.isnan(completed.climate).any()
         assert np.array_equal(completed.population, masked.population)
         assert np.array_equal(completed.cases, masked.cases)
         observed = ~np.isnan(masked.climate)

@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 import malaria_forecast
 from malaria_forecast import lstm
-from conftest import month_slice, sinusoid_series
-from malaria_forecast.core_math import MinMaxScaler, Rng, gate_activation
+from conftest import gate_activation, month_slice, sinusoid_series
+from malaria_forecast.core_math import MinMaxScaler, Rng
 from malaria_forecast.data_model import MonthKey
 from malaria_forecast.errors import DataError, DivergenceError, ShapeError
 from malaria_forecast.synthgen import SynthConfig, generate

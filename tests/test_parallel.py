@@ -1,9 +1,13 @@
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import assert_no_children
+import malaria_forecast
 from malaria_forecast import parallel
 from malaria_forecast.errors import DataError
 
@@ -72,3 +76,20 @@ def test_lowest_failing_item_is_raised(cpus, tmp_path):
     with pytest.raises(DataError, match="item 1 failed"):
         parallel.pmap(failing_job, range(4), [tmp_path] * 4, [{1, 3}] * 4, [0.3] * 4)
     assert_no_children()
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user_value", [None, "3"], ids=["unset", "set by the user"])
+def test_importing_the_package_pins_blas_threads(user_value):
+    """A fresh interpreter that imports only the package sees each BLAS
+    thread variable at 1, unless the user set it."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(malaria_forecast.__file__).resolve().parents[1])
+    if user_value is not None:
+        env["OMP_NUM_THREADS"] = user_value
+    script = f"import os, malaria_forecast; print([os.environ.get(v) for v in {BLAS_VARS!r}])"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == repr(["1", user_value or "1", "1"])

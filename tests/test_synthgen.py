@@ -56,6 +56,16 @@ class TestConfig:
         assert capsys.readouterr().err.splitlines() == [f"error:config: {cfg_path}: unknown config key {key!r}"]
         assert list(tmp_path.iterdir()) == [cfg_path]
 
+    def test_config_file_not_utf8_is_one_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "synth.cfg"
+        cfg_path.write_bytes(b"months = 30\n\xff\n")
+        out = [str(tmp_path / "t.csv"), str(tmp_path / "m.csv")]
+        assert cli.main(["synth", "--config", str(cfg_path), "--out-truth", out[0], "--out-masked", out[1]]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:config: {cfg_path}: not UTF-8 after line 1: invalid start byte"
+        ]
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     @pytest.mark.parametrize(
         "flags, setting",
         [
