@@ -21,21 +21,20 @@ return datasets and models: a stage command reads its inputs from files,
 while ``pipeline`` hands each result to the next stage in memory and still
 writes every artifact. Independent units (the province imputations, and each
 model's training and forecast) run on a process pool, which changes no
-output byte. Outputs are written atomically (temp file + rename); errors
-exit non-zero with a single machine-parsable line on stderr.
+output byte. Each artifact is written by its own writer (``write_csv``,
+``save_model``, ``emit_curves``, ...), which goes through
+:func:`data_model.atomic_write`. Errors, a bad command line included, exit 1
+with a single machine-parsable line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import dataclasses
 import functools
 import itertools
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -58,7 +57,6 @@ _ERROR_CATEGORIES = [
     (ConfigError, "config"),
     (DataError, "data"),
     (ShapeError, "shape"),
-    (FileNotFoundError, "io"),
     (OSError, "io"),
     (ValueError, "argument"),
 ]
@@ -66,29 +64,6 @@ _ERROR_CATEGORIES = [
 
 def log(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def atomic_write(path, write_fn) -> None:
-    """Run ``write_fn(tmp_path)`` on a new uniquely named file beside the
-    target, then rename it over the target. If anything fails, the target is
-    left as it was and the temp file is removed."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes the file private
-        write_fn(Path(tmp))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -225,8 +200,8 @@ def run_synth(cfg: synthgen.SynthConfig, datasets, truth_path, masked_path) -> N
     """Write the truth and masked ``datasets`` that ``cfg`` generated."""
     log(f"synth: seed={cfg.seed} months={cfg.months} missing_rate={cfg.missing_rate}")
     truth, masked = datasets
-    atomic_write(truth_path, lambda p: data_model.write_csv(truth, p))
-    atomic_write(masked_path, lambda p: data_model.write_csv(masked, p))
+    data_model.write_csv(truth, truth_path)
+    data_model.write_csv(masked, masked_path)
 
 
 def run_impute(dataset: Dataset, out_path, log_path, forest_cfg, seed, max_iter) -> Dataset:
@@ -235,16 +210,17 @@ def run_impute(dataset: Dataset, out_path, log_path, forest_cfg, seed, max_iter)
     completed, results = imputation.impute_dataset(
         dataset, forest_cfg, Rng(stage_seed), max_iter
     )
-    atomic_write(out_path, lambda p: data_model.write_csv(completed, p))
+    data_model.write_csv(completed, out_path)
     if log_path:
-        def _write_log(p):
-            with open(p, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["province", "iteration", "delta"])
-                for province in sorted(results):
-                    for i, delta in enumerate(results[province].delta_history, start=1):
-                        writer.writerow([province, i, repr(delta)])
-        atomic_write(log_path, _write_log)
+        data_model.write_table(
+            log_path,
+            ["province", "iteration", "delta"],
+            (
+                [province, i, repr(delta)]
+                for province in sorted(results)
+                for i, delta in enumerate(results[province].delta_history, start=1)
+            ),
+        )
     return completed
 
 
@@ -257,7 +233,7 @@ def run_aggregate(
         result = data_model.aggregate_provinces(dataset, redistricting)
     else:
         result = data_model.to_country_level(dataset)
-    atomic_write(out_path, lambda p: data_model.write_csv(result, p))
+    data_model.write_csv(result, out_path)
     return result
 
 
@@ -273,15 +249,13 @@ def run_train(
     windows = windowing.make_windows(dataset, region, spec)
     train_part, _ = windowing.split_train_test(windows, train_fraction)
     model = lstm.train(train_part, train_cfg)
-    atomic_write(model_path, lambda p: lstm.save_model(model, p))
+    lstm.save_model(model, model_path)
     if loss_path:
-        def _write_loss(p):
-            with open(p, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["epoch", "loss"])
-                for epoch, loss in enumerate(model.loss_history):
-                    writer.writerow([epoch, repr(loss)])
-        atomic_write(loss_path, _write_loss)
+        data_model.write_table(
+            loss_path,
+            ["epoch", "loss"],
+            ([epoch, repr(loss)] for epoch, loss in enumerate(model.loss_history)),
+        )
     return model
 
 
@@ -302,15 +276,14 @@ def run_forecast(model: lstm.TrainedModel, dataset: Dataset, out_path, region=No
         model, dataset, region, recursive=recursive
     )
     rows = [(month, float(obs), float(pred)) for month, obs, pred in zip(months, observed, predicted)]
-
-    def _write(p):
-        with open(p, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(FORECAST_HEADER)
-            for month, obs, pred in rows:
-                writer.writerow([region, model.spec.variant, month.year, month.month, repr(obs), repr(pred)])
-
-    atomic_write(out_path, _write)
+    data_model.write_table(
+        out_path,
+        FORECAST_HEADER,
+        (
+            [region, model.spec.variant, month.year, month.month, repr(obs), repr(pred)]
+            for month, obs, pred in rows
+        ),
+    )
     return {(region, model.spec.variant): rows}
 
 
@@ -349,33 +322,19 @@ def run_evaluate(forecasts, out_dir) -> None:
         for a, b in zip(rows, rows[1:]):
             if a[0] == b[0]:
                 raise DataError(f"duplicate forecast month {a[0]} for {region} {variant}")
-        reports.append(
-            evaluation.make_report(
-                region,
-                variant,
-                [r[0] for r in rows],
-                [r[1] for r in rows],
-                [r[2] for r in rows],
-            )
-        )
-    table = evaluation.build_comparison(reports)
+        reports.append(evaluation.make_report(region, variant, *zip(*rows)))
+    comparison = evaluation.build_comparison(reports)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "curves").mkdir(exist_ok=True)
-    report_text = evaluation.render_comparison_text(table) + "\n" + evaluation.render_totals_text(reports)
-    atomic_write_text(out / "report.txt", report_text)
-    atomic_write(out / "comparison.csv", lambda p: evaluation.write_comparison_csv(table, p))
-    atomic_write(out / "totals.csv", lambda p: evaluation.write_totals_csv(reports, p))
+    (out / "curves").mkdir(parents=True, exist_ok=True)
+    data_model.atomic_write(
+        out / "report.txt",
+        evaluation.render_comparison_text(comparison) + "\n" + evaluation.render_totals_text(reports),
+    )
+    evaluation.write_comparison_csv(comparison, out / "comparison.csv")
+    evaluation.write_totals_csv(reports, out / "totals.csv")
     for report in reports:
         stem = f"{report.region}_{report.model_variant}"
-        atomic_write(
-            out / "curves" / f"{stem}.csv",
-            lambda p, r=report: evaluation.emit_curves(r, p),
-        )
-        atomic_write(
-            out / "curves" / f"{stem}.svg",
-            lambda p, r=report: evaluation.write_svg(r, p),
-        )
+        evaluation.emit_curves(report, out / "curves" / f"{stem}.csv", out / "curves" / f"{stem}.svg")
 
 
 def run_model(cfg: Config, out: Path, dataset: Dataset, region: str, variant: str):
@@ -421,10 +380,9 @@ def run_pipeline(cfg: Config) -> None:
         raise ConfigError(f"{months} months at window.lookback {lookback}: {exc}") from None
 
     out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     for sub in ("models", "losses", "forecasts"):
-        (out / sub).mkdir(exist_ok=True)
-    atomic_write_text(out / "run_config.txt", cfg.to_text())
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    data_model.atomic_write(out / "run_config.txt", cfg.to_text())
     log(f"pipeline: seed={cfg['seed']} out={out} workers={parallel.usable_cpus()}")
 
     if synthetic:
@@ -472,8 +430,16 @@ def _add_settings(parser, *sections: str) -> None:
         parser.add_argument(flag, dest=key, metavar=metavar, help=f"default {default}{note}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, so that it ends in one
+    ``error:config:`` line like any other bad setting; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(f"command line: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="malaria-forecast",
         description="Forecast monthly malaria cases from province-level climate and case series.",
     )
@@ -523,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         values = {}
         if getattr(args, "config", None):
             values = read_config(args.config, "synth." if args.command == "synth" else "")

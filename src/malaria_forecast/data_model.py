@@ -12,6 +12,10 @@ read-only afterwards. :func:`ingest_csv` parses straight into the arrays and
 :func:`write_csv` writes them back byte for byte (``repr`` floats, an empty
 cell for NaN).
 
+Files are opened here only: :func:`read_text` reads every input and
+:func:`atomic_write` writes every artifact (temp file + rename, UTF-8, no
+newline translation); :func:`write_table` ends CSV rows in CRLF.
+
 Burundi's 18 former provinces were regrouped into 5 (Bujumbura, Gitega,
 Buhumuza, Butanyerera, Burunga). Aggregation sums the population and case
 rows of each group's members and averages their climate rows; the same rules
@@ -27,9 +31,12 @@ and the int64 sums of up to 1,024 members are exact too.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -50,6 +57,8 @@ __all__ = [
     "write_csv",
     "read_csv",
     "read_text",
+    "atomic_write",
+    "write_table",
     "read_map_csv",
     "aggregate_provinces",
     "to_country_level",
@@ -276,6 +285,34 @@ def read_text(path, error=DataError) -> str:
         raise error(f"{path}: not UTF-8 after line {good_lines}: {exc.reason}") from None
 
 
+def atomic_write(path, text: str) -> None:
+    """Write ``text`` as UTF-8, untranslated, to a new uniquely named file
+    beside ``path`` with the mode ``open`` would give, then rename it over
+    ``path``. On failure the target is unchanged and the temp file removed."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, "wb") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes the file private
+            fh.write(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def write_table(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CRLF-ended CSV records by :func:`atomic_write`."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, text.getvalue())
+
+
 def read_csv(source):
     """Yield ``(line number, cells)`` for each record of a CSV path or open
     text stream, the header included. Bytes that are not UTF-8 and csv-level
@@ -362,19 +399,20 @@ def _fmt_climate(value: float) -> str:
 def write_csv(dataset: Dataset, path) -> None:
     """Emit a dataset in the canonical CSV layout, provinces sorted."""
     months = dataset.months()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for p, province in enumerate(dataset.provinces):
-            writer.writerows(
-                [province, month.year, month.month, *map(_fmt_climate, climate), population, cases]
-                for month, climate, population, cases in zip(
-                    months,
-                    dataset.climate[p].tolist(),
-                    dataset.population[p].tolist(),
-                    dataset.cases[p].tolist(),
-                )
+    write_table(
+        path,
+        CSV_HEADER,
+        (
+            [province, month.year, month.month, *map(_fmt_climate, climate), population, cases]
+            for p, province in enumerate(dataset.provinces)
+            for month, climate, population, cases in zip(
+                months,
+                dataset.climate[p].tolist(),
+                dataset.population[p].tolist(),
+                dataset.cases[p].tolist(),
             )
+        ),
+    )
 
 
 def read_map_csv(path) -> RedistrictingMap:

@@ -9,20 +9,18 @@ two-decimal dot notation; curve CSVs keep full precision so they round-trip.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data_model import COUNTRY_NAME, MonthKey
+from .data_model import COUNTRY_NAME, MonthKey, atomic_write, write_table
 from .errors import CompletenessError
 from .windowing import VARIANTS, WindowedDataset
 
 __all__ = [
     "ForecastReport",
-    "ComparisonTable",
     "REGION_ORDER",
     "rmse",
     "persistence_baseline",
@@ -107,42 +105,35 @@ def make_report(region, model_variant, months, observed, predicted) -> ForecastR
     )
 
 
-@dataclass
-class ComparisonTable:
-    """Six rows of (region label, univariate RMSE, multivariate RMSE)."""
-
-    rows: list[tuple[str, float, float]]
-
-
-def _index_reports(reports: Sequence[ForecastReport]) -> dict[tuple[str, str], ForecastReport]:
+def _index_reports(reports: Sequence[ForecastReport]) -> list[tuple[str, ForecastReport, ForecastReport]]:
+    """The label of each region of :data:`REGION_ORDER` with its univariate
+    and multivariate report; CompletenessError for a duplicate or a missing
+    report."""
     indexed = {}
     for report in reports:
         key = (report.region, report.model_variant)
         if key in indexed:
             raise CompletenessError(f"duplicate report for {key[0]} {key[1]}")
         indexed[key] = report
-    return indexed
-
-
-def build_comparison(reports: Sequence[ForecastReport]) -> ComparisonTable:
-    """Assemble the region-by-variant RMSE table in the canonical row order."""
-    indexed = _index_reports(reports)
-    rows = []
     for region in REGION_ORDER:
-        pair = []
         for variant in VARIANTS:
-            report = indexed.get((region, variant))
-            if report is None:
+            if (region, variant) not in indexed:
                 raise CompletenessError(f"missing {variant} report for region {region!r}")
-            pair.append(report.rmse)
-        rows.append((region_label(region), pair[0], pair[1]))
-    return ComparisonTable(rows=rows)
+    return [
+        (region_label(region), indexed[region, "univariate"], indexed[region, "multivariate"])
+        for region in REGION_ORDER
+    ]
 
 
-def render_comparison_text(table: ComparisonTable) -> str:
+def build_comparison(reports: Sequence[ForecastReport]) -> list[tuple[str, str, str]]:
+    """The six rows of the comparison table, in the canonical order: the
+    region label and the univariate and multivariate RMSE (two decimals)."""
+    return [(label, f"{uni.rmse:.2f}", f"{multi.rmse:.2f}") for label, uni, multi in _index_reports(reports)]
+
+
+def render_comparison_text(rows: Sequence[tuple[str, str, str]]) -> str:
     """Aligned plain-text table; byte-stable for a fixed report set."""
-    headers = ("Province", "Univariate LSTM", "Multivariate LSTM")
-    rows = [headers] + [(label, f"{uni:.2f}", f"{multi:.2f}") for label, uni, multi in table.rows]
+    rows = [("Province", "Univariate LSTM", "Multivariate LSTM"), *rows]
     widths = [max(len(row[j]) for row in rows) for j in range(3)]
     return "".join(
         f"{row[0].ljust(widths[0])}  {row[1].rjust(widths[1])}  {row[2].rjust(widths[2])}\n"
@@ -150,46 +141,32 @@ def render_comparison_text(table: ComparisonTable) -> str:
     )
 
 
-def write_comparison_csv(table: ComparisonTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "univariate_rmse", "multivariate_rmse"])
-        for label, uni, multi in table.rows:
-            writer.writerow([label, f"{uni:.2f}", f"{multi:.2f}"])
+def write_comparison_csv(rows: Sequence[tuple[str, str, str]], path) -> None:
+    write_table(path, ["region", "univariate_rmse", "multivariate_rmse"], rows)
+
+
+def _totals_rows(reports: Sequence[ForecastReport]) -> list[tuple[str, str, str, str]]:
+    """(region label, observed, univariate and multivariate predicted totals)."""
+    return [
+        (label, f"{uni.observed_total:.2f}", f"{uni.predicted_total:.2f}", f"{multi.predicted_total:.2f}")
+        for label, uni, multi in _index_reports(reports)
+    ]
 
 
 def render_totals_text(reports: Sequence[ForecastReport]) -> str:
     """Per-region horizon totals: observed next to each model's prediction."""
-    indexed = _index_reports(reports)
     lines = ["Cases over the forecast horizon"]
-    for region in REGION_ORDER:
-        uni = indexed.get((region, "univariate"))
-        multi = indexed.get((region, "multivariate"))
-        if uni is None or multi is None:
-            raise CompletenessError(f"missing univariate/multivariate report for {region!r}")
-        lines.append(
-            f"{region_label(region)}: observed {uni.observed_total:.2f}, "
-            f"univariate {uni.predicted_total:.2f}, multivariate {multi.predicted_total:.2f}"
-        )
+    for label, observed, uni, multi in _totals_rows(reports):
+        lines.append(f"{label}: observed {observed}, univariate {uni}, multivariate {multi}")
     return "\n".join(lines) + "\n"
 
 
 def write_totals_csv(reports: Sequence[ForecastReport], path) -> None:
-    indexed = _index_reports(reports)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "observed_total", "univariate_total", "multivariate_total"])
-        for region in REGION_ORDER:
-            uni = indexed[(region, "univariate")]
-            multi = indexed[(region, "multivariate")]
-            writer.writerow(
-                [
-                    region_label(region),
-                    f"{uni.observed_total:.2f}",
-                    f"{uni.predicted_total:.2f}",
-                    f"{multi.predicted_total:.2f}",
-                ]
-            )
+    write_table(
+        path,
+        ["region", "observed_total", "univariate_total", "multivariate_total"],
+        _totals_rows(reports),
+    )
 
 
 def emit_curves(report: ForecastReport, csv_path, svg_path=None) -> None:
@@ -199,11 +176,14 @@ def emit_curves(report: ForecastReport, csv_path, svg_path=None) -> None:
     series exactly. The SVG holds exactly two polylines: observed then
     predicted.
     """
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["month", "observed", "predicted"])
-        for month, obs, pred in zip(report.months, report.observed, report.predicted):
-            writer.writerow([str(month), repr(float(obs)), repr(float(pred))])
+    write_table(
+        csv_path,
+        ["month", "observed", "predicted"],
+        (
+            [str(month), repr(float(obs)), repr(float(pred))]
+            for month, obs, pred in zip(report.months, report.observed, report.predicted)
+        ),
+    )
     if svg_path is not None:
         write_svg(report, svg_path)
 
@@ -244,5 +224,4 @@ def write_svg(report: ForecastReport, path) -> None:
   <polyline points="{predicted}" fill="none" stroke="#c4451c" stroke-width="1.5"/>
 </svg>
 """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(body)
+    atomic_write(path, body)

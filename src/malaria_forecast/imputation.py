@@ -304,7 +304,6 @@ class ImputationResult:
 
     completed: np.ndarray
     iterations_run: int
-    final_delta: float
     delta_history: list[float] = field(default_factory=list)
 
 
@@ -337,7 +336,7 @@ def missforest_impute(
     if fully_missing.size:
         raise ValueError(f"columns {fully_missing.tolist()} have no observed entries")
     if not mask.any():
-        return ImputationResult(completed=X, iterations_run=0, final_delta=0.0)
+        return ImputationResult(completed=X, iterations_run=0)
 
     # Initial guess: column means over observed entries.
     work = X.copy()
@@ -359,21 +358,11 @@ def missforest_impute(
         delta = _delta(work, previous, mask)
         history.append(delta)
         if delta > delta_prev:
-            return ImputationResult(
-                completed=previous,
-                iterations_run=iteration,
-                final_delta=delta,
-                delta_history=history,
-            )
+            return ImputationResult(completed=previous, iterations_run=iteration, delta_history=history)
         if delta == 0.0:
             break
         delta_prev = delta
-    return ImputationResult(
-        completed=work,
-        iterations_run=min(iteration, max_iter),
-        final_delta=history[-1],
-        delta_history=history,
-    )
+    return ImputationResult(completed=work, iterations_run=min(iteration, max_iter), delta_history=history)
 
 
 def _province_matrix(dataset: Dataset, province: str) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core_math import MinMaxScaler, Rng
-from .data_model import Dataset, MonthKey
+from .data_model import Dataset, MonthKey, atomic_write, read_text
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows
 
@@ -534,10 +534,9 @@ def save_model(model: TrainedModel, path) -> None:
         lines.append(f"scaler {label} {scaler.width}\n")
         lines.append(_floats_line(scaler.mins))
         lines.append(_floats_line(scaler.maxs))
-    body = "".join(lines).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(f"sha256 {hashlib.sha256(body).hexdigest()}\nend\n".encode("utf-8"))
+    body = "".join(lines)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    atomic_write(path, f"{body}sha256 {digest}\nend\n")
 
 
 class _ModelReader:
@@ -546,11 +545,7 @@ class _ModelReader:
 
     def __init__(self, path):
         self.path = path
-        with open(path, "rb") as fh:
-            try:
-                text = fh.read().decode("utf-8")
-            except UnicodeDecodeError:
-                raise DataError(f"{path}: not a UTF-8 text file") from None
+        text = read_text(path)
         self.raw_lines = text.splitlines(keepends=True)
         self.lines = text.splitlines()
         self.line_no = 0

@@ -1,13 +1,19 @@
+import ast
+import csv
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_no_children
-from malaria_forecast import cli, parallel
+from conftest import assert_no_children, sinusoid_series
+from malaria_forecast import cli, data_model, evaluation, lstm, parallel
 from malaria_forecast.data_model import COUNTRY_NAME, ingest_csv
 from malaria_forecast.errors import DataError
 from malaria_forecast.evaluation import REGION_ORDER
+from malaria_forecast.windowing import WindowSpec, make_windows, split_train_test
 
 SMALL_PIPELINE = [
     "--synth.months", "40",
@@ -473,6 +479,35 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:config:")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pipeline", "--out_dir", "o", "--impute.ntrees", "3"], "unrecognized arguments: --impute.ntrees 3"),
+            (["pipeline", "--seed"], "argument --seed: expected one argument"),
+            (["synth", "--out-truth", "t.csv"], "the following arguments are required: --out-masked"),
+            (
+                ["train", "--in", "p.csv", "--region", "Gitega", "--out-model", "m", "--variant", "bogus"],
+                "argument --variant: invalid choice: 'bogus'",
+            ),
+        ],
+        ids=["misspelt flag", "flag without value", "missing required flag", "bad choice"],
+    )
+    def test_bad_command_line_is_one_config_error(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.OUT_DIR_ENV, "env-out")
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith(f"error:config: command line: {message}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_still_prints_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["pipeline", "--help"])
+        assert exit_info.value.code == 0
+        assert "--impute.n_trees" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "key, value",
         [("impute.n_trees", "2.5"), ("forecast.recursive", "maybe"), ("train.batch_size", "none")],
         ids=["float for int", "bad bool", "bad int or None"],
@@ -559,30 +594,90 @@ class TestAtomicWrite:
     def test_failing_writer_keeps_target_and_leaves_no_temp(self, tmp_path):
         target = tmp_path / "out.csv"
         target.write_text("old\n")
-
-        def fail(tmp):
-            tmp.write_text("partial")
-            raise RuntimeError("disk full")
-
-        with pytest.raises(RuntimeError):
-            cli.atomic_write(target, fail)
+        with pytest.raises(UnicodeEncodeError):
+            data_model.atomic_write(target, "partial \ud800")  # a lone surrogate
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
 
-    def test_temp_names_are_unique_and_modes_normal(self, tmp_path):
+    def test_temp_names_are_unique_and_modes_normal(self, tmp_path, monkeypatch):
         target = tmp_path / "out.txt"
         seen = []
+        rename = os.replace
 
-        def write(tmp):
-            seen.append(tmp)
+        def replace(tmp, dst):
+            seen.append(Path(tmp))
             if len(seen) == 1:  # a second writer of the same target, mid-write
-                cli.atomic_write(target, write)
-            tmp.write_text(f"{len(seen)}\n")
+                data_model.atomic_write(target, "2\n")
+            rename(tmp, dst)
 
-        cli.atomic_write(target, write)
+        monkeypatch.setattr(os, "replace", replace)
+        data_model.atomic_write(target, "1\n")
         assert seen[0] != seen[1] and seen[0].parent == tmp_path
-        assert target.read_text() == "2\n"
+        assert target.read_text() == "1\n"
         assert list(tmp_path.iterdir()) == [target]
         reference = tmp_path / "ref.txt"
         reference.write_text("x")
         assert target.stat().st_mode == reference.stat().st_mode
+
+    def test_direct_writer_calls_are_atomic(self, tmp_path, monkeypatch):
+        series = sinusoid_series(n=40)
+        train_part, _ = split_train_test(make_windows(series, "Signal", WindowSpec(12, "univariate")), 0.8)
+        model = lstm.train(train_part, lstm.TrainConfig(hidden=2, epochs=1, seed=1))
+        report = evaluation.make_report("Gitega", "univariate", series.months()[:2], [1.0, 2.0], [1.0, 3.0])
+        targets = [tmp_path / name for name in ("a.model", "b.csv", "b.svg", "c.csv")]
+        for target in targets:
+            target.write_text("old\n")
+
+        def replace(tmp, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", replace)
+        for write in (
+            lambda: lstm.save_model(model, targets[0]),
+            lambda: evaluation.emit_curves(report, targets[1], targets[2]),
+            lambda: data_model.write_csv(series, targets[3]),
+        ):
+            with pytest.raises(OSError, match="rename refused"):
+                write()
+        assert all(target.read_text() == "old\n" for target in targets)
+        assert sorted(tmp_path.iterdir()) == sorted(targets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.text(), min_size=1, max_size=4),
+        st.lists(
+            st.lists(st.one_of(st.text(), st.integers(), st.floats().map(repr)), max_size=4),
+            max_size=6,
+        ),
+    )
+    def test_write_table_bytes_equal_a_csv_writer_on_a_file(self, tmp_path_factory, header, rows):
+        header += ["a,b", 'say "hi"', "two\nlines\r\n"]
+        rows = [row + ["x,y", '"', "\n"] for row in rows]
+        folder = tmp_path_factory.mktemp("table")
+        with open(folder / "expected.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        data_model.write_table(folder / "table.csv", header, rows)
+        assert (folder / "table.csv").read_bytes() == (folder / "expected.csv").read_bytes()
+
+    def test_src_opens_files_only_in_the_two_file_functions(self):
+        # ``read_text`` reads every input and ``atomic_write`` writes every
+        # artifact; no other code in the package touches a file itself.
+        file_calls = {"open", "write_text", "write_bytes", "read_bytes", "mkstemp", "fdopen"}
+        found = set()
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name in file_calls:
+                        found.add((owner, name))
+                is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                visit(child, f"{owner.partition('.')[0]}.{child.name}" if is_function else owner)
+
+        for path in Path(data_model.__file__).parent.glob("*.py"):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        assert {owner for owner, _ in found} == {"data_model.atomic_write", "data_model.read_text"}
+        assert {name for _, name in found} == {"open", "mkstemp", "read_bytes"}

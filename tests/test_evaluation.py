@@ -138,9 +138,9 @@ class TestReports:
 
 class TestComparison:
     def test_six_rows_in_canonical_order(self):
-        table = build_comparison(full_report_set())
-        assert len(table.rows) == 6
-        labels = [row[0] for row in table.rows]
+        rows = build_comparison(full_report_set())
+        assert len(rows) == 6
+        labels = [row[0] for row in rows]
         assert labels == [
             "Bujumbura",
             "Gitega",
@@ -199,6 +199,16 @@ class TestComparison:
         lines = path.read_text().splitlines()
         assert lines[0] == "region,observed_total,univariate_total,multivariate_total"
         assert len(lines) == 7
+
+    def test_totals_refuse_an_incomplete_or_duplicated_set(self, tmp_path):
+        reports = full_report_set()
+        path = tmp_path / "totals.csv"
+        for bad, match in ((reports[1:], "missing"), (reports + [reports[-1]], "duplicate")):
+            with pytest.raises(CompletenessError, match=match):
+                render_totals_text(bad)
+            with pytest.raises(CompletenessError, match=match):
+                write_totals_csv(bad, path)
+        assert not path.exists()
 
 
 class TestCurves:

@@ -266,7 +266,7 @@ class TestMissForest:
         X = Rng(0).uniform(0, 1, size=(10, 3))
         result = missforest_impute(X, ForestConfig(n_trees=2), Rng(1))
         assert result.iterations_run == 0
-        assert result.final_delta == 0.0
+        assert result.delta_history == []
         assert np.array_equal(result.completed, X)
 
     def test_constant_column_imputes_constant(self):

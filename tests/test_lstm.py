@@ -612,6 +612,14 @@ class TestSerialization:
         with pytest.raises(DataError, match="line 28: checksum mismatch"):
             load_model(path)
 
+    def test_non_utf8_file_names_the_line(self, tmp_path):
+        lines = self.small_model_lines(tmp_path)
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("".join(lines[:2]).encode() + b"lookback \xe9\n" + "".join(lines[3:]).encode())
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: not UTF-8 after line 2: invalid continuation byte"
+
     def test_format_1_is_refused(self, tmp_path):
         lines = self.small_model_lines(tmp_path)
         lines[0] = "malaria-forecast model 1\n"
