@@ -30,8 +30,10 @@ with a single machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import functools
+import gc
 import itertools
 import os
 import sys
@@ -50,6 +52,9 @@ from .errors import (
 )
 
 OUT_DIR_ENV = "MALARIA_FORECAST_OUT"
+
+# At exit every artifact is closed, so the final collection only costs time.
+atexit.register(gc.freeze)
 
 _ERROR_CATEGORIES = [
     (CompletenessError, "completeness"),

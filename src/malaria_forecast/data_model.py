@@ -202,8 +202,8 @@ class Dataset:
             array.flags.writeable = False
 
     def __reduce__(self):
-        # Rebuilt by the constructor, so a copy sent to a worker process is
-        # checked and read-only too.
+        # Rebuilt by the constructor, so an unpickled copy is checked and
+        # read-only too. (Pool workers inherit their datasets by fork.)
         return Dataset, (self.provinces, self.start, self.climate, self.population, self.cases)
 
     def months(self) -> list[MonthKey]:

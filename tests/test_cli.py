@@ -1,6 +1,10 @@
 import ast
 import csv
 import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +31,28 @@ SMALL_PIPELINE = [
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def cli_process(argv, **kwargs):
+    """``python -m malaria_forecast.cli argv`` in a fresh interpreter, its
+    standard error piped as text."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-m", "malaria_forecast.cli", *map(str, argv)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, **kwargs,
+    )
+
+
+def session_pids(sid):
+    """Live processes of session ``sid``, read from /proc."""
+    pids = []
+    for name in os.listdir("/proc"):
+        try:
+            if name.isdigit() and os.getsid(int(name)) == sid:
+                pids.append(int(name))
+        except ProcessLookupError:
+            pass
+    return pids
 
 
 def pipeline_files(out: Path):
@@ -681,3 +707,50 @@ class TestAtomicWrite:
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
         assert {owner for owner, _ in found} == {"data_model.atomic_write", "data_model.read_text"}
         assert {name for _, name in found} == {"open", "mkstemp", "read_bytes"}
+
+
+class TestProcess:
+    """The CLI run as its own process, as a shell or a scheduler runs it."""
+
+    def test_piped_run_ends_with_its_last_stage_line(self, tmp_path):
+        out = tmp_path / "out"
+        proc = cli_process(["pipeline", "--seed", 3, "--out_dir", out] + SMALL_PIPELINE)
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        assert err.splitlines()[-1] == f"evaluate: 12 forecasts -> {out}"
+
+        proc = cli_process(["pipeline", "--out_dir", out, "--impute.ntrees", 3])
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err.splitlines() == [
+            "error:config: command line: unrecognized arguments: --impute.ntrees 3"
+        ]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists a session's processes from /proc")
+    def test_ctrl_c_mid_pool_leaves_nothing_behind(self, tmp_path):
+        # About 3 s of imputation on a 2-CPU machine.
+        argv = ["pipeline", "--seed", 1, "--out_dir", tmp_path / "out", "--synth.months", 120,
+                "--impute.n_trees", 100, "--impute.max_iter", 10, "--train.epochs", 1]
+        proc = cli_process(argv, start_new_session=True)
+        try:
+            lines = []
+            while not lines or not lines[-1].startswith("impute:"):
+                lines.append(proc.stderr.readline())
+                assert lines[-1], "the pipeline ended before imputation"
+            deadline = time.monotonic() + 10
+            while len(session_pids(proc.pid)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(session_pids(proc.pid)) > 1, "no worker was started"
+            time.sleep(0.2)
+            started = time.monotonic()
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert time.monotonic() - started < 10
+        assert proc.returncode != 0
+        assert session_pids(proc.pid) == []
+        assert err.count("Traceback") <= 1
+        assert err.rstrip().splitlines()[-1] == "KeyboardInterrupt"

@@ -107,7 +107,8 @@ class TestDatasetInvariants:
             ds.cases[0, 0] = 1
 
     def test_pickled_copy_is_equal_and_read_only(self):
-        # The pipeline sends datasets to its worker processes by pickle.
+        # The pipeline pickles no dataset (its workers inherit them by fork),
+        # but any other caller may.
         ds = with_cell(make_series("A", 3), "A", 1, rainfall=None)
         copy = pickle.loads(pickle.dumps(ds))
         assert same_dataset(copy, ds)

@@ -1,9 +1,12 @@
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import assert_no_children
@@ -26,6 +29,39 @@ def failing_job(i, marker_dir, failing, delay):
     if i in failing:
         raise DataError(f"item {i} failed")
     return i
+
+
+def dying_job(i, how):
+    """Item 1 ends its worker without an answer; the others return at once."""
+    if i == 1:
+        if how == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(3)
+    return i
+
+
+def random_array(seed):
+    """1 MiB of float64, more than a pipe buffer holds."""
+    return np.random.default_rng(seed).standard_normal(1 << 17)
+
+
+class LockedError(Exception):
+    """Holds a lock, so it cannot be pickled."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class TwoPartError(Exception):
+    """Pickles, but cannot be rebuilt from its one ``args`` entry."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def raise_odd(i, kind):
+    raise LockedError("locked") if kind == "unpicklable" else TwoPartError("two", "parts")
 
 
 @pytest.fixture
@@ -78,6 +114,51 @@ def test_lowest_failing_item_is_raised(cpus, tmp_path):
     assert_no_children()
 
 
+@pytest.mark.parametrize(
+    "how, message",
+    [("killed", r"item 1 was killed by signal 9"), ("exit", r"item 1 exited with status 3")],
+)
+def test_dead_worker_is_reported(cpus, how, message):
+    cpus(2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=message):
+        parallel.pmap(dying_job, range(4), [how] * 4)
+    assert time.monotonic() - start < 5
+    assert_no_children()
+
+
+def test_large_result_comes_back_intact(cpus):
+    cpus(2)
+    out = parallel.pmap(random_array, range(3))
+    assert [a.tobytes() for a in out] == [random_array(seed).tobytes() for seed in range(3)]
+    assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "kind, name", [("unpicklable", "LockedError"), ("not rebuildable", "TwoPartError")]
+)
+def test_exception_that_cannot_travel_becomes_runtime_error(cpus, kind, name):
+    cpus(2)
+    with pytest.raises(RuntimeError, match=f"item 0: {name}.* cannot be pickled"):
+        parallel.pmap(raise_odd, range(2), [kind] * 2)
+    assert_no_children()
+
+
+def test_parent_is_single_threaded_when_it_forks(cpus, monkeypatch):
+    cpus(3)
+    threads = []
+    fork = os.fork
+
+    def recording_fork():
+        threads.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    assert parallel.pmap(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
+    assert threads == [1, 1, 1]
+    assert_no_children()
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -93,3 +174,16 @@ def test_importing_the_package_pins_blas_threads(user_value):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == repr(["1", user_value or "1", "1"])
+
+
+def test_importing_the_cli_starts_no_executor():
+    """The CLI's process pool needs neither ``concurrent.futures`` nor
+    ``multiprocessing``, and a fresh interpreter imports neither."""
+    env = {**os.environ, "PYTHONPATH": str(Path(malaria_forecast.__file__).resolve().parents[1])}
+    script = (
+        "import sys, malaria_forecast.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
