@@ -16,10 +16,12 @@ before any file is written.
 
 Every command takes the global seed and derives its own stage seed from it,
 so a full pipeline run and the equivalent sequence of individual commands
-produce byte-identical artifacts. The ``run_*`` stage functions take and
-return datasets and models: a stage command reads its inputs from files,
-while ``pipeline`` hands each result to the next stage in memory and still
-writes every artifact. Independent units (the province imputations, and each
+produce byte-identical artifacts. ``run_impute``, ``run_train`` and
+``run_forecast`` read their settings and stage seeds from the run's
+:class:`Config`, whichever command calls them. The ``run_*`` stage
+functions take and return datasets and models: a stage command reads its
+inputs from files, while ``pipeline`` hands each result to the next stage
+in memory and still writes every artifact. Independent units (the province imputations, and each
 model's training and forecast) run on a process pool, which changes no
 output byte. Each artifact is written by its own writer (``write_csv``,
 ``save_model``, ``emit_curves``, ...), which goes through
@@ -68,7 +70,9 @@ _ERROR_CATEGORIES = [
 
 
 def log(message: str) -> None:
-    print(message, file=sys.stderr)
+    """One line on stderr, in one ``write``, so that the lines of concurrent
+    workers do not interleave on an unbuffered stream."""
+    sys.stderr.write(message + "\n")
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -194,9 +198,6 @@ class Config:
         keys = {f.name: f"{section}.{f.name}" for f in dataclasses.fields(cls)}
         return {name: self.values[key] for name, key in keys.items() if key in SETTINGS}
 
-    def train_config(self, region: str, variant: str) -> lstm.TrainConfig:
-        return dataclasses.replace(self.train, seed=derive_seed(self["seed"], f"train:{region}:{variant}"))
-
     def to_text(self) -> str:
         return "".join(f"{key} = {0 if v is None else v}\n" for key, v in self.values.items())
 
@@ -209,12 +210,11 @@ def run_synth(cfg: synthgen.SynthConfig, datasets, truth_path, masked_path) -> N
     data_model.write_csv(masked, masked_path)
 
 
-def run_impute(dataset: Dataset, out_path, log_path, forest_cfg, seed, max_iter) -> Dataset:
+def run_impute(dataset: Dataset, cfg: Config, out_path, log_path) -> Dataset:
+    seed, max_iter = cfg["seed"], cfg["impute.max_iter"]
     stage_seed = derive_seed(seed, "impute")
-    log(f"impute: seed={seed} stage_seed={stage_seed} n_trees={forest_cfg.n_trees} max_iter={max_iter}")
-    completed, results = imputation.impute_dataset(
-        dataset, forest_cfg, Rng(stage_seed), max_iter
-    )
+    log(f"impute: seed={seed} stage_seed={stage_seed} n_trees={cfg.forest.n_trees} max_iter={max_iter}")
+    completed, results = imputation.impute_dataset(dataset, cfg.forest, Rng(stage_seed), max_iter)
     data_model.write_csv(completed, out_path)
     if log_path:
         data_model.write_table(
@@ -243,8 +243,10 @@ def run_aggregate(
 
 
 def run_train(
-    dataset: Dataset, region, variant, lookback, train_fraction, train_cfg, model_path, loss_path
+    dataset: Dataset, region, variant, cfg: Config, model_path, loss_path
 ) -> lstm.TrainedModel:
+    lookback, train_fraction = cfg["window.lookback"], cfg["window.train_fraction"]
+    train_cfg = dataclasses.replace(cfg.train, seed=derive_seed(cfg["seed"], f"train:{region}:{variant}"))
     log(
         f"train: region={region} variant={variant} lookback={lookback} "
         f"fraction={train_fraction} seed={train_cfg.seed} hidden={train_cfg.hidden} "
@@ -265,11 +267,14 @@ def run_train(
 
 
 FORECAST_HEADER = ["province", "variant", "year", "month", "observed", "predicted"]
+_FORECAST_KINDS = ("text", "text", "int", "month", "float", "float")
 
 
-def run_forecast(model: lstm.TrainedModel, dataset: Dataset, out_path, region=None, recursive=False):
+def run_forecast(model: lstm.TrainedModel, dataset: Dataset, cfg: Config, out_path, region):
     """Forecast the model's test horizon and write it; returns the forecast
-    as ``{(region, variant): [(month, observed, predicted), ...]}``."""
+    as ``{(region, variant): [(month, observed, predicted), ...]}``. A None
+    ``region`` names the dataset's only province."""
+    recursive = cfg["forecast.recursive"]
     if region is None:
         if len(dataset.provinces) != 1:
             raise DataError(
@@ -295,21 +300,17 @@ def run_forecast(model: lstm.TrainedModel, dataset: Dataset, out_path, region=No
 def _read_forecast_csv(path):
     """A forecast file, in the form :func:`run_forecast` returns."""
     groups: dict[tuple[str, str], list] = {}
-    records = data_model.read_csv(path)
-    header = next(records, (0, None))[1]
-    if header != FORECAST_HEADER:
-        raise DataError(f"{path}: unrecognized forecast header {header!r}")
+    _, records = data_model.read_table(path, FORECAST_HEADER)
     for line_no, row in records:
-        if len(row) != 6:
-            raise DataError(f"{path} line {line_no}: expected 6 cells, got {len(row)}")
-        if row[0] not in evaluation.REGION_ORDER or row[1] not in windowing.VARIANTS:
-            raise DataError(f"{path} line {line_no}: unknown region or variant {row[:2]!r}")
-        try:
-            key = (row[0], row[1])
-            month = data_model.MonthKey(int(row[2]), int(row[3]))
-            groups.setdefault(key, []).append((month, float(row[4]), float(row[5])))
-        except ValueError:
-            raise DataError(f"{path} line {line_no}: malformed forecast row") from None
+        region, variant, year, month, observed, predicted = (
+            data_model.parse_cell(raw, kind, column, path, line_no)
+            for raw, kind, column in zip(row, _FORECAST_KINDS, FORECAST_HEADER)
+        )
+        if region not in evaluation.REGION_ORDER or variant not in windowing.VARIANTS:
+            raise DataError(f"{path} line {line_no}: unknown region or variant {[region, variant]!r}")
+        groups.setdefault((region, variant), []).append(
+            (data_model.MonthKey(year, month), observed, predicted)
+        )
     return groups
 
 
@@ -347,18 +348,9 @@ def run_model(cfg: Config, out: Path, dataset: Dataset, region: str, variant: st
     test horizon with it; returns the forecast. One job of the pipeline's pool."""
     stem = f"{region}_{variant}"
     model = run_train(
-        dataset,
-        region,
-        variant,
-        cfg["window.lookback"],
-        cfg["window.train_fraction"],
-        cfg.train_config(region, variant),
-        out / "models" / f"{stem}.model",
-        out / "losses" / f"{stem}.csv",
+        dataset, region, variant, cfg, out / "models" / f"{stem}.model", out / "losses" / f"{stem}.csv"
     )
-    return run_forecast(
-        model, dataset, out / "forecasts" / f"{stem}.csv", region, cfg["forecast.recursive"]
-    )
+    return run_forecast(model, dataset, cfg, out / "forecasts" / f"{stem}.csv", region)
 
 
 def run_pipeline(cfg: Config) -> None:
@@ -368,9 +360,9 @@ def run_pipeline(cfg: Config) -> None:
         if cfg[key] and not Path(cfg[key]).exists():
             raise ConfigError(f"{key} path does not exist: {cfg[key]}")
     # The input files are read before anything is written.
-    redistricting = data_model.BURUNDI_REDISTRICTING
-    if cfg["map_csv"]:
-        redistricting = data_model.read_map_csv(cfg["map_csv"])
+    redistricting = (
+        data_model.read_map_csv(cfg["map_csv"]) if cfg["map_csv"] else data_model.BURUNDI_REDISTRICTING
+    )
     # The synthetic pair is generated in memory, and checked like an input.
     synthetic = None if cfg["input_csv"] else synthgen.generate(cfg.synth)
     masked = data_model.ingest_csv(cfg["input_csv"]) if cfg["input_csv"] else synthetic[1]
@@ -392,14 +384,7 @@ def run_pipeline(cfg: Config) -> None:
 
     if synthetic:
         run_synth(cfg.synth, synthetic, out / "truth.csv", out / "masked.csv")
-    completed = run_impute(
-        masked,
-        out / "completed.csv",
-        out / "impute_log.csv",
-        cfg.forest,
-        cfg["seed"],
-        cfg["impute.max_iter"],
-    )
+    completed = run_impute(masked, cfg, out / "completed.csv", out / "impute_log.csv")
     aggregated = run_aggregate(completed, out / "aggregated.csv", "new", redistricting)
     country = run_aggregate(aggregated, out / "country.csv", "country")
 
@@ -511,35 +496,20 @@ def main(argv=None) -> int:
         if args.command == "synth":
             run_synth(cfg.synth, synthgen.generate(cfg.synth), args.out_truth, args.out_masked)
         elif args.command == "impute":
-            run_impute(
-                data_model.ingest_csv(args.in_path),
-                args.out_path,
-                args.log_path,
-                cfg.forest,
-                cfg["seed"],
-                cfg["impute.max_iter"],
-            )
+            run_impute(data_model.ingest_csv(args.in_path), cfg, args.out_path, args.log_path)
         elif args.command == "aggregate":
             dataset = data_model.ingest_csv(args.in_path)
-            redistricting = data_model.BURUNDI_REDISTRICTING
-            if args.map_path:
-                redistricting = data_model.read_map_csv(args.map_path)
+            redistricting = (
+                data_model.read_map_csv(args.map_path) if args.map_path else data_model.BURUNDI_REDISTRICTING
+            )
             run_aggregate(dataset, args.out_path, args.level, redistricting)
         elif args.command == "train":
-            run_train(
-                data_model.ingest_csv(args.in_path),
-                args.region,
-                args.variant,
-                cfg["window.lookback"],
-                cfg["window.train_fraction"],
-                cfg.train_config(args.region, args.variant),
-                args.out_model,
-                args.out_loss,
-            )
+            dataset = data_model.ingest_csv(args.in_path)
+            run_train(dataset, args.region, args.variant, cfg, args.out_model, args.out_loss)
         elif args.command == "forecast":
             model = lstm.load_model(args.model)
             dataset = data_model.ingest_csv(args.in_path)
-            run_forecast(model, dataset, args.out_path, args.region, cfg["forecast.recursive"])
+            run_forecast(model, dataset, cfg, args.out_path, args.region)
         elif args.command == "evaluate":
             run_evaluate([_read_forecast_csv(path) for path in args.forecasts], args.out_dir)
         elif args.command == "pipeline":
@@ -547,7 +517,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # single-line machine-parsable failure
         for klass, category in _ERROR_CATEGORIES:
             if isinstance(exc, klass):
-                print(f"error:{category}: {exc}", file=sys.stderr)
+                log(f"error:{category}: {exc}")
                 return 1
         raise
     return 0

@@ -14,7 +14,10 @@ cell for NaN).
 
 Files are opened here only: :func:`read_text` reads every input and
 :func:`atomic_write` writes every artifact (temp file + rename, UTF-8, no
-newline translation); :func:`write_table` ends CSV rows in CRLF.
+newline translation). Beside them, :func:`read_table` reads every CSV input
+(dataset, map, forecast), checking its header and record widths, and
+:func:`parse_cell` parses its cells; their errors start
+``<source> line <n>:``. :func:`write_table` ends CSV rows in CRLF.
 
 Burundi's 18 former provinces were regrouped into 5 (Bujumbura, Gitega,
 Buhumuza, Butanyerera, Burunga). Aggregation sums the population and case
@@ -38,6 +41,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -55,7 +59,8 @@ __all__ = [
     "COUNTRY_NAME",
     "ingest_csv",
     "write_csv",
-    "read_csv",
+    "read_table",
+    "parse_cell",
     "read_text",
     "atomic_write",
     "write_table",
@@ -103,8 +108,8 @@ class MonthKey:
         return f"{self.year:04d}-{self.month:02d}"
 
 
-def _ordinal(month: MonthKey) -> int:
-    return 12 * month.year + month.month - 1
+def _ordinal(year: int, month: int) -> int:
+    return 12 * year + month - 1
 
 
 def _month(ordinal: int) -> MonthKey:
@@ -207,7 +212,7 @@ class Dataset:
         return Dataset, (self.provinces, self.start, self.climate, self.population, self.cases)
 
     def months(self) -> list[MonthKey]:
-        first = _ordinal(self.start)
+        first = _ordinal(self.start.year, self.start.month)
         return [_month(first + t) for t in range(self.cases.shape[1])]
 
     def row(self, province: str) -> int:
@@ -220,58 +225,34 @@ class Dataset:
             ) from None
 
 
-def _parse_cell(raw: str, kind: str, column: str, line_no: int):
-    """An int, or a finite float where an empty climate cell gives NaN."""
-    raw = raw.strip()
-    if raw == "":
-        if kind == "climate":
-            return math.nan
-        raise DataError(f"line {line_no}: empty {column} cell")
+def parse_cell(raw: str, kind: str, column: str, source, line_no: int):
+    """The cell ``raw`` of ``column``, surrounding whitespace ignored, as
+    ``kind``: non-empty ``"text"``, an ``"int"`` (64-bit), a ``"month"``
+    (1..12), a finite ``"float"``, or a finite ``"climate"`` float where an
+    empty cell gives NaN."""
+    rule = None
     try:
-        value = int(raw) if kind == "int" else float(raw)
+        if kind == "climate" or kind == "float":
+            value = float(raw)
+            if math.isfinite(value):
+                return value
+            rule = "must be finite"
+        elif kind == "text":
+            if raw.strip():
+                return raw.strip()
+        else:
+            value = int(raw)
+            if kind == "int" and -(2**63) <= value < 2**63 or kind == "month" and 1 <= value <= 12:
+                return value
+            rule = "does not fit in 64 bits" if kind == "int" else "must be in 1..12"
     except ValueError:
-        raise DataError(f"line {line_no}: malformed {column} cell {raw!r}") from None
-    if kind == "int" and not -(2**63) <= value < 2**63:
-        raise DataError(f"line {line_no}: {column} {raw} does not fit in 64 bits")
-    if kind == "climate" and not math.isfinite(value):
-        raise DataError(f"line {line_no}: {column} must be finite, got {raw!r}")
-    return value
-
-
-def _parse_row(row: list[str], line_no: int, minmax: bool) -> tuple[str, int, tuple]:
-    """(province, month ordinal, (line, climate triple, population, cases))."""
-    width = len(CSV_HEADER_MINMAX if minmax else CSV_HEADER)
-    if len(row) != width:
-        raise DataError(f"line {line_no}: expected {width} cells, got {len(row)}")
-    province = row[0].strip()
-    if not province:
-        raise DataError(f"line {line_no}: empty province cell")
-    year = _parse_cell(row[1], "int", "year", line_no)
-    month = _parse_cell(row[2], "int", "month", line_no)
-    if minmax:
-        tmin = _parse_cell(row[3], "climate", "temp_min", line_no)
-        tmax = _parse_cell(row[4], "climate", "temp_max", line_no)
-        if math.isnan(tmin) != math.isnan(tmax):
-            raise DataError(
-                f"line {line_no}: temp_min and temp_max must be both present or both empty"
-            )
-        temp = (tmin + tmax) / 2.0
-        rest = row[5:]
-    else:
-        temp = _parse_cell(row[3], "climate", "temp_mean", line_no)
-        rest = row[4:]
-    climate = (
-        temp,
-        _parse_cell(rest[0], "climate", "rainfall", line_no),
-        _parse_cell(rest[1], "climate", "rel_humidity", line_no),
-    )
-    population = _parse_cell(rest[2], "int", "population", line_no)
-    cases = _parse_cell(rest[3], "int", "cases", line_no)
-    try:
-        ordinal = _ordinal(MonthKey(year, month))
-    except DataError as exc:
-        raise DataError(f"line {line_no}: {exc}") from None
-    return province, ordinal, (line_no, climate, population, cases)
+        if raw.strip():
+            raise DataError(f"{source} line {line_no}: malformed {column} cell {raw!r}") from None
+    if rule:
+        raise DataError(f"{source} line {line_no}: {column} {rule}, got {raw!r}")
+    if kind == "climate":
+        return math.nan
+    raise DataError(f"{source} line {line_no}: empty {column} cell")
 
 
 def read_text(path, error=DataError) -> str:
@@ -313,21 +294,43 @@ def write_table(path, header, rows) -> None:
     atomic_write(path, text.getvalue())
 
 
-def read_csv(source):
-    """Yield ``(line number, cells)`` for each record of a CSV path or open
-    text stream, the header included. Bytes that are not UTF-8 and csv-level
-    faults (an unclosed quote, a field over the csv module's size limit)
-    raise DataError with the path and line."""
+def read_table(source, *headers):
+    """The header of a CSV path or open text stream, cells stripped and one
+    of ``headers``, and an iterator of ``(line number, cells)`` over the
+    non-blank records after it, for :func:`parse_cell`. Each fault (an
+    unknown header, a record not as wide as the header, an unclosed quote, a
+    field over the csv module's size limit) raises DataError starting
+    ``<source> line <n>:``; bytes that are not UTF-8 raise it from
+    :func:`read_text`."""
     text = source.read() if hasattr(source, "read") else read_text(source)
     reader = csv.reader(io.StringIO(text, newline=""))
-    while True:
+
+    def records():
+        width = None
         try:
-            row = next(reader)
-        except StopIteration:
-            return
+            for row in reader:
+                if not row:
+                    continue
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise DataError(
+                        f"{source} line {reader.line_num}: expected {width} cells, got {len(row)}"
+                    )
+                yield reader.line_num, row
         except csv.Error as exc:
             raise DataError(f"{source} line {reader.line_num}: {exc}") from None
-        yield reader.line_num, row
+
+    rows = records()
+    line_no, header = next(rows, (1, []))
+    header = [cell.strip() for cell in header]
+    if header not in headers:
+        raise DataError(f"{source} line {line_no}: unrecognized header {header!r}")
+    return header, rows
+
+
+# The kind (see parse_cell) of each dataset column.
+_KINDS = {"province": "text", "year": "int", "month": "month", "population": "int", "cases": "int"}
 
 
 def ingest_csv(source) -> Dataset:
@@ -337,46 +340,52 @@ def ingest_csv(source) -> Dataset:
     variant (the two are averaged). Rows may come in any order. Empty climate
     cells become missing values; ``nan`` and ``inf`` are refused. Each
     province needs one row per month, without gaps, over the same month range
-    as every other. Errors carry the offending 1-based file line number.
+    as every other. Errors name the source and the offending 1-based line.
     """
-    records = read_csv(source)
-    header = [h.strip() for h in next(records, (0, []))[1]]
-    if header not in (CSV_HEADER, CSV_HEADER_MINMAX):
-        raise DataError(f"{source}: unrecognized header {header!r}")
+    header, records = read_table(source, CSV_HEADER, CSV_HEADER_MINMAX)
+    kinds = [_KINDS.get(name, "climate") for name in header]
     # province -> month ordinal -> (line, climate triple, population, cases)
     rows: dict[str, dict[int, tuple]] = {}
     for line_no, row in records:
-        if not row:
-            continue
-        province, ordinal, cell = _parse_row(row, line_no, header == CSV_HEADER_MINMAX)
+        province, year, month, *climate, population, cases = map(
+            parse_cell, row, kinds, header, repeat(source), repeat(line_no)
+        )
+        if len(climate) == 4:
+            tmin, tmax, *climate = climate
+            if math.isnan(tmin) != math.isnan(tmax):
+                raise DataError(
+                    f"{source} line {line_no}: temp_min and temp_max must be both present or both empty"
+                )
+            climate.insert(0, (tmin + tmax) / 2.0)
         cells = rows.setdefault(province, {})
+        ordinal = _ordinal(year, month)
         if ordinal in cells:
             raise DataError(
-                f"line {line_no}: duplicate row for {province} {_month(ordinal)} "
+                f"{source} line {line_no}: duplicate row for {province} {_month(ordinal)} "
                 f"(first on line {cells[ordinal][0]})"
             )
-        cells[ordinal] = cell
+        cells[ordinal] = (line_no, climate, population, cases)
     if not rows:
         raise DataError(f"{source}: no data rows")
-    return _to_dataset(rows)
+    return _to_dataset(rows, source)
 
 
-def _to_dataset(rows: dict[str, dict[int, tuple]]) -> Dataset:
-    """Check the month axes, then build the arrays; errors name the line."""
+def _to_dataset(rows: dict[str, dict[int, tuple]], source) -> Dataset:
+    """Check the month axes, then build the arrays; errors name ``source`` and the line."""
     provinces = sorted(rows)
     series = [sorted(rows[p].items()) for p in provinces]
     for province, cells in zip(provinces, series):
         for (prev, _), (cur, (line_no, *_)) in zip(cells, cells[1:]):
             if cur != prev + 1:
                 raise DataError(
-                    f"line {line_no}: month gap for province {province} between "
+                    f"{source} line {line_no}: month gap for province {province} between "
                     f"{_month(prev)} and {_month(cur)}"
                 )
     first, last = series[0][0][0], series[0][-1][0]
     for province, cells in zip(provinces, series):
         if (cells[0][0], cells[-1][0]) != (first, last):
             raise DataError(
-                f"line {cells[0][1][0]}: provinces cover different month ranges: "
+                f"{source} line {cells[0][1][0]}: provinces cover different month ranges: "
                 f"{province} {_month(cells[0][0])}..{_month(cells[-1][0])}, "
                 f"{provinces[0]} {_month(first)}..{_month(last)}"
             )
@@ -388,7 +397,7 @@ def _to_dataset(rows: dict[str, dict[int, tuple]]) -> Dataset:
     for bad, values, rule in _violations(climate, population, cases):
         if bad.any():
             line_no = lines[bad].min()
-            raise DataError(f"line {line_no}: {rule}, got {values[lines == line_no][0]}")
+            raise DataError(f"{source} line {line_no}: {rule}, got {values[lines == line_no][0]}")
     return Dataset(provinces, _month(first), climate, population, cases)
 
 
@@ -418,19 +427,12 @@ def write_csv(dataset: Dataset, path) -> None:
 def read_map_csv(path) -> RedistrictingMap:
     """Read a two-column ``old_province,new_province`` mapping."""
     mapping: dict[str, str] = {}
-    records = read_csv(path)
-    header = [h.strip() for h in next(records, (0, []))[1]]
-    if header != ["old_province", "new_province"]:
-        raise DataError(f"{path}: unrecognized map header {header!r}")
+    header, records = read_table(path, ["old_province", "new_province"])
     for line_no, row in records:
-        if not row:
-            continue
-        if len(row) != 2 or not row[0].strip() or not row[1].strip():
-            raise DataError(f"line {line_no}: malformed map row {row!r}")
-        old = row[0].strip()
+        old, new = (parse_cell(raw, "text", column, path, line_no) for raw, column in zip(row, header))
         if old in mapping:
-            raise DataError(f"line {line_no}: duplicate old province {old!r}")
-        mapping[old] = row[1].strip()
+            raise DataError(f"{path} line {line_no}: duplicate old province {old!r}")
+        mapping[old] = new
     return RedistrictingMap(mapping)
 
 

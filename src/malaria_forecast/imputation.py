@@ -303,8 +303,11 @@ class ImputationResult:
     """
 
     completed: np.ndarray
-    iterations_run: int
     delta_history: list[float] = field(default_factory=list)
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.delta_history)
 
 
 def _delta(new, old, mask) -> float:
@@ -336,7 +339,7 @@ def missforest_impute(
     if fully_missing.size:
         raise ValueError(f"columns {fully_missing.tolist()} have no observed entries")
     if not mask.any():
-        return ImputationResult(completed=X, iterations_run=0)
+        return ImputationResult(completed=X)
 
     # Initial guess: column means over observed entries.
     work = X.copy()
@@ -349,7 +352,7 @@ def missforest_impute(
 
     history: list[float] = []
     delta_prev = math.inf
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         previous = work.copy()
         for c in columns:
             obs = ~mask[:, c]
@@ -358,11 +361,11 @@ def missforest_impute(
         delta = _delta(work, previous, mask)
         history.append(delta)
         if delta > delta_prev:
-            return ImputationResult(completed=previous, iterations_run=iteration, delta_history=history)
+            return ImputationResult(completed=previous, delta_history=history)
         if delta == 0.0:
             break
         delta_prev = delta
-    return ImputationResult(completed=work, iterations_run=min(iteration, max_iter), delta_history=history)
+    return ImputationResult(completed=work, delta_history=history)
 
 
 def _province_matrix(dataset: Dataset, province: str) -> np.ndarray:

@@ -330,6 +330,123 @@ class TestTrainForecastEvaluate:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.fixture(scope="module")
+def truth_csv(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("truth")
+    truth = tmp / "truth.csv"
+    run(["synth", "--seed", 7, "--months", 26, "--missing-rate", 0.0,
+         "--out-truth", truth, "--out-masked", tmp / "m.csv"])
+    return truth
+
+
+def table_text(table, truth):
+    """A well-formed dataset (``truth``'s rows), map or forecast CSV, with
+    ``\n`` line ends."""
+    if table == "dataset":
+        return truth.read_text().replace("\r\n", "\n")
+    if table == "map":
+        rows = sorted(data_model.BURUNDI_REDISTRICTING.mapping.items())
+        return "old_province,new_province\n" + "".join(f"{old},{new}\n" for old, new in rows)
+    rows = [f"{region},{variant},2019,{month},{10 * month}.0,{11 * month}.5\n"
+            for region in REGION_ORDER for variant in ("univariate", "multivariate") for month in (1, 2, 3)]
+    return ",".join(cli.FORECAST_HEADER) + "\n" + "".join(rows)
+
+
+def table_command(tmp_path, table, path, truth):
+    """The command line that reads ``path`` as ``table``, and what it writes."""
+    out = tmp_path / "out"
+    if table == "dataset":
+        return ["aggregate", "--in", path, "--out", out, "--level", "country"], out
+    if table == "map":
+        return ["aggregate", "--in", truth, "--out", out, "--level", "new", "--map", path], out
+    return ["evaluate", "--out-dir", out, path], out
+
+
+def with_cell(text, line_no, column, cell):
+    """``text`` with ``cell`` at ``column`` of line ``line_no`` (one past the
+    last column adds a cell)."""
+    lines = text.splitlines()
+    row = lines[line_no - 1].split(",")
+    row[column : column + 1] = [cell]
+    lines[line_no - 1] = ",".join(row)
+    return "\n".join(lines) + "\n"
+
+
+class TestTables:
+    """The dataset, map and forecast CSVs are read by one reader and one
+    cell parser, so they fail and pass in the same ways."""
+
+    @pytest.mark.parametrize(
+        "table, column, cell, message",
+        [
+            ("dataset", 4, "wet", "malformed rainfall cell 'wet'"),
+            ("dataset", 2, "13", "month must be in 1..12, got '13'"),
+            ("map", 1, " ", "empty new_province cell"),
+            ("map", 2, "Gitega", "expected 2 cells, got 3"),
+            ("forecast", 4, "x", "malformed observed cell 'x'"),
+        ],
+    )
+    def test_bad_cell_is_one_error_naming_file_and_line(
+        self, tmp_path, truth_csv, capsys, table, column, cell, message
+    ):
+        path = tmp_path / f"{table}.csv"
+        path.write_text(with_cell(table_text(table, truth_csv), 3, column, cell))
+        argv, out = table_command(tmp_path, table, path, truth_csv)
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error:data: {path} line 3: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table", ["dataset", "map", "forecast"])
+    def test_blank_lines_after_the_data_are_skipped(self, tmp_path, truth_csv, table):
+        text = table_text(table, truth_csv)
+        outputs = []
+        for name, body in (("reference", text), ("padded", text + "\r\n\n")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "table.csv").write_text(body)
+            argv, out = table_command(tmp_path / name, table, tmp_path / name / "table.csv", truth_csv)
+            assert run(argv) == 0
+            outputs.append(snapshot(out) if out.is_dir() else out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            (4, "inf", "observed must be finite, got 'inf'"),
+            (4, "-inf", "observed must be finite, got '-inf'"),
+            (5, "nan", "predicted must be finite, got 'nan'"),
+            (4, "", "empty observed cell"),
+            (5, " ", "empty predicted cell"),
+            (3, "13", "month must be in 1..12, got '13'"),
+        ],
+    )
+    def test_forecast_values_are_checked(self, tmp_path, capsys, column, cell, message):
+        path = tmp_path / "forecast.csv"
+        path.write_text(with_cell(table_text("forecast", None), 5, column, cell))
+        capsys.readouterr()
+        assert run(["evaluate", "--out-dir", tmp_path / "out", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error:data: {path} line 5: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_forecast_header_may_space_its_cells(self, tmp_path):
+        text = table_text("forecast", None)
+        spaced = text.replace(",".join(cli.FORECAST_HEADER), ", ".join(cli.FORECAST_HEADER), 1)
+        for name, body in (("plain", text), ("spaced", spaced)):
+            (tmp_path / f"{name}.csv").write_text(body)
+            assert run(["evaluate", "--out-dir", tmp_path / name, tmp_path / f"{name}.csv"]) == 0
+        assert snapshot(tmp_path / "spaced") == snapshot(tmp_path / "plain")
+
+    def test_csv_is_parsed_only_in_read_table(self):
+        owners = set()
+        for path in Path(data_model.__file__).parent.glob("*.py"):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                for sub in ast.walk(node):
+                    if (isinstance(sub, ast.Attribute) and sub.attr == "reader"
+                            and getattr(sub.value, "id", "") == "csv"):
+                        owners.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+        assert owners == {"data_model.read_table"}
+
+
 class TestPipeline:
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "out"
@@ -711,6 +828,27 @@ class TestAtomicWrite:
 
 class TestProcess:
     """The CLI run as its own process, as a shell or a scheduler runs it."""
+
+    def test_each_log_line_is_one_write(self, tmp_path, monkeypatch):
+        # Pool workers share stderr; a line written in two calls can be
+        # split by another worker's line when the stream is unbuffered.
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+            def flush(self):
+                pass
+
+        recorder = Recorder()
+        monkeypatch.setattr(sys, "stderr", recorder)
+        cli.log("train: region=Gitega")
+        assert run(["evaluate", "--out-dir", tmp_path / "out", tmp_path / "absent.csv"]) == 1
+        assert recorder.writes[0] == "train: region=Gitega\n"
+        assert len(recorder.writes) == 2 and recorder.writes[1].startswith("error:io: ")
+        assert recorder.writes[1].count("\n") == 1 and recorder.writes[1].endswith("\n")
 
     def test_piped_run_ends_with_its_last_stage_line(self, tmp_path):
         out = tmp_path / "out"
