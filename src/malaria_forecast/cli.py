@@ -10,9 +10,10 @@ and ``provinces``), :class:`ForestConfig` and :class:`TrainConfig` (less
 declared in the table itself. The table gives the pipeline's
 ``--section.field`` flags and config keys, the lines of ``run_config.txt``,
 the stage commands' ``--field-name`` flags and the ``synth --config`` keys.
-Flag and file values are parsed by :func:`parse_setting` and checked once,
-when the :class:`Config` is built, so a bad one ends in ``error:config``
-before any file is written.
+Config files are read by :func:`data_model.read_kv`. Flag and file values
+are parsed by :func:`parse_setting`, a file's errors naming its line, and
+checked once, when the :class:`Config` is built, so a bad one ends in
+``error:config`` before any file is written.
 
 Every command takes the global seed and derives its own stage seed from it,
 so a full pipeline run and the equivalent sequence of individual commands
@@ -51,6 +52,7 @@ from .errors import (
     DataError,
     DivergenceError,
     ShapeError,
+    WorkerError,
 )
 
 OUT_DIR_ENV = "MALARIA_FORECAST_OUT"
@@ -64,6 +66,7 @@ _ERROR_CATEGORIES = [
     (ConfigError, "config"),
     (DataError, "data"),
     (ShapeError, "shape"),
+    (WorkerError, "worker"),
     (OSError, "io"),
     (ValueError, "argument"),
 ]
@@ -73,23 +76,6 @@ def log(message: str) -> None:
     """One line on stderr, in one ``write``, so that the lines of concurrent
     workers do not interleave on an unbuffered stream."""
     sys.stderr.write(message + "\n")
-
-
-def parse_kv_file(path) -> dict[str, str]:
-    """Flat ``key = value`` file; blank lines and # comments ignored."""
-    mapping: dict[str, str] = {}
-    for line_no, raw in enumerate(data_model.read_text(path, ConfigError).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path} line {line_no}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key or key in mapping:
-            raise ConfigError(f"{path} line {line_no}: bad or duplicate key {key!r}")
-        mapping[key] = value.strip()
-    return mapping
 
 
 def _parse_bool(raw: str) -> bool:
@@ -166,13 +152,13 @@ def parse_setting(key: str, raw: str, where, name: str):
 
 def read_config(path, prefix: str = "") -> dict:
     """Setting values from a ``key = value`` file whose keys are setting
-    keys without ``prefix``; ``seed`` is always bare."""
+    keys without ``prefix``; ``seed`` is always bare. Errors name the line."""
     values = {}
-    for name, raw in parse_kv_file(path).items():
+    for line_no, name, raw in data_model.read_kv(path, ConfigError):
         key = name if name == "seed" else prefix + name
         if key not in SETTINGS:
-            raise ConfigError(f"{path}: unknown config key {name!r}")
-        values[key] = parse_setting(key, raw, path, name)
+            raise ConfigError(f"{path} line {line_no}: unknown config key {name!r}")
+        values[key] = parse_setting(key, raw, f"{path} line {line_no}", name)
     return values
 
 
@@ -270,21 +256,12 @@ FORECAST_HEADER = ["province", "variant", "year", "month", "observed", "predicte
 _FORECAST_KINDS = ("text", "text", "int", "month", "float", "float")
 
 
-def run_forecast(model: lstm.TrainedModel, dataset: Dataset, cfg: Config, out_path, region):
-    """Forecast the model's test horizon and write it; returns the forecast
-    as ``{(region, variant): [(month, observed, predicted), ...]}``. A None
-    ``region`` names the dataset's only province."""
-    recursive = cfg["forecast.recursive"]
-    if region is None:
-        if len(dataset.provinces) != 1:
-            raise DataError(
-                f"input has provinces {dataset.provinces}; pass --region to pick one"
-            )
-        region = dataset.provinces[0]
+def run_forecast(model: lstm.TrainedModel, dataset: Dataset, cfg: Config, out_path):
+    """Forecast the test horizon of the model's region and write it; returns
+    the forecast as ``{(region, variant): [(month, observed, predicted), ...]}``."""
+    recursive, region = cfg["forecast.recursive"], model.region
     log(f"forecast: region={region} variant={model.spec.variant} recursive={recursive}")
-    months, observed, predicted = lstm.forecast_test_horizon(
-        model, dataset, region, recursive=recursive
-    )
+    months, observed, predicted = lstm.forecast_test_horizon(model, dataset, recursive)
     rows = [(month, float(obs), float(pred)) for month, obs, pred in zip(months, observed, predicted)]
     data_model.write_table(
         out_path,
@@ -311,6 +288,8 @@ def _read_forecast_csv(path):
         groups.setdefault((region, variant), []).append(
             (data_model.MonthKey(year, month), observed, predicted)
         )
+    if not groups:
+        raise DataError(f"{path}: no data rows")
     return groups
 
 
@@ -350,7 +329,7 @@ def run_model(cfg: Config, out: Path, dataset: Dataset, region: str, variant: st
     model = run_train(
         dataset, region, variant, cfg, out / "models" / f"{stem}.model", out / "losses" / f"{stem}.csv"
     )
-    return run_forecast(model, dataset, cfg, out / "forecasts" / f"{stem}.csv", region)
+    return run_forecast(model, dataset, cfg, out / "forecasts" / f"{stem}.csv")
 
 
 def run_pipeline(cfg: Config) -> None:
@@ -465,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
-    p.add_argument("--region", help="needed when the input has several provinces")
     _add_settings(p, "forecast")
 
     p = sub.add_parser("evaluate", help="comparison table, totals, and curve files")
@@ -509,7 +487,7 @@ def main(argv=None) -> int:
         elif args.command == "forecast":
             model = lstm.load_model(args.model)
             dataset = data_model.ingest_csv(args.in_path)
-            run_forecast(model, dataset, cfg, args.out_path, args.region)
+            run_forecast(model, dataset, cfg, args.out_path)
         elif args.command == "evaluate":
             run_evaluate([_read_forecast_csv(path) for path in args.forecasts], args.out_dir)
         elif args.command == "pipeline":

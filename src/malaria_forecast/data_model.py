@@ -16,7 +16,8 @@ Files are opened here only: :func:`read_text` reads every input and
 :func:`atomic_write` writes every artifact (temp file + rename, UTF-8, no
 newline translation). Beside them, :func:`read_table` reads every CSV input
 (dataset, map, forecast), checking its header and record widths, and
-:func:`parse_cell` parses its cells; their errors start
+:func:`parse_cell` parses its cells; :func:`read_kv` reads every
+``key = value`` input (config and model files). Their errors start
 ``<source> line <n>:``. :func:`write_table` ends CSV rows in CRLF.
 
 Burundi's 18 former provinces were regrouped into 5 (Bujumbura, Gitega,
@@ -60,6 +61,7 @@ __all__ = [
     "ingest_csv",
     "write_csv",
     "read_table",
+    "read_kv",
     "parse_cell",
     "read_text",
     "atomic_write",
@@ -136,8 +138,6 @@ class RedistrictingMap:
     """Total mapping from old provinces onto a smaller set of new provinces."""
 
     def __init__(self, mapping: Mapping[str, str]):
-        if not mapping:
-            raise DataError("redistricting map must not be empty")
         self.mapping = dict(mapping)
 
     def new_provinces(self) -> list[str]:
@@ -329,6 +329,26 @@ def read_table(source, *headers):
     return header, rows
 
 
+def read_kv(path, error):
+    """Yield ``(line number, key, value)`` for each line of a ``key = value``
+    file, in file order, key and value stripped; blank and ``#`` lines are
+    skipped. A line without ``=``, or an empty or repeated key, raises
+    ``error`` starting ``<path> line <n>:``."""
+    seen = set()
+    for line_no, raw in enumerate(read_text(path, error).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path} line {line_no}: expected key = value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if not key or key in seen:
+            raise error(f"{path} line {line_no}: bad or duplicate key {key!r}")
+        seen.add(key)
+        yield line_no, key, value.strip()
+
+
 # The kind (see parse_cell) of each dataset column.
 _KINDS = {"province": "text", "year": "int", "month": "month", "population": "int", "cases": "int"}
 
@@ -433,6 +453,8 @@ def read_map_csv(path) -> RedistrictingMap:
         if old in mapping:
             raise DataError(f"{path} line {line_no}: duplicate old province {old!r}")
         mapping[old] = new
+    if not mapping:
+        raise DataError(f"{path}: no data rows")
     return RedistrictingMap(mapping)
 
 

@@ -23,3 +23,7 @@ class DivergenceError(RuntimeError):
 
 class ConfigError(ValueError):
     """A configuration file or flag could not be parsed or validated."""
+
+
+class WorkerError(RuntimeError):
+    """A pool worker died before it answered, or its answer cannot be pickled."""

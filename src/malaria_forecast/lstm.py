@@ -13,6 +13,12 @@ tanh serves all four gates. Activations are stored batch last (:class:`ForwardCa
 
 The univariate and multivariate models share every routine here; they differ
 only in the feature width of their windows (1 vs 5).
+
+A model knows the region it was trained on, and :func:`forecast_test_horizon`
+windows that region. :func:`save_model` writes model format 3, ``key = value``
+lines that :func:`load_model` reads with :func:`data_model.read_kv`: the
+region, spec and training boundary, the tensors and scalers in hex floats, and
+a digest of those lines.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core_math import MinMaxScaler, Rng
-from .data_model import Dataset, MonthKey, atomic_write, read_text
+from .data_model import Dataset, MonthKey, atomic_write, read_kv
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows
 
@@ -126,14 +132,16 @@ class TrainConfig:
 
 @dataclass
 class TrainedModel:
-    """Parameters, window spec and scalers; ``train_end`` is the month of the
-    last training target, and forecasts score only the months after it."""
+    """Parameters, window spec and scalers of the model of ``region``;
+    ``train_end`` is the month of the last training target, and forecasts
+    score only the months after it."""
 
     params: LstmParams
     spec: WindowSpec
     input_scaler: MinMaxScaler
     target_scaler: MinMaxScaler
     train_end: MonthKey
+    region: str
     loss_history: list[float] = field(default_factory=list)
 
 
@@ -398,7 +406,8 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
             if idx.size not in caches:
                 caches[idx.size] = ForwardCache.empty(idx.size, X.shape[1], X.shape[2], cfg.hidden)
             preds, cache = forward(params, window, caches[idx.size])
-            loss = loss_mse(preds, target)
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverged loss is checked below
+                loss = loss_mse(preds, target)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             grads = backward(params, cache, 2.0 * (preds - target) / idx.size)
@@ -412,6 +421,7 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
         input_scaler=windows.input_scaler,
         target_scaler=windows.target_scaler,
         train_end=windows.months[-1],
+        region=windows.province,
         loss_history=history,
     )
 
@@ -427,19 +437,19 @@ def predict(model: TrainedModel, windows) -> np.ndarray:
 
 
 def forecast_test_horizon(
-    model: TrainedModel, dataset: Dataset, province: str, recursive: bool = False
+    model: TrainedModel, dataset: Dataset, recursive: bool = False
 ) -> tuple[list[MonthKey], np.ndarray, np.ndarray]:
     """One-step-ahead forecasts for every month after the model's training.
 
-    Rebuilds windows of ``province`` with the model's spec, keeps those whose
-    target month comes after ``model.train_end``, scales with the model's own
+    Rebuilds windows of ``model.region`` with the model's spec, keeps those
+    whose target month comes after ``model.train_end``, scales with its own
     scalers, and returns (months, observed, predicted) in case counts. With
     ``recursive=True`` the case feature of each horizon window is replaced by
     the model's earlier predictions, so forecasts consume no observed cases
     beyond the training boundary; the horizon must then start at the
     month after ``model.train_end``, or a DataError is raised.
     """
-    w = make_windows(dataset, province, model.spec)
+    w = make_windows(dataset, model.region, model.spec)
     split = next((k for k, month in enumerate(w.months) if month > model.train_end), w.samples)
     if split == w.samples:
         raise DataError(
@@ -506,149 +516,110 @@ def gradient_check(
     return errors
 
 
-MODEL_FORMAT = "malaria-forecast model 2"
+MODEL_FORMAT = "malaria-forecast model 3"
 _MONTH = re.compile(r"([0-9]{4})-([0-9]{2})")
+_POSITIVE = re.compile(r"[1-9][0-9]{0,17}")
+# The keys of a model file, in file order.
+_MODEL_KEYS = (
+    "format", "region", "variant", "lookback", "features", "hidden", "train_end",
+    *LstmParams.shapes(1, 1),
+    "input_mins", "input_maxs", "target_mins", "target_maxs", "sha256",
+)
 
 
-def _floats_line(values: np.ndarray) -> str:
-    return " ".join(map(float.hex, values.tolist())) + "\n"
+def _hex(values: np.ndarray) -> str:
+    return " ".join(map(float.hex, values.ravel().tolist()))
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Serialize to a flat versioned text format; floats are stored as C99
-    hex literals so the round trip is bit-exact. A ``sha256`` line before
-    ``end`` holds the digest of every byte above it."""
-    lines = [
-        f"{MODEL_FORMAT}\n",
-        f"variant {model.spec.variant}\n",
-        f"lookback {model.spec.lookback}\n",
-        f"features {model.params.features}\n",
-        f"hidden {model.params.hidden}\n",
-        f"train_end {model.train_end}\n",
+    """Write one ``key = value`` line each for ``format``, ``region``,
+    ``variant``, ``lookback``, ``features``, ``hidden`` and ``train_end``,
+    the tensors ``w``, ``b``, ``w_y`` and ``b_y`` (flattened row-major), the
+    scaler bounds ``input_mins``, ``input_maxs``, ``target_mins`` and
+    ``target_maxs``, and last ``sha256``, the digest of the lines above it.
+    Floats are C99 hex literals, so the round trip is bit-exact. A region
+    that would not read back as itself (one with a line break, or whitespace
+    at either end) raises DataError."""
+    region = model.region
+    if region.splitlines() != [region] or region.strip() != region:
+        raise DataError(f"region {region!r} cannot be written on one line of a model file")
+    spec, params, scalers = model.spec, model.params, (model.input_scaler, model.target_scaler)
+    values = [
+        MODEL_FORMAT, region, spec.variant, spec.lookback, params.features, params.hidden, model.train_end,
+        *(_hex(arr) for _, arr in params.tensors()),
+        *(_hex(bound) for scaler in scalers for bound in (scaler.mins, scaler.maxs)),
     ]
-    for name, arr in model.params.tensors():
-        mat = arr if arr.ndim == 2 else arr.reshape(1, -1)
-        lines.append(f"tensor {name} {mat.shape[0]} {mat.shape[1]}\n")
-        lines.extend(_floats_line(row) for row in mat)
-    for label, scaler in (("input", model.input_scaler), ("target", model.target_scaler)):
-        lines.append(f"scaler {label} {scaler.width}\n")
-        lines.append(_floats_line(scaler.mins))
-        lines.append(_floats_line(scaler.maxs))
-    body = "".join(lines)
+    body = "".join(f"{key} = {value}\n" for key, value in zip(_MODEL_KEYS, values))
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    atomic_write(path, f"{body}sha256 {digest}\nend\n")
-
-
-class _ModelReader:
-    """Line cursor over a model file; every failure is a DataError naming
-    the file and the line."""
-
-    def __init__(self, path):
-        self.path = path
-        text = read_text(path)
-        self.raw_lines = text.splitlines(keepends=True)
-        self.lines = text.splitlines()
-        self.line_no = 0
-
-    def error(self, message: str) -> DataError:
-        return DataError(f"{self.path}: line {self.line_no}: {message}")
-
-    def next_line(self) -> str:
-        self.line_no += 1
-        if self.line_no > len(self.lines):
-            raise self.error("unexpected end of file")
-        return self.lines[self.line_no - 1]
-
-    def fields(self, prefix: str | None, count: int) -> list[str]:
-        """The next line's fields after ``prefix`` (if given); exactly ``count``."""
-        line = self.next_line()
-        parts = line.split()
-        if prefix is not None:
-            if not parts or parts[0] != prefix:
-                raise self.error(f"expected {prefix!r}, got {line!r}")
-            parts = parts[1:]
-        if len(parts) != count:
-            raise self.error(f"expected {count} fields, got {len(parts)}")
-        return parts
-
-    def positive_int(self, prefix: str) -> int:
-        (token,) = self.fields(prefix, 1)
-        if not token.isdecimal() or int(token) < 1:
-            raise self.error(f"{prefix} must be a positive integer, got {token!r}")
-        return int(token)
-
-    def month(self, prefix: str) -> MonthKey:
-        (token,) = self.fields(prefix, 1)
-        match = _MONTH.fullmatch(token)
-        if match is None or not 1 <= int(match[2]) <= 12:
-            raise self.error(f"{prefix} must be a YYYY-MM month, got {token!r}")
-        return MonthKey(int(match[1]), int(match[2]))
-
-    def hex_floats(self, tokens: list[str]) -> list[float]:
-        try:
-            values = [float.fromhex(tok) for tok in tokens]
-        except ValueError:
-            raise self.error("malformed hex float") from None
-        if not all(map(math.isfinite, values)):
-            raise self.error("non-finite value")
-        return values
-
-    def checksum(self) -> None:
-        """Check the ``sha256`` line against the bytes above it."""
-        (digest,) = self.fields("sha256", 1)
-        body = "".join(self.raw_lines[: self.line_no - 1]).encode("utf-8")
-        if digest != hashlib.sha256(body).hexdigest():
-            raise self.error("checksum mismatch")
+    atomic_write(path, f"{body}sha256 = {digest}\n")
 
 
 def load_model(path) -> TrainedModel:
-    """Read a file written by :func:`save_model`. A malformed, truncated or
-    altered file, or one in a retired format, raises DataError naming the
-    path and line."""
-    reader = _ModelReader(path)
-    header = reader.next_line()
-    if header == "malaria-forecast model 1":
-        raise reader.error("model format 1 is no longer read; retrain the model")
-    if header != MODEL_FORMAT:
-        raise reader.error(f"not a {MODEL_FORMAT!r} file")
-    (variant,) = reader.fields("variant", 1)
-    if variant not in VARIANTS:
-        raise reader.error(f"variant must be one of {VARIANTS}, got {variant!r}")
-    spec = WindowSpec(lookback=reader.positive_int("lookback"), variant=variant)
-    features = reader.positive_int("features")
-    hidden = reader.positive_int("hidden")
-    train_end = reader.month("train_end")
+    """Read a file written by :func:`save_model`. Each key is checked in
+    order, then each value's count, finiteness and range, then the digest of
+    the canonical lines ``f"{key} = {value}\\n"`` above ``sha256``. A
+    malformed, truncated or altered file, or one of another format, raises
+    DataError naming the path and line."""
+    lines = {}  # key -> (line number, value)
+    entries = read_kv(path, DataError)
+    line_no = 0
+    for key in _MODEL_KEYS:
+        line_no, got, value = next(entries, (line_no + 1, None, None))
+        if key == "format" and (got, value) != (key, MODEL_FORMAT):
+            raise DataError(f"{path} line {line_no}: not a {MODEL_FORMAT!r} file")
+        if got != key:
+            found = "the end of the file" if got is None else repr(got)
+            raise DataError(f"{path} line {line_no}: expected {key!r}, got {found}")
+        lines[key] = line_no, value
+    extra = next(entries, None)
+    if extra is not None:
+        raise DataError(f"{path} line {extra[0]}: {extra[1]!r} after the sha256 line")
 
-    arrays = {}
-    for name, shape in LstmParams.shapes(features, hidden).items():
-        rows, cols = shape if len(shape) == 2 else (1, shape[0])
-        if reader.fields("tensor", 3) != [name, str(rows), str(cols)]:
-            raise reader.error(f"expected tensor {name} {rows} {cols}")
-        data = [reader.hex_floats(reader.fields(None, cols)) for _ in range(rows)]
-        arrays[name] = np.array(data).reshape(shape)
-    params = LstmParams(**arrays)
+    def fail(key, message):
+        return DataError(f"{path} line {lines[key][0]}: {message}")
 
-    scalers = {}
-    for label, width in (("input", features), ("target", 1)):
-        if reader.fields("scaler", 2) != [label, str(width)]:
-            raise reader.error(f"expected scaler {label} {width}")
-        mins = np.array(reader.hex_floats(reader.fields(None, width)))
-        maxs = np.array(reader.hex_floats(reader.fields(None, width)))
+    def positive_int(key):
+        if not _POSITIVE.fullmatch(lines[key][1]):
+            raise fail(key, f"{key} must be a positive integer, got {lines[key][1]!r}")
+        return int(lines[key][1])
+
+    def floats(key, count):
+        tokens = lines[key][1].split()
+        if len(tokens) != count:
+            raise fail(key, f"expected {count} values, got {len(tokens)}")
         try:
-            scalers[label] = MinMaxScaler(mins, maxs)
-        except ValueError as exc:
-            raise reader.error(str(exc)) from None
-    reader.checksum()
-    if reader.next_line() != "end":
-        raise reader.error("expected end marker")
-    if reader.line_no != len(reader.lines):
-        reader.line_no += 1
-        raise reader.error("content after end marker")
+            values = np.array(list(map(float.fromhex, tokens)))
+        except ValueError:
+            raise fail(key, "malformed hex float") from None
+        if not np.isfinite(values).all():
+            raise fail(key, "non-finite value")
+        return values
 
+    variant = lines["variant"][1]
+    if variant not in VARIANTS:
+        raise fail("variant", f"variant must be one of {VARIANTS}, got {variant!r}")
+    spec = WindowSpec(lookback=positive_int("lookback"), variant=variant)
+    features, hidden = positive_int("features"), positive_int("hidden")
+    month = _MONTH.fullmatch(lines["train_end"][1])
+    if month is None or not 1 <= int(month[2]) <= 12:
+        raise fail("train_end", f"train_end must be a YYYY-MM month, got {lines['train_end'][1]!r}")
+    shapes = LstmParams.shapes(features, hidden)
+    params = LstmParams(**{name: floats(name, math.prod(shape)).reshape(shape) for name, shape in shapes.items()})
+    scalers = []
+    for label, width in (("input", features), ("target", 1)):
+        mins, maxs = floats(f"{label}_mins", width), floats(f"{label}_maxs", width)
+        try:
+            scalers.append(MinMaxScaler(mins, maxs))
+        except ValueError as exc:
+            raise fail(f"{label}_maxs", str(exc)) from None
+    body = "".join(f"{key} = {lines[key][1]}\n" for key in _MODEL_KEYS[:-1])
+    if lines["sha256"][1] != hashlib.sha256(body.encode("utf-8")).hexdigest():
+        raise fail("sha256", "checksum mismatch")
     return TrainedModel(
         params=params,
         spec=spec,
-        input_scaler=scalers["input"],
-        target_scaler=scalers["target"],
-        train_end=train_end,
+        input_scaler=scalers[0],
+        target_scaler=scalers[1],
+        train_end=MonthKey(int(month[1]), int(month[2])),
+        region=lines["region"][1],
     )

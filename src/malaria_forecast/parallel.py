@@ -25,6 +25,8 @@ import select
 import struct
 import sys
 
+from .errors import WorkerError
+
 __all__ = ["pmap", "usable_cpus"]
 
 # An item index on a task pipe, or the byte length of a reply on a result pipe.
@@ -47,7 +49,7 @@ def pmap(fn, *iterables) -> list:
     At most one item per worker is handed out at a time, and none after an
     item has failed; the items in flight then finish, and the exception of
     the lowest failing item is raised, as in the plain loop. A worker that
-    dies before it answers fails its item with a :class:`RuntimeError`
+    dies before it answers fails its item with a :class:`WorkerError`
     naming the exit status or signal. Every worker has exited and been
     reaped when this returns or raises.
     """
@@ -88,7 +90,7 @@ def pmap(fn, *iterables) -> list:
                 reply = _receive(fd)
                 if reply is None:
                     _, status = os.waitpid(pids.pop(fd), 0)
-                    errors[index] = RuntimeError(f"the worker running item {index} {_died(status)}")
+                    errors[index] = WorkerError(f"the worker running item {index} {_died(status)}")
                 elif reply[0]:
                     results[index] = reply[1]
                 else:
@@ -147,7 +149,7 @@ def _serve(fn, items: list, tasks: int, results: int, parent_ends) -> None:
 
 
 def _pickled(index: int, reply: tuple) -> bytes:
-    """``reply`` pickled, or a pickled RuntimeError when it cannot be sent
+    """``reply`` pickled, or a pickled WorkerError when it cannot be sent
     back: an exception must also unpickle in the parent."""
     ok, value = reply
     try:
@@ -157,7 +159,7 @@ def _pickled(index: int, reply: tuple) -> bytes:
         return data
     except Exception as exc:
         what = "its result" if ok else repr(value)
-        error = RuntimeError(f"item {index}: {what} cannot be pickled ({exc!r})")
+        error = WorkerError(f"item {index}: {what} cannot be pickled ({exc!r})")
         return pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
 
 

@@ -46,7 +46,8 @@ class WindowedDataset:
     """Supervised samples in chronological order.
 
     ``inputs`` is (samples, lookback, features) and ``targets`` the
-    next-month case count per sample; ``months`` holds each target's month.
+    next-month case count per sample; ``months`` holds each target's month,
+    and ``province`` names the series the windows were cut from.
     Fresh output of :func:`make_windows` is unscaled with no scalers; the
     partitions returned by :func:`split_train_test` are scaled and carry the
     train-fitted scalers.
@@ -56,6 +57,7 @@ class WindowedDataset:
     inputs: np.ndarray
     targets: np.ndarray
     months: list[MonthKey]
+    province: str
     input_scaler: MinMaxScaler | None = None
     target_scaler: MinMaxScaler | None = None
 
@@ -86,7 +88,7 @@ def make_windows(dataset: Dataset, province: str, spec: WindowSpec) -> WindowedD
         rows = np.column_stack([dataset.climate[p], dataset.population[p], cases])
     inputs = sliding_window_view(rows[:-1], spec.lookback, axis=0).transpose(0, 2, 1).copy()
     targets, months = cases[spec.lookback :], dataset.months()[spec.lookback :]
-    return WindowedDataset(spec=spec, inputs=inputs, targets=targets, months=months)
+    return WindowedDataset(spec=spec, inputs=inputs, targets=targets, months=months, province=province)
 
 
 def split_index(samples: int, train_fraction: float) -> int:
@@ -123,6 +125,7 @@ def split_train_test(
             inputs=input_scaler.transform(windows.inputs[lo:hi]),
             targets=target_scaler.transform(windows.targets[lo:hi].reshape(-1, 1)).ravel(),
             months=windows.months[lo:hi],
+            province=windows.province,
             input_scaler=input_scaler,
             target_scaler=target_scaler,
         )

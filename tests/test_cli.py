@@ -1,6 +1,7 @@
 import ast
 import csv
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import assert_no_children, sinusoid_series
 from malaria_forecast import cli, data_model, evaluation, lstm, parallel
 from malaria_forecast.data_model import COUNTRY_NAME, ingest_csv
-from malaria_forecast.errors import DataError
+from malaria_forecast.errors import ConfigError, DataError
 from malaria_forecast.evaluation import REGION_ORDER
 from malaria_forecast.windowing import WindowSpec, make_windows, split_train_test
 
@@ -169,8 +170,9 @@ class TestAggregateCommand:
         [
             (b"old_province,new_province\nGitega," + b"x" * 200_000 + b"\n", "line 2: field larger than field limit"),
             (b"old_province,new_province\nGitega,Gitega\nK\xe9,Gitega\n", "not UTF-8 after line 2"),
+            (b"old_province,new_province\n\n", ": no data rows"),
         ],
-        ids=["huge field", "not UTF-8"],
+        ids=["huge field", "not UTF-8", "header only"],
     )
     def test_faulty_map_file_is_one_data_error(self, tmp_path, capsys, content, expected):
         truth = tmp_path / "truth.csv"
@@ -225,24 +227,38 @@ class TestTrainForecastEvaluate:
         run(["train", "--seed", 1, "--in", province_csv, "--region", "Gitega",
              "--variant", "univariate", "--epochs", 3, "--hidden", 4, "--out-model", model])
         forecast = tmp_path / "g_forecast.csv"
-        assert run(["forecast", "--model", model, "--in", province_csv,
-                    "--region", "Gitega", "--out", forecast]) == 0
+        assert run(["forecast", "--model", model, "--in", province_csv, "--out", forecast]) == 0
         lines = forecast.read_text().splitlines()
         assert lines[0] == "province,variant,year,month,observed,predicted"
         # 40 months, lookback 12 -> 28 samples; floor(0.8*28)=22 train, 6 test
         assert len(lines) == 7
         assert all(line.startswith("Gitega,univariate,") for line in lines[1:])
 
+    def test_forecast_refuses_a_dataset_without_the_models_region(self, tmp_path, province_csv, capsys):
+        model, country, forecast = tmp_path / "g.model", tmp_path / "country.csv", tmp_path / "f.csv"
+        run(["train", "--seed", 1, "--in", province_csv, "--region", "Gitega",
+             "--variant", "multivariate", "--epochs", 1, "--hidden", 2, "--out-model", model])
+        run(["aggregate", "--in", province_csv, "--out", country, "--level", "country"])
+        capsys.readouterr()
+        assert run(["forecast", "--model", model, "--in", country, "--out", forecast]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error:data: region 'Gitega' not in dataset (has ['Burundi'])"]
+        # The region comes from the model only.
+        assert run(["forecast", "--model", model, "--in", country, "--region", "Burundi", "--out", forecast]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error:config: command line: unrecognized arguments: --region Burundi"
+        ]
+        assert not forecast.exists()
+
     def test_forecast_with_truncated_model_is_one_error_line(self, tmp_path, province_csv, capsys):
         model = tmp_path / "g.model"
         run(["train", "--seed", 1, "--in", province_csv, "--region", "Gitega",
              "--variant", "univariate", "--epochs", 1, "--hidden", 2, "--out-model", model])
-        model.write_text("".join(model.read_text().splitlines(keepends=True)[:20]))
+        model.write_text("".join(model.read_text().splitlines(keepends=True)[:10]))
         capsys.readouterr()
-        assert run(["forecast", "--model", model, "--in", province_csv,
-                    "--region", "Gitega", "--out", tmp_path / "f.csv"]) == 1
+        assert run(["forecast", "--model", model, "--in", province_csv, "--out", tmp_path / "f.csv"]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error:data: {model}: line 21: unexpected end of file"]
+        assert err == [f"error:data: {model} line 11: expected 'b_y', got the end of the file"]
 
     @pytest.mark.parametrize("corruption", ["altered weight", "format 1"])
     def test_forecast_with_altered_model_is_one_error_line(
@@ -253,27 +269,25 @@ class TestTrainForecastEvaluate:
              "--variant", "univariate", "--epochs", 1, "--hidden", 2, "--out-model", model])
         text = model.read_text()
         if corruption == "format 1":
-            text = text.replace("malaria-forecast model 2", "malaria-forecast model 1", 1)
-            expected = "line 1: model format 1 is no longer read"
+            text = text.replace("format = malaria-forecast model 3", "malaria-forecast model 1", 1)
+            expected = "line 1: expected key = value, got 'malaria-forecast model 1'"
         else:
-            row = text.splitlines()[7]  # first row of tensor w
+            row = text.splitlines()[7]  # line 8, tensor w
             text = text.replace(row, row.replace("p", "1p", 1), 1)  # one more hex digit
-            expected = "line 28: checksum mismatch"
+            expected = "line 16: checksum mismatch"  # the sha256 line
         model.write_text(text)
         capsys.readouterr()
-        assert run(["forecast", "--model", model, "--in", province_csv,
-                    "--region", "Gitega", "--out", tmp_path / "f.csv"]) == 1
+        assert run(["forecast", "--model", model, "--in", province_csv, "--out", tmp_path / "f.csv"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"error:data: {model}: {expected}")
+        assert err[0] == f"error:data: {model} {expected}"
 
     def test_evaluate_requires_all_regions(self, tmp_path, province_csv, capsys):
         model = tmp_path / "g.model"
         run(["train", "--seed", 1, "--in", province_csv, "--region", "Gitega",
              "--variant", "univariate", "--epochs", 3, "--hidden", 4, "--out-model", model])
         forecast = tmp_path / "g_forecast.csv"
-        run(["forecast", "--model", model, "--in", province_csv, "--region", "Gitega",
-             "--out", forecast])
+        run(["forecast", "--model", model, "--in", province_csv, "--out", forecast])
         assert run(["evaluate", "--out-dir", tmp_path / "eval", forecast]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:completeness:")
 
@@ -296,6 +310,16 @@ class TestTrainForecastEvaluate:
         assert errors == [f"error:data: {paths[-1]} line 2: unknown region or variant {[region, variant]!r}"]
         written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
         assert written == {p.relative_to(tmp_path).as_posix() for p in paths}
+
+    def test_header_only_forecast_file_is_one_data_error(self, tmp_path, capsys):
+        header = "province,variant,year,month,observed,predicted\n"
+        paths = [tmp_path / f"{name}.csv" for name in REGION_ORDER] + [tmp_path / "empty.csv"]
+        for name, path in zip(REGION_ORDER, paths):
+            path.write_text(header + "".join(f"{name},{v},2019,1,10.0,11.0\n" for v in ("univariate", "multivariate")))
+        paths[-1].write_text(header)
+        assert run(["evaluate", "--out-dir", tmp_path / "out"] + paths) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error:data: {paths[-1]}: no data rows"]
+        assert not (tmp_path / "out").exists()
 
     def test_forecast_file_with_huge_field_is_one_data_error(self, tmp_path, capsys):
         path = tmp_path / "f.csv"
@@ -487,11 +511,28 @@ class TestPipeline:
                      "--out-loss", manual / "losses" / f"{stem}.csv"])
                 forecast = manual / "forecasts" / f"{stem}.csv"
                 run(["forecast", "--model", manual / "models" / f"{stem}.model",
-                     "--in", source, "--region", region, "--out", forecast])
+                     "--in", source, "--out", forecast])
                 forecasts.append(forecast)
         run(["evaluate", "--out-dir", manual] + forecasts)
 
         assert snapshot(pipe_out) == snapshot(manual)
+
+    def test_killed_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        run_model = cli.run_model
+
+        def killed(cfg, out, dataset, region, variant):
+            if (region, variant) == ("Gitega", "multivariate"):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_model(cfg, out, dataset, region, variant)
+
+        # Workers are forked, so they run the patched job.
+        monkeypatch.setattr(cli, "run_model", killed)
+        capsys.readouterr()
+        assert run(["pipeline", "--seed", 5, "--out_dir", tmp_path / "out"] + SMALL_PIPELINE) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(r"error:worker: the worker running item \d+ was killed by signal 9 before it answered", last)
+        assert_no_children()
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch, workers):
@@ -666,7 +707,7 @@ class TestPipeline:
         cfg.write_text(f"{key} = {value}\n")
         assert run(["pipeline", "--config", cfg, "--out_dir", out]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error:config: {cfg}: bad value for {key}: {value!r}"
+            f"error:config: {cfg} line 1: bad value for {key}: {value!r}"
         ]
         assert list(tmp_path.iterdir()) == [cfg]
 
@@ -681,9 +722,11 @@ class TestPipeline:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus.key = 1\n")
+        cfg.write_text("# comment\n\nbogus.key = 1\n")
         assert run(["pipeline", "--config", cfg, "--out_dir", tmp_path / "o"]) == 1
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error:config:")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:config: {cfg} line 3: unknown config key 'bogus.key'"
+        ]
 
     def test_config_file_drives_run(self, tmp_path):
         out = tmp_path / "cfgout"
@@ -711,26 +754,24 @@ class TestPipeline:
 
 
 class TestKvParser:
+    """``data_model.read_kv``, the reader of config and model files."""
+
     def test_rejects_duplicate_keys(self, tmp_path):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("a = 1\na = 2\n")
-        from malaria_forecast.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="duplicate"):
-            cli.parse_kv_file(cfg)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(cfg))} line 2: bad or duplicate key 'a'$"):
+            list(data_model.read_kv(cfg, ConfigError))
 
     def test_rejects_missing_equals(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just a line\n")
-        from malaria_forecast.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="key = value"):
-            cli.parse_kv_file(cfg)
+        with pytest.raises(ConfigError, match="line 1: expected key = value"):
+            list(data_model.read_kv(cfg, ConfigError))
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
-        cfg.write_text("# comment\n\nkey = value\n")
-        assert cli.parse_kv_file(cfg) == {"key": "value"}
+        cfg.write_text("# comment\n\n key = a = b \n")
+        assert list(data_model.read_kv(cfg, ConfigError)) == [(3, "key", "a = b")]
 
 
 class TestAtomicWrite:
@@ -849,6 +890,17 @@ class TestProcess:
         assert recorder.writes[0] == "train: region=Gitega\n"
         assert len(recorder.writes) == 2 and recorder.writes[1].startswith("error:io: ")
         assert recorder.writes[1].count("\n") == 1 and recorder.writes[1].endswith("\n")
+
+    def test_diverging_run_prints_only_its_error_line(self, tmp_path):
+        argv = ["pipeline", "--seed", 1, "--out_dir", tmp_path / "out", "--train.learning_rate", "1e300",
+                "--synth.months", 40, "--impute.n_trees", 2, "--train.epochs", 5]
+        proc = cli_process(argv)
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 1
+        *stages, last = err.splitlines()
+        stage = re.compile(r"(pipeline|synth|impute|aggregate|train|forecast): [^:]*")
+        assert all(stage.fullmatch(line) for line in stages), err
+        assert last.startswith("error:divergence: non-finite training loss at epoch ")
 
     def test_piped_run_ends_with_its_last_stage_line(self, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -457,7 +458,7 @@ class TestForecastHorizon:
 
     def test_alignment_with_test_partition(self):
         model, series, test_part = self.make_model()
-        months, observed, predicted = forecast_test_horizon(model, series, "Signal")
+        months, observed, predicted = forecast_test_horizon(model, series)
         assert months == test_part.months
         expected_obs = model.target_scaler.inverse(test_part.targets.reshape(-1, 1)).ravel()
         assert np.allclose(observed, expected_obs, atol=1e-9)
@@ -465,8 +466,8 @@ class TestForecastHorizon:
 
     def test_recursive_first_step_matches_one_step(self):
         model, series, _ = self.make_model()
-        _, _, one_step = forecast_test_horizon(model, series, "Signal", recursive=False)
-        _, _, recursive = forecast_test_horizon(model, series, "Signal", recursive=True)
+        _, _, one_step = forecast_test_horizon(model, series, recursive=False)
+        _, _, recursive = forecast_test_horizon(model, series, recursive=True)
         # The first test window contains no predicted months yet; batched vs
         # single-window matmuls may differ in the last bit only.
         assert recursive[0] == pytest.approx(one_step[0], rel=1e-12)
@@ -483,8 +484,8 @@ class TestForecastHorizon:
         model = train(train_part, TrainConfig(hidden=2, epochs=0, seed=1))
         assert str(model.train_end) == "2006-10"
         with pytest.raises(DataError, match="after the model's last training month 2006-10"):
-            forecast_test_horizon(model, month_slice(series, None, 80), "Signal")
-        months, _, _ = forecast_test_horizon(model, month_slice(series, None, 90), "Signal")
+            forecast_test_horizon(model, month_slice(series, None, 80))
+        months, _, _ = forecast_test_horizon(model, month_slice(series, None, 90))
         assert [str(m) for m in months] == [str(m) for m in series.months()[82:90]]
 
     def test_recursive_refuses_a_horizon_after_a_gap(self):
@@ -496,10 +497,25 @@ class TestForecastHorizon:
         late = month_slice(series, 84)
         assert str(late.start) == "2007-01"
         with pytest.raises(DataError, match="must start at 2006-11"):
-            forecast_test_horizon(model, late, "Signal", recursive=True)
-        assert len(forecast_test_horizon(model, late, "Signal")[0]) == 4
-        months, _, _ = forecast_test_horizon(model, month_slice(series, 70), "Signal", recursive=True)
+            forecast_test_horizon(model, late, recursive=True)
+        assert len(forecast_test_horizon(model, late)[0]) == 4
+        months, _, _ = forecast_test_horizon(model, month_slice(series, 70), recursive=True)
         assert str(months[0]) == "2006-11"
+
+
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+MODEL_KEYS = ["format", "region", "variant", "lookback", "features", "hidden", "train_end",
+              "w", "b", "w_y", "b_y", "input_mins", "input_maxs", "target_mins", "target_maxs", "sha256"]
+
+
+def model_bits(model):
+    """Everything ``load_model`` reads back, floats as bytes."""
+    scalers = (model.input_scaler, model.target_scaler)
+    return (
+        bits(a for _, a in model.params.tensors()),
+        bits(a for s in scalers for a in (s.mins, s.maxs)),
+        (model.spec, model.train_end, model.region),
+    )
 
 
 class TestSerialization:
@@ -513,6 +529,7 @@ class TestSerialization:
             assert np.array_equal(a, b), name
         assert loaded.spec == model.spec
         assert loaded.train_end == model.train_end == train_part.months[-1]
+        assert loaded.region == model.region == "Signal"
         assert np.array_equal(loaded.input_scaler.mins, model.input_scaler.mins)
         assert np.array_equal(loaded.input_scaler.maxs, model.input_scaler.maxs)
         assert np.array_equal(loaded.target_scaler.mins, model.target_scaler.mins)
@@ -531,20 +548,32 @@ class TestSerialization:
         for width in (features, 1):
             a, b = (data.draw(arrays(np.float64, width, elements=finite)) for _ in range(2))
             scalers.append(MinMaxScaler(np.minimum(a, b), np.maximum(a, b)))
+        region = data.draw(st.text() | st.sampled_from(["Gitega", "a,b", "x = y", "#1", "a # b", "=", " Ngozi"]))
         model = TrainedModel(
             params=params,
             spec=WindowSpec(data.draw(st.integers(1, 10**6)), data.draw(st.sampled_from(VARIANTS))),
             input_scaler=scalers[0],
             target_scaler=scalers[1],
             train_end=MonthKey(data.draw(st.integers(0, 9999)), data.draw(st.integers(1, 12))),
+            region=region,
         )
         path = tmp_path_factory.mktemp("model") / "model.txt"
+        if not region or region != region.strip() or any(br in region for br in LINE_BREAKS):
+            with pytest.raises(DataError, match="cannot be written on one line of a model file"):
+                save_model(model, path)
+            assert not path.exists()
+            return
         save_model(model, path)
-        loaded = load_model(path)
-        assert bits(a for _, a in loaded.params.tensors()) == bits(a for _, a in params.tensors())
-        for new, old in zip((loaded.input_scaler, loaded.target_scaler), scalers):
-            assert bits([new.mins, new.maxs]) == bits([old.mins, old.maxs])
-        assert (loaded.spec, loaded.train_end) == (model.spec, model.train_end)
+        assert model_bits(load_model(path)) == model_bits(model)
+
+    @pytest.mark.parametrize("line_break", LINE_BREAKS)
+    def test_region_with_a_line_break_is_refused(self, tmp_path, line_break):
+        train_part, _ = sinusoid_partitions()
+        model = train(train_part, TrainConfig(hidden=2, epochs=0, seed=1))
+        model.region = f"Gi{line_break}tega"
+        with pytest.raises(DataError, match="cannot be written on one line"):
+            save_model(model, tmp_path / "m.model")
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_is_byte_stable(self, tmp_path):
         train_part, _ = sinusoid_partitions()
@@ -568,62 +597,142 @@ class TestSerialization:
 
     def test_cut_at_every_line_boundary_names_the_line(self, tmp_path):
         lines = self.small_model_lines(tmp_path)
-        # 6 header lines, tensors w (1 + 8 rows), b, w_y and b_y (1 + 1
-        # each), two scalers (1 + 2 each), sha256, end.
-        assert len(lines) == 29
+        assert [line.partition(" = ")[0] for line in lines] == MODEL_KEYS
         path = tmp_path / "cut.txt"
         for keep in range(len(lines)):
             path.write_text("".join(lines[:keep]))
-            with pytest.raises(DataError, match=f"line {keep + 1}: unexpected end of file"):
+            if keep == 0:
+                message = "line 1: not a 'malaria-forecast model 3' file"
+            else:
+                message = f"line {keep + 1}: expected {MODEL_KEYS[keep]!r}, got the end of the file"
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path} {message}')}$"):
                 load_model(path)
 
     @pytest.mark.parametrize(
-        "line_no, replacement, message",
+        "line_no, edit, message",
         [
-            (2, "variant bogus", "line 2: variant must be one of"),
-            (3, "lookback twelve", "line 3: lookback must be a positive integer"),
-            (6, "train_end 2018-13", "line 6: train_end must be a YYYY-MM month"),
-            (8, "0xZZp+0", "line 8: malformed hex float"),  # first row of tensor w
-            (9, "inf", "line 9: non-finite value"),
-            (27, "-0x1p+10", "line 27: scaler max must be >= min"),  # target scaler maxs
-            (28, "sha256 0", "line 28: checksum mismatch"),
+            (3, lambda v: ["bogus"], "line 3: variant must be one of"),
+            (4, lambda v: ["twelve"], "line 4: lookback must be a positive integer"),
+            (7, lambda v: ["2018-13"], "line 7: train_end must be a YYYY-MM month"),
+            (8, lambda v: ["0xZZp+0", *v[1:]], "line 8: malformed hex float"),  # tensor w
+            (9, lambda v: ["inf", *v[1:]], "line 9: non-finite value"),  # tensor b
+            (10, lambda v: [*v, v[0]], "line 10: expected 2 values, got 3"),  # w_y at H = 2
+            (15, lambda v: ["-0x1p+10"], "line 15: scaler max must be >= min"),  # target_maxs
+            (16, lambda v: ["0"], "line 16: checksum mismatch"),
         ],
+        ids=["variant", "lookback", "train_end", "hex-float", "non-finite", "count", "scaler-bounds", "checksum"],
     )
-    def test_bad_token_names_the_line(self, tmp_path, line_no, replacement, message):
-        # The replacement takes the place of the line's leading tokens; the
-        # rest of the line stays as written.
+    def test_bad_token_names_the_line(self, tmp_path, line_no, edit, message):
+        # ``edit`` maps the tokens of the line's value to new ones.
         lines = self.small_model_lines(tmp_path)
-        old = lines[line_no - 1].split()
-        new = replacement.split()
-        lines[line_no - 1] = " ".join(new + old[len(new):]) + "\n"
+        key, _, value = lines[line_no - 1].rstrip("\n").partition(" = ")
+        lines[line_no - 1] = f"{key} = {' '.join(edit(value.split()))}\n"
         path = tmp_path / "bad.txt"
         path.write_text("".join(lines))
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path} {message}')}"):
             load_model(path)
 
     def test_flipped_hex_digit_fails_the_checksum(self, tmp_path):
         lines = self.small_model_lines(tmp_path)
-        token = lines[7].split()[0]  # first weight of tensor w
+        token = lines[7].split()[2]  # first weight of tensor w
         mantissa_end = token.index("p") - 1
         flipped = "%x" % ((int(token[mantissa_end], 16) + 1) % 16)
         lines[7] = lines[7].replace(token, token[:mantissa_end] + flipped + token[mantissa_end + 1 :], 1)
         path = tmp_path / "flipped.txt"
         path.write_text("".join(lines))
-        with pytest.raises(DataError, match="line 28: checksum mismatch"):
+        with pytest.raises(DataError, match="line 16: checksum mismatch"):
+            load_model(path)
+
+    def test_only_whitespace_around_the_equals_sign_is_not_covered(self, tmp_path):
+        lines = self.small_model_lines(tmp_path)
+        path = tmp_path / "model.txt"
+        path.write_text("".join(lines))
+        original = load_model(path)
+        path.write_text("".join(line.replace(" = ", "\t=  ", 1) for line in lines))
+        assert model_bits(load_model(path)) == model_bits(original)
+        for k in (1, 2):  # the region, then the variant, padded inside
+            changed = lines.copy()
+            changed[k] = changed[k].replace("i", "i ", 1)
+            path.write_text("".join(changed))
+            with pytest.raises(DataError):
+                load_model(path)
+
+    def test_content_after_the_sha256_line_is_refused(self, tmp_path):
+        lines = self.small_model_lines(tmp_path)
+        path = tmp_path / "model.txt"
+        path.write_text("".join(lines) + "end = 1\n")
+        with pytest.raises(DataError, match="line 17: 'end' after the sha256 line"):
             load_model(path)
 
     def test_non_utf8_file_names_the_line(self, tmp_path):
         lines = self.small_model_lines(tmp_path)
         path = tmp_path / "latin1.txt"
-        path.write_bytes("".join(lines[:2]).encode() + b"lookback \xe9\n" + "".join(lines[3:]).encode())
+        path.write_bytes("".join(lines[:2]).encode() + b"variant = \xe9\n" + "".join(lines[3:]).encode())
         with pytest.raises(DataError) as info:
             load_model(path)
         assert str(info.value) == f"{path}: not UTF-8 after line 2: invalid continuation byte"
 
     def test_format_1_is_refused(self, tmp_path):
+        # Formats 1 and 2 began with a bare "malaria-forecast model <n>" line.
         lines = self.small_model_lines(tmp_path)
-        lines[0] = "malaria-forecast model 1\n"
-        path = tmp_path / "v1.txt"
-        path.write_text("".join(lines))
-        with pytest.raises(DataError, match="line 1: model format 1 is no longer read; retrain"):
-            load_model(path)
+        path = tmp_path / "old.txt"
+        for first, message in [
+            ("malaria-forecast model 1", "expected key = value, got 'malaria-forecast model 1'"),
+            ("malaria-forecast model 2", "expected key = value, got 'malaria-forecast model 2'"),
+            ("format = malaria-forecast model 2", "not a 'malaria-forecast model 3' file"),
+        ]:
+            path.write_text("".join([first + "\n"] + lines[1:]))
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path} line 1: {message}')}$"):
+                load_model(path)
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """A small model of a region whose name holds ``,``, ``=`` and ``#``,
+    and its file's bytes."""
+    train_part, _ = sinusoid_partitions(n=40)
+    model = train(train_part, TrainConfig(hidden=2, epochs=2, seed=5))
+    model.region = "Gitega, = #2"
+    path = tmp_path_factory.mktemp("saved") / "m.model"
+    save_model(model, path)
+    return model, path.read_bytes()
+
+
+@st.composite
+def mutated_model(draw, data):
+    for _ in range(draw(st.integers(1, 3))):
+        lines = data.splitlines(keepends=True) or [b""]
+        k = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["truncate", "flip", "drop", "duplicate", "swap", "append"]))
+        if action == "truncate":
+            data = data[: draw(st.integers(0, len(data)))]
+        elif action == "flip" and data:
+            i = draw(st.integers(0, len(data) - 1))
+            data = data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1 :]
+        elif action == "drop":
+            del lines[k]
+        elif action == "duplicate":
+            lines.insert(k, lines[k])
+        elif action == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        else:
+            extra = draw(st.sampled_from(["end", "sha256 = 0", "# note", "", "w = 0x0p+0"]) | st.text(max_size=8))
+            lines.append(extra.encode() + b"\n")
+        if action in ("drop", "duplicate", "swap", "append"):
+            data = b"".join(lines)
+    return data
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_mutated_model_raises_only_data_error(tmp_path_factory, saved_model, data):
+    model, original = saved_model
+    path = tmp_path_factory.mktemp("mutant") / "m.model"
+    path.write_bytes(data.draw(mutated_model(original)))
+    try:
+        loaded = load_model(path)
+    except DataError as exc:
+        assert str(exc).startswith(str(path))
+        return
+    assert model_bits(loaded) == model_bits(model)

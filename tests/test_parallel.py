@@ -12,7 +12,7 @@ import pytest
 from conftest import assert_no_children
 import malaria_forecast
 from malaria_forecast import parallel
-from malaria_forecast.errors import DataError
+from malaria_forecast.errors import DataError, WorkerError
 
 
 def slow_square(i, delay):
@@ -121,7 +121,7 @@ def test_lowest_failing_item_is_raised(cpus, tmp_path):
 def test_dead_worker_is_reported(cpus, how, message):
     cpus(2)
     start = time.monotonic()
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(WorkerError, match=message):
         parallel.pmap(dying_job, range(4), [how] * 4)
     assert time.monotonic() - start < 5
     assert_no_children()
@@ -139,7 +139,7 @@ def test_large_result_comes_back_intact(cpus):
 )
 def test_exception_that_cannot_travel_becomes_runtime_error(cpus, kind, name):
     cpus(2)
-    with pytest.raises(RuntimeError, match=f"item 0: {name}.* cannot be pickled"):
+    with pytest.raises(WorkerError, match=f"item 0: {name}.* cannot be pickled"):
         parallel.pmap(raise_odd, range(2), [kind] * 2)
     assert_no_children()
 

@@ -53,7 +53,7 @@ class TestConfig:
         out = [str(tmp_path / "t.csv"), str(tmp_path / "m.csv")]
         assert cli.main(["synth", "--config", str(cfg_path), "--out-truth", out[0], "--out-masked", out[1]]) == 1
         key = line.split(" = ")[0]
-        assert capsys.readouterr().err.splitlines() == [f"error:config: {cfg_path}: unknown config key {key!r}"]
+        assert capsys.readouterr().err.splitlines() == [f"error:config: {cfg_path} line 1: unknown config key {key!r}"]
         assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_config_file_not_utf8_is_one_config_error(self, tmp_path, capsys):
