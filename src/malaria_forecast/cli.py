@@ -11,9 +11,9 @@ declared in the table itself. The table gives the pipeline's
 ``--section.field`` flags and config keys, the lines of ``run_config.txt``,
 the stage commands' ``--field-name`` flags and the ``synth --config`` keys.
 Config files are read by :func:`data_model.read_kv`. Flag and file values
-are parsed by :func:`parse_setting`, a file's errors naming its line, and
-checked once, when the :class:`Config` is built, so a bad one ends in
-``error:config`` before any file is written.
+are parsed and checked by :func:`parse_setting`, a file's errors naming its
+line, and the config dataclasses check their fields when the :class:`Config`
+is built, so a bad value ends in ``error:config`` before any file is written.
 
 Every command takes the global seed and derives its own stage seed from it,
 so a full pipeline run and the equivalent sequence of individual commands
@@ -43,8 +43,10 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import data_model, evaluation, imputation, lstm, parallel, synthgen, windowing
-from .core_math import Rng, derive_seed
+from .core_math import derive_seed
 from .data_model import Dataset
 from .errors import (
     CompletenessError,
@@ -96,8 +98,9 @@ def _optional_int(raw: str) -> int | None:
 class Setting:
     """One row of :data:`SETTINGS`. ``key`` is ``section.field``, or a bare
     name for the run-wide settings. ``rule`` (a check and its wording) is
-    given for the rows that are not dataclass fields; the config dataclasses
-    check their own fields."""
+    given for the rows that are not dataclass fields, and
+    :func:`parse_setting` applies it; the config dataclasses check their own
+    fields."""
 
     key: str
     parse: Callable[[str], object]
@@ -143,11 +146,15 @@ SETTINGS = {
 
 def parse_setting(key: str, raw: str, where, name: str):
     """Setting ``key`` parsed from the text ``raw`` that ``where`` (a config
-    file or the command line) gave for ``name``."""
+    file or the command line) gave for ``name``, and checked by its rule."""
+    s = SETTINGS[key]
     try:
-        return SETTINGS[key].parse(raw)
+        value = s.parse(raw)
     except ValueError:
         raise ConfigError(f"{where}: bad value for {name}: {raw!r}") from None
+    if s.rule and not s.rule[0](value):
+        raise ConfigError(f"{where}: {name} {s.rule[1]}, got {value}")
+    return value
 
 
 def read_config(path, prefix: str = "") -> dict:
@@ -163,14 +170,11 @@ def read_config(path, prefix: str = "") -> dict:
 
 
 class Config:
-    """The value of every setting (its default where ``values`` has none),
-    checked, and the config dataclasses built from them."""
+    """The value of every setting (its default where ``values`` has none)
+    and the config dataclasses built from them, which check their fields."""
 
     def __init__(self, values: dict):
         self.values = {key: values.get(key, s.default) for key, s in SETTINGS.items()}
-        for key, s in SETTINGS.items():
-            if s.rule and not s.rule[0](self.values[key]):
-                raise ConfigError(f"{key} {s.rule[1]}, got {self.values[key]}")
         self.synth = synthgen.SynthConfig(
             seed=derive_seed(self["seed"], "synth"), **self._section("synth", synthgen.SynthConfig)
         )
@@ -200,7 +204,7 @@ def run_impute(dataset: Dataset, cfg: Config, out_path, log_path) -> Dataset:
     seed, max_iter = cfg["seed"], cfg["impute.max_iter"]
     stage_seed = derive_seed(seed, "impute")
     log(f"impute: seed={seed} stage_seed={stage_seed} n_trees={cfg.forest.n_trees} max_iter={max_iter}")
-    completed, results = imputation.impute_dataset(dataset, cfg.forest, Rng(stage_seed), max_iter)
+    completed, results = imputation.impute_dataset(dataset, cfg.forest, np.random.default_rng(stage_seed), max_iter)
     data_model.write_csv(completed, out_path)
     if log_path:
         data_model.write_table(

@@ -1,6 +1,7 @@
-"""Numeric helpers: min-max scaling, the seeded RNG and stage seeds.
+"""Numeric helpers: min-max scaling and per-stage seeds.
 
-Everything runs in 64-bit floats.
+Everything runs in 64-bit floats. A stage seeds its own generator with
+``np.random.default_rng(derive_seed(seed, label))``, never global state.
 """
 
 from __future__ import annotations
@@ -10,9 +11,6 @@ import hashlib
 import numpy as np
 
 from .errors import ShapeError
-
-__all__ = ["MinMaxScaler", "Rng", "derive_seed"]
-
 
 class MinMaxScaler:
     """Per-feature min-max scaling onto [0, 1].
@@ -66,53 +64,6 @@ class MinMaxScaler:
         v = np.asarray(values, dtype=np.float64)
         self._check_width(v)
         return v * (self.maxs - self.mins) + self.mins
-
-
-class Rng:
-    """Seeded random generator owned by the caller, never global state.
-
-    Wraps a PCG64 counter-based generator. ``split`` spawns independent child
-    generators, so parallel consumers can reproduce the sequential seeded
-    order exactly.
-    """
-
-    def __init__(self, seed: int):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        self._seq = np.random.SeedSequence(int(seed))
-        self._gen = np.random.Generator(np.random.PCG64(self._seq))
-
-    @classmethod
-    def _from_sequence(cls, seq: np.random.SeedSequence) -> "Rng":
-        rng = cls.__new__(cls)
-        rng._seq = seq
-        rng._gen = np.random.Generator(np.random.PCG64(seq))
-        return rng
-
-    def split(self, n: int) -> list["Rng"]:
-        """Spawn ``n`` independent child generators."""
-        return [Rng._from_sequence(s) for s in self._seq.spawn(n)]
-
-    def uniform(self, lo: float, hi: float, size=None):
-        """Draw from [lo, hi); rejects empty intervals."""
-        if not lo < hi:
-            raise ValueError(f"uniform requires lo < hi, got [{lo}, {hi})")
-        out = self._gen.uniform(lo, hi, size=size)
-        return float(out) if size is None else out
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        out = self._gen.normal(loc, scale, size=size)
-        return float(out) if size is None else out
-
-    def integers(self, lo: int, hi: int, size=None):
-        return self._gen.integers(lo, hi, size=size)
-
-    def poisson(self, lam, size=None):
-        return self._gen.poisson(lam, size=size)
-
-    def shuffle(self, values) -> None:
-        """In-place shuffle."""
-        self._gen.shuffle(values)
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -50,27 +50,6 @@ import numpy as np
 
 from .errors import CoverageError, DataError
 
-__all__ = [
-    "MonthKey",
-    "RedistrictingMap",
-    "Dataset",
-    "BURUNDI_REDISTRICTING",
-    "OLD_PROVINCES",
-    "NEW_PROVINCES",
-    "COUNTRY_NAME",
-    "ingest_csv",
-    "write_csv",
-    "read_table",
-    "read_kv",
-    "parse_cell",
-    "read_text",
-    "atomic_write",
-    "write_table",
-    "read_map_csv",
-    "aggregate_provinces",
-    "to_country_level",
-]
-
 COUNTRY_NAME = "Burundi"
 CLIMATE_FIELDS = ("temp_mean", "rainfall", "rel_humidity")
 MAX_COUNT = 2**53
@@ -134,25 +113,10 @@ OLD_PROVINCES = sorted(
 )
 
 
-class RedistrictingMap:
-    """Total mapping from old provinces onto a smaller set of new provinces."""
-
-    def __init__(self, mapping: Mapping[str, str]):
-        self.mapping = dict(mapping)
-
-    def new_provinces(self) -> list[str]:
-        return sorted(set(self.mapping.values()))
-
-    def members(self, new_province: str) -> list[str]:
-        return sorted(old for old, new in self.mapping.items() if new == new_province)
-
-    def __contains__(self, old_province: str) -> bool:
-        return old_province in self.mapping
-
-
-BURUNDI_REDISTRICTING = RedistrictingMap(
-    {old: new for new, members in BURUNDI_REDISTRICTING_GROUPS.items() for old in members}
-)
+# Old province -> new province.
+BURUNDI_REDISTRICTING = {
+    old: new for new, members in BURUNDI_REDISTRICTING_GROUPS.items() for old in members
+}
 
 
 def _violations(climate, population, cases):
@@ -444,8 +408,8 @@ def write_csv(dataset: Dataset, path) -> None:
     )
 
 
-def read_map_csv(path) -> RedistrictingMap:
-    """Read a two-column ``old_province,new_province`` mapping."""
+def read_map_csv(path) -> dict[str, str]:
+    """Read a two-column ``old_province,new_province`` file into an old -> new dict."""
     mapping: dict[str, str] = {}
     header, records = read_table(path, ["old_province", "new_province"])
     for line_no, row in records:
@@ -455,7 +419,7 @@ def read_map_csv(path) -> RedistrictingMap:
         mapping[old] = new
     if not mapping:
         raise DataError(f"{path}: no data rows")
-    return RedistrictingMap(mapping)
+    return mapping
 
 
 def _regroup(dataset: Dataset, names: list[str], groups: list[list[int]]) -> Dataset:
@@ -477,8 +441,8 @@ def _regroup(dataset: Dataset, names: list[str], groups: list[list[int]]) -> Dat
     )
 
 
-def aggregate_provinces(dataset: Dataset, redistricting: RedistrictingMap) -> Dataset:
-    """Regroup old provinces into the new scheme.
+def aggregate_provinces(dataset: Dataset, redistricting: Mapping[str, str]) -> Dataset:
+    """Regroup old provinces into the new scheme (``redistricting`` maps old -> new).
 
     Climate fields average over member provinces; population and cases sum.
     Members are combined in sorted order, so the result is exactly invariant
@@ -488,13 +452,12 @@ def aggregate_provinces(dataset: Dataset, redistricting: RedistrictingMap) -> Da
         if province not in redistricting:
             raise DataError(f"province {province!r} is not in the redistricting map")
     rows = {name: p for p, name in enumerate(dataset.provinces)}
-    for old in redistricting.mapping:
+    for old in redistricting:
         if old not in rows:
             raise CoverageError(f"dataset is missing mapped province {old!r}")
-    names = redistricting.new_provinces()
-    return _regroup(
-        dataset, names, [[rows[m] for m in redistricting.members(name)] for name in names]
-    )
+    names = sorted(set(redistricting.values()))
+    groups = [[rows[old] for old in sorted(redistricting) if redistricting[old] == name] for name in names]
+    return _regroup(dataset, names, groups)
 
 
 def to_country_level(dataset: Dataset) -> Dataset:

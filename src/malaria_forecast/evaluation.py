@@ -19,21 +19,6 @@ from .data_model import COUNTRY_NAME, MonthKey, atomic_write, write_table
 from .errors import CompletenessError
 from .windowing import VARIANTS, WindowedDataset
 
-__all__ = [
-    "ForecastReport",
-    "REGION_ORDER",
-    "rmse",
-    "persistence_baseline",
-    "make_report",
-    "build_comparison",
-    "render_comparison_text",
-    "write_comparison_csv",
-    "render_totals_text",
-    "write_totals_csv",
-    "emit_curves",
-    "write_svg",
-]
-
 REGION_ORDER = ["Bujumbura", "Gitega", "Burunga", "Butanyerera", "Buhumuza", COUNTRY_NAME]
 
 

@@ -25,23 +25,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .core_math import Rng
 from .data_model import CLIMATE_FIELDS, Dataset
 from .errors import ConfigError, DataError, ShapeError
 from .parallel import pmap
-
-__all__ = [
-    "ForestConfig",
-    "Forest",
-    "ImputationResult",
-    "bootstrap_weights",
-    "forest_fit",
-    "forest_predict",
-    "missforest_impute",
-    "impute_dataset",
-    "require_observed",
-]
-
 
 MAX_ITER = 10  # the default cap on missForest sweeps
 
@@ -128,7 +114,7 @@ def _pick_features(draws: np.ndarray, mtry: int) -> np.ndarray:
     return picked
 
 
-def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: Rng) -> Forest:
+def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: np.random.Generator) -> Forest:
     """Grow one tree per row of the count matrix ``weights`` (trees, rows),
     all trees together, one depth level per step.
 
@@ -255,7 +241,7 @@ def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: Rng) -> Forest:
     return Forest(feature, threshold, left, np.where(inner, left + 1, -1), value, n_trees, p)
 
 
-def bootstrap_weights(rng: Rng, n_trees: int, n: int) -> np.ndarray:
+def bootstrap_weights(rng: np.random.Generator, n_trees: int, n: int) -> np.ndarray:
     """Every tree's bootstrap of ``n`` rows as per-row counts (n_trees, n):
     one draw of all the row indices, counted by one offset bincount."""
     draws = rng.integers(0, n, size=(n_trees, n))
@@ -263,7 +249,7 @@ def bootstrap_weights(rng: Rng, n_trees: int, n: int) -> np.ndarray:
     return np.bincount(draws.ravel(), minlength=n_trees * n).reshape(n_trees, n)
 
 
-def forest_fit(X, y, config: ForestConfig, rng: Rng) -> Forest:
+def forest_fit(X, y, config: ForestConfig, rng: np.random.Generator) -> Forest:
     """Fit a bootstrap ensemble of ``config.n_trees`` trees.
 
     ``rng`` first draws every tree's bootstrap with
@@ -319,7 +305,10 @@ def _delta(new, old, mask) -> float:
 
 
 def missforest_impute(
-    X, config: ForestConfig | None = None, rng: Rng | None = None, max_iter: int = MAX_ITER
+    X,
+    config: ForestConfig | None = None,
+    rng: np.random.Generator | None = None,
+    max_iter: int = MAX_ITER,
 ) -> ImputationResult:
     """Fill NaN entries of a (rows, features) matrix.
 
@@ -328,7 +317,7 @@ def missforest_impute(
     column has predictors.
     """
     config = config or ForestConfig()
-    rng = rng or Rng(0)
+    rng = rng or np.random.default_rng(0)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X = np.array(X, dtype=np.float64)
@@ -390,21 +379,21 @@ def require_observed(dataset: Dataset) -> None:
 def impute_dataset(
     dataset: Dataset,
     config: ForestConfig | None = None,
-    rng: Rng | None = None,
+    rng: np.random.Generator | None = None,
     max_iter: int = MAX_ITER,
 ) -> tuple[Dataset, dict[str, ImputationResult]]:
     """Impute climate fields province by province.
 
     Each province gets its own matrix of (temp, rainfall, humidity, month
-    sin/cos) and its own child generator ``rng.split(P)[p]``, so provinces
+    sin/cos) and its own child generator ``rng.spawn(P)[p]``, so provinces
     are independent and the whole pass is deterministic. Only provinces with
     a missing cell are imputed, on a process pool (:func:`parallel.pmap`);
     the results hold those provinces. Population and cases are never touched.
     Every province is checked with :func:`require_observed` first.
     """
     require_observed(dataset)
-    rng = rng or Rng(0)
-    rngs = rng.split(len(dataset.provinces))
+    rng = rng or np.random.default_rng(0)
+    rngs = rng.spawn(len(dataset.provinces))
     todo = np.flatnonzero(np.isnan(dataset.climate).any(axis=(1, 2)))
     imputed = pmap(
         missforest_impute,

@@ -30,28 +30,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core_math import MinMaxScaler, Rng
+from .core_math import MinMaxScaler
 from .data_model import Dataset, MonthKey, atomic_write, read_kv
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows
-
-__all__ = [
-    "LstmParams",
-    "TrainConfig",
-    "TrainedModel",
-    "init_params",
-    "forward",
-    "backward",
-    "loss_mse",
-    "adam_step",
-    "AdamMoments",
-    "train",
-    "predict",
-    "forecast_test_horizon",
-    "gradient_check",
-    "save_model",
-    "load_model",
-]
 
 
 @dataclass
@@ -99,9 +81,6 @@ class LstmParams:
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
-    def copy(self) -> "LstmParams":
-        return LstmParams(**{name: arr.copy() for name, arr in self.tensors()})
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -145,7 +124,7 @@ class TrainedModel:
     loss_history: list[float] = field(default_factory=list)
 
 
-def init_params(features: int, hidden: int, rng: Rng) -> LstmParams:
+def init_params(features: int, hidden: int, rng: np.random.Generator) -> LstmParams:
     """Uniform init in [-k, k] with k = 1/sqrt(hidden); forget bias set to +1
     afterwards so early cell state survives long windows.
 
@@ -324,19 +303,6 @@ def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> dict[str
     }
 
 
-@dataclass
-class AdamMoments:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-
-    @classmethod
-    def zeros(cls, params: LstmParams) -> "AdamMoments":
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in params.tensors()},
-            v={name: np.zeros_like(arr) for name, arr in params.tensors()},
-        )
-
-
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients down when their global L2 norm exceeds the cap."""
     total = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
@@ -350,11 +316,14 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 def adam_step(
     params: LstmParams,
     grads: dict[str, np.ndarray],
-    moments: AdamMoments,
+    m: dict[str, np.ndarray],
+    v: dict[str, np.ndarray],
     t: int,
     cfg: TrainConfig,
-) -> tuple[LstmParams, AdamMoments]:
-    """Bias-corrected Adam update (in place); t counts from 1."""
+) -> None:
+    """Bias-corrected Adam update of ``params`` and the first and second
+    moments ``m`` and ``v`` (zero arrays keyed by tensor name), all in place;
+    t counts from 1."""
     if t < 1:
         raise ValueError(f"step count must be >= 1, got {t}")
     clip_gradients(grads, cfg.clip_norm)
@@ -364,14 +333,12 @@ def adam_step(
         g = grads[name]
         if g.shape != arr.shape:
             raise ShapeError(f"gradient {name} has shape {g.shape}, expected {arr.shape}")
-        m = moments.m[name]
-        v = moments.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g**2
-        arr -= cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.eps)
-    return params, moments
+        m_t, v_t = m[name], v[name]
+        m_t *= cfg.beta1
+        m_t += (1.0 - cfg.beta1) * g
+        v_t *= cfg.beta2
+        v_t += (1.0 - cfg.beta2) * g**2
+        arr -= cfg.learning_rate * (m_t / b1c) / (np.sqrt(v_t / b2c) + cfg.eps)
 
 
 def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
@@ -387,9 +354,9 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
     X = windows.inputs
     y = windows.targets
     n = windows.samples
-    rng = Rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     params = init_params(windows.spec.feature_width, cfg.hidden, rng)
-    moments = AdamMoments.zeros(params)
+    m, v = ({name: np.zeros_like(arr) for name, arr in params.tensors()} for _ in range(2))
     history: list[float] = []
     step = 0
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
@@ -412,7 +379,7 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             grads = backward(params, cache, 2.0 * (preds - target) / idx.size)
             step += 1
-            adam_step(params, grads, moments, step, cfg)
+            adam_step(params, grads, m, v, step, cfg)
             epoch_loss += loss * idx.size
         history.append(epoch_loss / n)
     return TrainedModel(

@@ -27,8 +27,6 @@ import sys
 
 from .errors import WorkerError
 
-__all__ = ["pmap", "usable_cpus"]
-
 # An item index on a task pipe, or the byte length of a reply on a result pipe.
 _HEADER = struct.Struct("Q")
 _SIGKILL = 9  # the same number on every POSIX system

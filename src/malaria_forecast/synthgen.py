@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core_math import Rng
+import numpy as np
+
 from .data_model import MAX_COUNT, OLD_PROVINCES, Dataset, MonthKey
 from .errors import ConfigError
-
-__all__ = ["SynthConfig", "ClimateParams", "generate", "case_rate"]
 
 MAX_BASE_POPULATION = 950_000.0  # a province's first-year population is below it
 
@@ -89,7 +88,7 @@ class SynthConfig:
             )
 
 
-def _draw_climate_params(rng: Rng) -> ClimateParams:
+def _draw_climate_params(rng: np.random.Generator) -> ClimateParams:
     return ClimateParams(
         temp_mean=rng.uniform(18.0, 24.0),
         temp_amp=rng.uniform(2.0, 4.0),
@@ -138,7 +137,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
     climate cells removed uniformly at random at ``cfg.missing_rate``.
     Identical configs produce bit-identical output.
     """
-    r_params, r_climate, r_cases, r_mask = Rng(cfg.seed).split(4)
+    r_params, r_climate, r_cases, r_mask = np.random.default_rng(cfg.seed).spawn(4)
     years = [cfg.start_year + (cfg.start_month - 1 + t) // 12 for t in range(cfg.months)]
 
     params, population = {}, {}

@@ -20,8 +20,6 @@ from .core_math import MinMaxScaler
 from .data_model import Dataset, MonthKey
 from .errors import DataError
 
-__all__ = ["WindowSpec", "WindowedDataset", "make_windows", "split_index", "split_train_test"]
-
 VARIANTS = ("univariate", "multivariate")
 
 

@@ -369,7 +369,7 @@ def table_text(table, truth):
     if table == "dataset":
         return truth.read_text().replace("\r\n", "\n")
     if table == "map":
-        rows = sorted(data_model.BURUNDI_REDISTRICTING.mapping.items())
+        rows = sorted(data_model.BURUNDI_REDISTRICTING.items())
         return "old_province,new_province\n" + "".join(f"{old},{new}\n" for old, new in rows)
     rows = [f"{region},{variant},2019,{month},{10 * month}.0,{11 * month}.5\n"
             for region in REGION_ORDER for variant in ("univariate", "multivariate") for month in (1, 2, 3)]
@@ -710,6 +710,28 @@ class TestPipeline:
             f"error:config: {cfg} line 1: bad value for {key}: {value!r}"
         ]
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("impute.max_iter", "0", "must be >= 1"),
+            ("window.lookback", "0", "must be >= 1"),
+            ("window.train_fraction", "1.5", "must be in (0, 1)"),
+        ],
+        ids=["max_iter", "lookback", "train_fraction"],
+    )
+    def test_value_breaking_a_rule_names_its_source(self, tmp_path, capsys, key, value, rule, source):
+        out = tmp_path / "out"
+        if source == "file":
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv, where = ["--config", cfg], f"{cfg} line 1: {key}"
+        else:
+            argv, where = [f"--{key}", value], f"command line: --{key}"
+        assert run(["pipeline", "--out_dir", out, *argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error:config: {where} {rule}, got {value}"]
+        assert not out.exists()
 
     def test_config_file_not_utf8_is_one_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -18,7 +18,6 @@ from malaria_forecast.data_model import (
     OLD_PROVINCES,
     Dataset,
     MonthKey,
-    RedistrictingMap,
     aggregate_provinces,
     ingest_csv,
     read_map_csv,
@@ -249,8 +248,8 @@ class TestIngest:
 
 class TestRedistrictingMap:
     def test_builtin_covers_18_onto_5(self):
-        assert len(BURUNDI_REDISTRICTING.mapping) == 18
-        assert BURUNDI_REDISTRICTING.new_provinces() == NEW_PROVINCES
+        assert len(BURUNDI_REDISTRICTING) == 18
+        assert sorted(set(BURUNDI_REDISTRICTING.values())) == NEW_PROVINCES
         assert len(OLD_PROVINCES) == 18
 
     def test_builtin_group_sizes(self):
@@ -262,10 +261,10 @@ class TestRedistrictingMap:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["old_province", "new_province"])
-            for old, new in sorted(BURUNDI_REDISTRICTING.mapping.items()):
+            for old, new in sorted(BURUNDI_REDISTRICTING.items()):
                 writer.writerow([old, new])
         again = read_map_csv(path)
-        assert again.mapping == BURUNDI_REDISTRICTING.mapping
+        assert again == BURUNDI_REDISTRICTING
 
     def test_map_csv_rejects_duplicates(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -289,20 +288,20 @@ def grouped_dataset(case_sets, temp_sets, n_months=3, hum=70.0):
 class TestAggregation:
     def test_cases_sum(self):
         ds = grouped_dataset([10, 20, 30, 40], [20.0, 20.0, 20.0, 20.0])
-        mapping = RedistrictingMap({f"P{i}": "Merged" for i in range(4)})
+        mapping = {f"P{i}": "Merged" for i in range(4)}
         out = aggregate_provinces(ds, mapping)
         assert out.provinces == ["Merged"]
         assert out.cases.tolist() == [[100, 100, 100]]
 
     def test_climate_mean(self):
         ds = grouped_dataset([1, 1, 1, 1], [20.0, 22.0, 24.0, 26.0])
-        mapping = RedistrictingMap({f"P{i}": "Merged" for i in range(4)})
+        mapping = {f"P{i}": "Merged" for i in range(4)}
         out = aggregate_provinces(ds, mapping)
         assert out.climate[0, :, 0].tolist() == [23.0, 23.0, 23.0]
 
     def test_singleton_group_is_identity(self):
         ds = grouped_dataset([10, 20], [20.0, 25.0])
-        mapping = RedistrictingMap({"P0": "A", "P1": "B"})
+        mapping = {"P0": "A", "P1": "B"}
         out = aggregate_provinces(ds, mapping)
         assert out.provinces == ["A", "B"]
         assert np.array_equal(out.cases, ds.cases)
@@ -312,23 +311,23 @@ class TestAggregation:
     def test_refuses_missing_climate(self):
         ds = with_cell(grouped_dataset([1], [20.0]), "P0", 1, temp_mean=None)
         with pytest.raises(DataError, match="P0 at 2010-02; run imputation"):
-            aggregate_provinces(ds, RedistrictingMap({"P0": "A"}))
+            aggregate_provinces(ds, {"P0": "A"})
 
     def test_unmapped_province(self):
         ds = grouped_dataset([1], [20.0])
         with pytest.raises(DataError, match="redistricting map"):
-            aggregate_provinces(ds, RedistrictingMap({"Somewhere": "A"}))
+            aggregate_provinces(ds, {"Somewhere": "A"})
 
     def test_missing_mapped_province(self):
         ds = grouped_dataset([1], [20.0])
-        mapping = RedistrictingMap({"P0": "A", "P9": "A"})
+        mapping = {"P0": "A", "P9": "A"}
         with pytest.raises(CoverageError, match="P9"):
             aggregate_provinces(ds, mapping)
 
     def test_permutation_invariance(self):
         ds = grouped_dataset([3, 7, 11], [19.0, 23.0, 27.0])
-        fwd = RedistrictingMap({"P0": "A", "P1": "A", "P2": "A"})
-        rev = RedistrictingMap({"P2": "A", "P1": "A", "P0": "A"})
+        fwd = {"P0": "A", "P1": "A", "P2": "A"}
+        rev = {"P2": "A", "P1": "A", "P0": "A"}
         out1 = aggregate_provinces(ds, fwd)
         out2 = aggregate_provinces(ds, rev)
         assert same_dataset(out1, out2)
@@ -338,7 +337,7 @@ class TestAggregation:
         # wrap around nor round.
         ds = grouped_dataset([2**52 + 1, 2**52 + 1], [20.0, 20.0])
         with pytest.raises(DataError, match="M 2010-01: cases must be <= 2.*9007199254740994"):
-            aggregate_provinces(ds, RedistrictingMap({"P0": "M", "P1": "M"}))
+            aggregate_provinces(ds, {"P0": "M", "P1": "M"})
 
 
 class TestCountryLevel:
@@ -429,7 +428,7 @@ def left_to_right_mean(values):
 @given(datasets(max_provinces=18, max_months=3, max_count=2**53 // 18, missing=False), st.data())
 def test_redistricting_conserves_counts_and_averages_left_to_right(ds, data):
     groups = data.draw(st.lists(st.sampled_from("VWXYZ"), min_size=len(ds.provinces), max_size=len(ds.provinces)))
-    mapping = RedistrictingMap(dict(zip(reversed(ds.provinces), reversed(groups))))
+    mapping = dict(zip(reversed(ds.provinces), reversed(groups)))
     new = aggregate_provinces(ds, mapping)
     country = to_country_level(new)
     assert new.provinces == sorted(set(groups))
@@ -438,7 +437,7 @@ def test_redistricting_conserves_counts_and_averages_left_to_right(ds, data):
             old = getattr(ds, counts)[:, t].tolist()
             assert sum(getattr(new, counts)[:, t].tolist()) == sum(old) == getattr(country, counts)[0, t]
         for p, name in enumerate(new.provinces):
-            members = [ds.provinces.index(m) for m in mapping.members(name)]
+            members = [ds.provinces.index(m) for m in sorted(mapping) if mapping[m] == name]
             for k in range(3):
                 expected = left_to_right_mean([float(ds.climate[m, t, k]) for m in members])
                 assert float(new.climate[p, t, k]) == expected

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import make_series, month_seq, read_curves
-from malaria_forecast.core_math import Rng
 from malaria_forecast.errors import CompletenessError
 from malaria_forecast.evaluation import (
     REGION_ORDER,
@@ -32,13 +31,13 @@ class TestRmse:
         assert rmse([3.0, 4.0], [0.0, 0.0]) == pytest.approx(math.sqrt(12.5), abs=1e-12)
 
     def test_symmetry(self):
-        a = Rng(0).uniform(0, 10, size=20)
-        b = Rng(1).uniform(0, 10, size=20)
+        a = np.random.default_rng(0).uniform(0, 10, size=20)
+        b = np.random.default_rng(1).uniform(0, 10, size=20)
         assert rmse(a, b) == rmse(b, a)
 
     def test_linear_scaling(self):
-        a = Rng(2).uniform(0, 10, size=20)
-        b = Rng(3).uniform(0, 10, size=20)
+        a = np.random.default_rng(2).uniform(0, 10, size=20)
+        b = np.random.default_rng(3).uniform(0, 10, size=20)
         assert rmse(3.0 * a, 3.0 * b) == pytest.approx(3.0 * rmse(a, b), rel=1e-12)
 
     def test_rejects_empty_or_mismatched(self):

@@ -22,7 +22,6 @@ from conftest import fit_tree, walk_tree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malaria_forecast.core_math import Rng
 from malaria_forecast.imputation import (
     Forest,
     ForestConfig,
@@ -157,9 +156,9 @@ def assert_same_tree(forest, t, root, X_in):
 @given(problems())
 def test_forest_matches_recursive_oracle(problem):
     X, y, cfg, seed = problem
-    forest = forest_fit(X, y, cfg, Rng(seed))
+    forest = forest_fit(X, y, cfg, np.random.default_rng(seed))
     rows = np.arange(X.shape[0])
-    for t, counts in enumerate(bootstrap_weights(Rng(seed), cfg.n_trees, X.shape[0])):
+    for t, counts in enumerate(bootstrap_weights(np.random.default_rng(seed), cfg.n_trees, X.shape[0])):
         idx = np.repeat(rows, counts)
         assert_same_tree(forest, t, ref_grow(X[idx], y[idx], cfg), X[idx])
     per_tree = [walk_tree(forest, t, X) for t in range(cfg.n_trees)]
@@ -170,7 +169,7 @@ def test_forest_matches_recursive_oracle(problem):
 @given(problems())
 def test_tree_matches_recursive_oracle(problem):
     X, y, cfg, seed = problem
-    assert_same_tree(fit_tree(X, y, cfg, Rng(seed)), 0, ref_grow(X, y, cfg), X)
+    assert_same_tree(fit_tree(X, y, cfg, np.random.default_rng(seed)), 0, ref_grow(X, y, cfg), X)
 
 
 def levelwise_reference(X, y, weights, cfg, rng):
@@ -281,7 +280,7 @@ def assert_identical(forest, reference, rng, reference_rng):
 @given(exact_problems())
 def test_forest_is_bit_identical_to_the_levelwise_reference(problem):
     X, y, cfg, seed = problem
-    rng, reference_rng = Rng(seed), Rng(seed)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     forest = forest_fit(X, y, cfg, rng)
     weights = bootstrap_weights(reference_rng, cfg.n_trees, X.shape[0])
     assert_identical(forest, levelwise_reference(X, y, weights, cfg, reference_rng), rng, reference_rng)
@@ -291,7 +290,7 @@ def test_forest_is_bit_identical_to_the_levelwise_reference(problem):
 @given(exact_problems())
 def test_tree_is_bit_identical_to_the_levelwise_reference(problem):
     X, y, cfg, seed = problem
-    rng, reference_rng = Rng(seed), Rng(seed)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     tree = fit_tree(X, y, cfg, rng)
     weights = np.ones((1, X.shape[0]), dtype=np.intp)
     assert_identical(tree, levelwise_reference(X, y, weights, cfg, reference_rng), rng, reference_rng)

@@ -4,7 +4,6 @@ from conftest import fit_tree, same_dataset, walk_tree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malaria_forecast.core_math import Rng
 from malaria_forecast.errors import DataError, ShapeError
 from malaria_forecast.data_model import Dataset
 from malaria_forecast.imputation import (
@@ -45,18 +44,18 @@ def exhaustive_best_split(X, y, min_leaf):
 class TestFitTree:
     def test_constant_target_single_leaf(self):
         X = np.arange(12.0).reshape(6, 2)
-        tree = fit_tree(X, np.full(6, 3.5), ForestConfig(min_samples_leaf=1), Rng(0))
+        tree = fit_tree(X, np.full(6, 3.5), ForestConfig(min_samples_leaf=1), np.random.default_rng(0))
         assert tree.feature.tolist() == [-1]
         assert np.all(forest_predict(tree, X) == 3.5)
         # 0.1 + 0.1 + 0.1 != 0.3: the rounded node mean must not make a split.
-        tree = fit_tree(X[:3], np.full(3, 0.1), ForestConfig(min_samples_leaf=1), Rng(0))
+        tree = fit_tree(X[:3], np.full(3, 0.1), ForestConfig(min_samples_leaf=1), np.random.default_rng(0))
         assert tree.feature.tolist() == [-1]
 
     def test_zero_gain_split_not_taken(self):
         # The only admissible split leaves both sides with the parent's mean.
         X = np.array([[1.0], [1.0], [2.0], [2.0]])
         y = np.array([1.0, 2.0, 1.0, 2.0])
-        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1), Rng(0))
+        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1), np.random.default_rng(0))
         assert tree.feature.tolist() == [-1]
 
     def test_threshold_between_adjacent_floats_keeps_upper_row_right(self):
@@ -64,29 +63,29 @@ class TestFitTree:
         X = np.array([[50.0], [49.99999999999999]])
         assert X[1, 0] == np.nextafter(50.0, 0.0) and (X[0, 0] + X[1, 0]) / 2 == 50.0
         y = np.array([1.0, 0.0])
-        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1), Rng(0))
+        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1), np.random.default_rng(0))
         assert tree.threshold[0] == X[1, 0]
         assert np.array_equal(forest_predict(tree, X), y)
 
     def test_separable_step_function_matches_oracle(self):
-        rng = Rng(11)
+        rng = np.random.default_rng(11)
         for trial in range(5):
             X = rng.uniform(-1, 1, size=(40, 3))
             y = (X[:, 0] > 0).astype(float)
             cfg = ForestConfig(min_samples_leaf=1, mtry=3)
-            tree = fit_tree(X, y, cfg, Rng(trial))
+            tree = fit_tree(X, y, cfg, np.random.default_rng(trial))
             assert np.array_equal(forest_predict(tree, X), y), "training predictions must be exact"
             oracle = exhaustive_best_split(X, y, 1)
             assert tree.feature[0] == oracle[1]
             assert tree.threshold[0] == pytest.approx(oracle[2], abs=1e-12)
 
     def test_random_data_split_matches_oracle(self):
-        rng = Rng(23)
+        rng = np.random.default_rng(23)
         for trial in range(8):
             X = rng.uniform(0, 10, size=(30, 4))
             y = rng.uniform(-5, 5, size=30)
             cfg = ForestConfig(min_samples_leaf=5, mtry=4, max_depth=1)
-            tree = fit_tree(X, y, cfg, Rng(trial))
+            tree = fit_tree(X, y, cfg, np.random.default_rng(trial))
             oracle = exhaustive_best_split(X, y, 5)
             assert tree.feature[0] == oracle[1]
             assert tree.threshold[0] == pytest.approx(oracle[2], abs=1e-9)
@@ -94,7 +93,7 @@ class TestFitTree:
     def test_min_samples_leaf_equal_rows_gives_mean_leaf(self):
         X = np.arange(10.0).reshape(5, 2)
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=5), Rng(0))
+        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=5), np.random.default_rng(0))
         assert tree.feature.tolist() == [-1]
         assert tree.value[0] == y.mean()
 
@@ -103,28 +102,28 @@ class TestFitTree:
         x = np.array([1.0, 2.0, 3.0, 4.0])
         X = np.column_stack([x, x])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1, mtry=2), Rng(0))
+        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1, mtry=2), np.random.default_rng(0))
         assert tree.feature[0] == 0
 
     def test_threshold_tie_prefers_lowest(self):
         # Splits at 1.5 and 3.5 reduce SSE equally; the lower one must win.
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([2.0, 1.0, 1.0, 2.0])
-        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1), Rng(0))
+        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1), np.random.default_rng(0))
         assert tree.threshold[0] == 1.5
 
     def test_max_depth_zero_forces_leaf(self):
         X = np.arange(8.0).reshape(4, 2)
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1, max_depth=0), Rng(0))
+        tree = fit_tree(X, y, ForestConfig(min_samples_leaf=1, max_depth=0), np.random.default_rng(0))
         assert tree.feature.tolist() == [-1]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            fit_tree(np.zeros((0, 2)), np.zeros(0), ForestConfig(), Rng(0))
+            fit_tree(np.zeros((0, 2)), np.zeros(0), ForestConfig(), np.random.default_rng(0))
 
     def test_predict_width_checked(self):
-        tree = fit_tree(np.zeros((3, 2)), np.zeros(3), ForestConfig(), Rng(0))
+        tree = fit_tree(np.zeros((3, 2)), np.zeros(3), ForestConfig(), np.random.default_rng(0))
         with pytest.raises(ShapeError):
             forest_predict(tree, np.zeros((2, 3)))
 
@@ -135,12 +134,12 @@ class TestFitTree:
         X, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
         (X if name == "X" else y).flat[3] = bad
         with pytest.raises(ValueError, match=f"^{name} holds a NaN or infinite value"):
-            fit(X, y, ForestConfig(n_trees=2, min_samples_leaf=1), Rng(0))
+            fit(X, y, ForestConfig(n_trees=2, min_samples_leaf=1), np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_predict_input_rejected(self, bad):
         X = np.arange(12.0).reshape(6, 2)
-        tree = fit_tree(X, np.arange(6.0), ForestConfig(min_samples_leaf=1), Rng(0))
+        tree = fit_tree(X, np.arange(6.0), ForestConfig(min_samples_leaf=1), np.random.default_rng(0))
         X[2, 1] = bad
         with pytest.raises(ValueError, match="^X holds a NaN or infinite value"):
             forest_predict(tree, X)
@@ -148,41 +147,41 @@ class TestFitTree:
 
 class TestForest:
     def test_single_tree_forest_equals_its_tree(self):
-        rng = Rng(4)
+        rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, size=(30, 3))
         y = rng.uniform(0, 1, size=30)
-        forest = forest_fit(X, y, ForestConfig(n_trees=1, min_samples_leaf=2), Rng(7))
+        forest = forest_fit(X, y, ForestConfig(n_trees=1, min_samples_leaf=2), np.random.default_rng(7))
         assert np.array_equal(forest_predict(forest, X), walk_tree(forest, 0, X))
 
     def test_constant_target(self):
         X = np.arange(20.0).reshape(10, 2)
-        forest = forest_fit(X, np.full(10, 2.5), ForestConfig(n_trees=5), Rng(0))
+        forest = forest_fit(X, np.full(10, 2.5), ForestConfig(n_trees=5), np.random.default_rng(0))
         assert np.all(forest_predict(forest, X) == 2.5)
 
     def test_forest_beats_single_tree_on_training_mse(self):
         # Empirical oracle: 20-seed median of training MSE, noisy linear data.
         diffs = []
         for seed in range(20):
-            rng = Rng(seed)
+            rng = np.random.default_rng(seed)
             X = rng.uniform(-1, 1, size=(80, 3))
             y = 3.0 * X[:, 0] - 2.0 * X[:, 1] + rng.normal(0.0, 0.5, size=80)
             cfg = ForestConfig(n_trees=30)
-            tree = fit_tree(X, y, cfg, Rng(seed + 1000))
-            forest = forest_fit(X, y, cfg, Rng(seed + 2000))
+            tree = fit_tree(X, y, cfg, np.random.default_rng(seed + 1000))
+            forest = forest_fit(X, y, cfg, np.random.default_rng(seed + 2000))
             mse_tree = float(np.mean((forest_predict(tree, X) - y) ** 2))
             mse_forest = float(np.mean((forest_predict(forest, X) - y) ** 2))
             diffs.append(mse_forest - mse_tree)
         assert float(np.median(diffs)) <= 0.0
 
     def test_deterministic_given_seed(self):
-        X = Rng(1).uniform(0, 1, size=(40, 3))
-        y = Rng(2).uniform(0, 1, size=40)
-        a = forest_predict(forest_fit(X, y, ForestConfig(n_trees=8), Rng(5)), X)
-        b = forest_predict(forest_fit(X, y, ForestConfig(n_trees=8), Rng(5)), X)
+        X = np.random.default_rng(1).uniform(0, 1, size=(40, 3))
+        y = np.random.default_rng(2).uniform(0, 1, size=40)
+        a = forest_predict(forest_fit(X, y, ForestConfig(n_trees=8), np.random.default_rng(5)), X)
+        b = forest_predict(forest_fit(X, y, ForestConfig(n_trees=8), np.random.default_rng(5)), X)
         assert np.array_equal(a, b)
 
     def test_width_mismatch(self):
-        forest = forest_fit(np.zeros((4, 2)), np.zeros(4), ForestConfig(n_trees=1), Rng(0))
+        forest = forest_fit(np.zeros((4, 2)), np.zeros(4), ForestConfig(n_trees=1), np.random.default_rng(0))
         with pytest.raises(ShapeError):
             forest_predict(forest, np.zeros((2, 5)))
 
@@ -233,8 +232,8 @@ class TestFeatureSubsets:
 
 class TestBootstrapWeights:
     def test_each_row_counts_its_trees_draw(self):
-        weights = bootstrap_weights(Rng(11), 6, 9)
-        draws = Rng(11).integers(0, 9, size=(6, 9))
+        weights = bootstrap_weights(np.random.default_rng(11), 6, 9)
+        draws = np.random.default_rng(11).integers(0, 9, size=(6, 9))
         assert weights.shape == (6, 9)
         for counts, rows in zip(weights, draws):
             assert np.array_equal(counts, np.bincount(rows, minlength=9))
@@ -263,38 +262,38 @@ def nrmse(truth, imputed, mask):
 
 class TestMissForest:
     def test_zero_missing_returns_unchanged(self):
-        X = Rng(0).uniform(0, 1, size=(10, 3))
-        result = missforest_impute(X, ForestConfig(n_trees=2), Rng(1))
+        X = np.random.default_rng(0).uniform(0, 1, size=(10, 3))
+        result = missforest_impute(X, ForestConfig(n_trees=2), np.random.default_rng(1))
         assert result.iterations_run == 0
         assert result.delta_history == []
         assert np.array_equal(result.completed, X)
 
     def test_constant_column_imputes_constant(self):
         X = np.array([[5.0, 1.0], [5.0, 2.0], [np.nan, 3.0], [5.0, 4.0]])
-        result = missforest_impute(X, ForestConfig(n_trees=5, min_samples_leaf=1), Rng(3))
+        result = missforest_impute(X, ForestConfig(n_trees=5, min_samples_leaf=1), np.random.default_rng(3))
         assert result.completed[2, 0] == 5.0
 
     def test_observed_entries_bit_identical(self):
         _, Xm = masked_climate_matrix(seed=1)
         mask = np.isnan(Xm)
-        result = missforest_impute(Xm, ForestConfig(n_trees=10), Rng(2))
+        result = missforest_impute(Xm, ForestConfig(n_trees=10), np.random.default_rng(2))
         assert np.array_equal(result.completed[~mask], Xm[~mask])
 
     def test_output_complete_and_finite(self):
         _, Xm = masked_climate_matrix(seed=2)
-        result = missforest_impute(Xm, ForestConfig(n_trees=10), Rng(2))
+        result = missforest_impute(Xm, ForestConfig(n_trees=10), np.random.default_rng(2))
         assert np.all(np.isfinite(result.completed))
 
     def test_deterministic(self):
         _, Xm = masked_climate_matrix(seed=3)
-        a = missforest_impute(Xm, ForestConfig(n_trees=8), Rng(9))
-        b = missforest_impute(Xm, ForestConfig(n_trees=8), Rng(9))
+        a = missforest_impute(Xm, ForestConfig(n_trees=8), np.random.default_rng(9))
+        b = missforest_impute(Xm, ForestConfig(n_trees=8), np.random.default_rng(9))
         assert np.array_equal(a.completed, b.completed)
         assert a.delta_history == b.delta_history
 
     def test_delta_history_nonnegative(self):
         _, Xm = masked_climate_matrix(seed=4)
-        result = missforest_impute(Xm, ForestConfig(n_trees=8), Rng(4))
+        result = missforest_impute(Xm, ForestConfig(n_trees=8), np.random.default_rng(4))
         assert all(d >= 0.0 for d in result.delta_history)
         assert result.iterations_run >= 1
 
@@ -305,7 +304,7 @@ class TestMissForest:
         for seed in range(8):
             Xt, Xm = masked_climate_matrix(seed=100 + seed)
             mask = np.isnan(Xm)
-            result = missforest_impute(Xm, ForestConfig(n_trees=25), Rng(seed))
+            result = missforest_impute(Xm, ForestConfig(n_trees=25), np.random.default_rng(seed))
             Xmean = Xm.copy()
             mu = np.nanmean(Xm, axis=0)
             Xmean[mask] = np.take(mu, np.where(mask)[1])
@@ -315,15 +314,15 @@ class TestMissForest:
     def test_fully_missing_column_rejected(self):
         X = np.array([[np.nan, 1.0], [np.nan, 2.0]])
         with pytest.raises(ValueError, match="no observed"):
-            missforest_impute(X, ForestConfig(n_trees=1), Rng(0))
+            missforest_impute(X, ForestConfig(n_trees=1), np.random.default_rng(0))
 
     def test_max_iter_validated(self):
         with pytest.raises(ValueError, match="max_iter"):
-            missforest_impute(np.zeros((3, 2)), ForestConfig(n_trees=1), Rng(0), max_iter=0)
+            missforest_impute(np.zeros((3, 2)), ForestConfig(n_trees=1), np.random.default_rng(0), max_iter=0)
 
     def test_needs_two_columns(self):
         with pytest.raises(ValueError, match="2 columns"):
-            missforest_impute(np.zeros((3, 1)), ForestConfig(n_trees=1), Rng(0))
+            missforest_impute(np.zeros((3, 1)), ForestConfig(n_trees=1), np.random.default_rng(0))
 
 
 class TestImputeDataset:
@@ -333,7 +332,7 @@ class TestImputeDataset:
 
     def test_fills_everything_and_keeps_observed(self):
         _, masked = self.make_masked_dataset()
-        completed, results = impute_dataset(masked, ForestConfig(n_trees=8), Rng(0))
+        completed, results = impute_dataset(masked, ForestConfig(n_trees=8), np.random.default_rng(0))
         assert not np.isnan(completed.climate).any()
         assert np.array_equal(completed.population, masked.population)
         assert np.array_equal(completed.cases, masked.cases)
@@ -343,8 +342,8 @@ class TestImputeDataset:
 
     def test_deterministic(self):
         _, masked = self.make_masked_dataset()
-        a, _ = impute_dataset(masked, ForestConfig(n_trees=6), Rng(1))
-        b, _ = impute_dataset(masked, ForestConfig(n_trees=6), Rng(1))
+        a, _ = impute_dataset(masked, ForestConfig(n_trees=6), np.random.default_rng(1))
+        b, _ = impute_dataset(masked, ForestConfig(n_trees=6), np.random.default_rng(1))
         assert same_dataset(a, b)
 
     def test_maps_only_provinces_with_a_missing_cell(self, monkeypatch):
@@ -366,15 +365,15 @@ class TestImputeDataset:
                           if any(np.array_equal(m, _province_matrix(mixed, p), equal_nan=True) for m in matrices)])
             return pmap(fn, matrices, *rest)
 
-        full, _ = impute_dataset(masked, ForestConfig(n_trees=4), Rng(2), max_iter=3)
+        full, _ = impute_dataset(masked, ForestConfig(n_trees=4), np.random.default_rng(2), max_iter=3)
         monkeypatch.setattr(imputation, "pmap", recording_pmap)
-        completed, results = impute_dataset(mixed, ForestConfig(n_trees=4), Rng(2), max_iter=3)
+        completed, results = impute_dataset(mixed, ForestConfig(n_trees=4), np.random.default_rng(2), max_iter=3)
         assert calls == [["Alpha", "Gamma"]]
         assert set(results) == {"Alpha", "Gamma"}
         assert np.array_equal(completed.climate[[0, 2]], full.climate[[0, 2]])
         assert np.array_equal(completed.climate[1], truth.climate[1])
 
-        impute_dataset(truth, ForestConfig(n_trees=4), Rng(2))
+        impute_dataset(truth, ForestConfig(n_trees=4), np.random.default_rng(2))
         assert calls[1:] == [[]]
 
     def test_column_with_no_observed_month_is_named(self, monkeypatch):
@@ -387,4 +386,4 @@ class TestImputeDataset:
         blank = Dataset(masked.provinces, masked.start, climate, masked.population, masked.cases)
         monkeypatch.setattr(imputation, "pmap", lambda *args: pytest.fail("imputed before the check"))
         with pytest.raises(DataError, match="^Beta: temp_mean has no observed month; cannot impute$"):
-            impute_dataset(blank, ForestConfig(n_trees=2), Rng(0))
+            impute_dataset(blank, ForestConfig(n_trees=2), np.random.default_rng(0))

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import re
@@ -15,12 +16,11 @@ from hypothesis.extra.numpy import arrays
 import malaria_forecast
 from malaria_forecast import lstm
 from conftest import gate_activation, month_slice, sinusoid_series
-from malaria_forecast.core_math import MinMaxScaler, Rng
+from malaria_forecast.core_math import MinMaxScaler
 from malaria_forecast.data_model import MonthKey
 from malaria_forecast.errors import DataError, DivergenceError, ShapeError
 from malaria_forecast.synthgen import SynthConfig, generate
 from malaria_forecast.lstm import (
-    AdamMoments,
     ForwardCache,
     LstmParams,
     TrainConfig,
@@ -42,7 +42,7 @@ from malaria_forecast.windowing import VARIANTS, WindowSpec, make_windows, split
 
 
 def zero_params(features=3, hidden=4):
-    params = init_params(features, hidden, Rng(0))
+    params = init_params(features, hidden, np.random.default_rng(0))
     for _, arr in params.tensors():
         arr[:] = 0.0
     return params
@@ -55,7 +55,7 @@ def blocks(hidden):
 
 def gate_forced_params(features=3, hidden=4, seed=1):
     """Zero weights; forget gate wide open, input/output gates shut."""
-    params = init_params(features, hidden, Rng(seed))
+    params = init_params(features, hidden, np.random.default_rng(seed))
     for name, arr in params.tensors():
         if name != "b_y":
             arr[:] = 0.0
@@ -101,8 +101,8 @@ class TestCellStep:
         assert cache.h[2, 0, 0] == pytest.approx(math.tanh(0.5), abs=1e-8)
 
     def test_purity(self):
-        params = init_params(2, 3, Rng(5))
-        before = params.copy()
+        params = init_params(2, 3, np.random.default_rng(5))
+        before = copy.deepcopy(params)
         x = np.array([[0.3, -0.2]])
         a, cache_a = forward(params, x)
         b, cache_b = forward(params, x)
@@ -114,12 +114,12 @@ class TestCellStep:
             assert np.array_equal(new, old), "params must not mutate"
 
     def test_shape_mismatch(self):
-        params = init_params(2, 3, Rng(0))
+        params = init_params(2, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             forward(params, np.zeros((1, 5)))
         with pytest.raises(ShapeError):
             forward(params, np.zeros(2))
-        other = init_params(2, 4, Rng(0))
+        other = init_params(2, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             LstmParams(w=params.w, b=params.b, w_y=other.w_y, b_y=params.b_y)
 
@@ -128,14 +128,14 @@ class TestForward:
     def test_zero_params_predict_bias(self):
         params = zero_params()
         params.b_y[:] = 0.37
-        pred, _ = forward(params, Rng(1).uniform(-1, 1, size=(6, 3)))
+        pred, _ = forward(params, np.random.default_rng(1).uniform(-1, 1, size=(6, 3)))
         assert pred == 0.37
 
     def test_length_one_equals_cell_step_plus_head(self):
         # The gate equations written out per block, from zero state; the
         # forget gate multiplies the zero initial cell state.
-        params = init_params(3, 4, Rng(2))
-        x = Rng(3).uniform(-1, 1, size=3)
+        params = init_params(3, 4, np.random.default_rng(2))
+        x = np.random.default_rng(3).uniform(-1, 1, size=3)
         z = params.w[:, :3] @ x + params.b
         i, _, g, o = (z[rows] for rows in blocks(4))
         c = 1.0 / (1.0 + np.exp(-i)) * np.tanh(g)
@@ -148,15 +148,15 @@ class TestForward:
         # With input/output gates shut and zero weights the state stays at
         # exactly zero, so prepending a step cannot change the prediction.
         params = gate_forced_params()
-        window = Rng(4).uniform(-1, 1, size=(5, 3))
-        longer = np.vstack([Rng(5).uniform(-1, 1, size=(1, 3)), window])
+        window = np.random.default_rng(4).uniform(-1, 1, size=(5, 3))
+        longer = np.vstack([np.random.default_rng(5).uniform(-1, 1, size=(1, 3)), window])
         pred_short, _ = forward(params, window)
         pred_long, _ = forward(params, longer)
         assert pred_short == pred_long
 
     def test_batch_matches_singles(self):
-        params = init_params(2, 3, Rng(6))
-        batch = Rng(7).uniform(-1, 1, size=(4, 5, 2))
+        params = init_params(2, 3, np.random.default_rng(6))
+        batch = np.random.default_rng(7).uniform(-1, 1, size=(4, 5, 2))
         preds, _ = forward(params, batch)
         for i in range(4):
             single, _ = forward(params, batch[i])
@@ -173,13 +173,13 @@ class TestForward:
             assert bits([cache.gates[t]]) == bits([gate_activation(np.matmul(w, cache.xh[t]), scale)])
 
     def test_hidden_state_bounded(self):
-        params = init_params(3, 8, Rng(8))
-        _, cache = forward(params, Rng(9).uniform(-3, 3, size=(10, 20, 3)))
+        params = init_params(3, 8, np.random.default_rng(8))
+        _, cache = forward(params, np.random.default_rng(9).uniform(-3, 3, size=(10, 20, 3)))
         assert np.all(np.abs(cache.h) < 1.0)
         assert np.all(np.isfinite(cache.c))
 
     def test_feature_mismatch(self):
-        params = init_params(3, 4, Rng(0))
+        params = init_params(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             forward(params, np.zeros((5, 2)))
 
@@ -201,24 +201,24 @@ class TestLoss:
 
 class TestBackward:
     def test_output_bias_gradient_closed_form(self):
-        params = init_params(3, 4, Rng(10))
-        window = Rng(11).uniform(-1, 1, size=(5, 3))
+        params = init_params(3, 4, np.random.default_rng(10))
+        window = np.random.default_rng(11).uniform(-1, 1, size=(5, 3))
         target = 0.9
         pred, cache = forward(params, window)
         grads = backward(params, cache, np.array([2.0 * (pred - target)]))
         assert grads["b_y"][0] == pytest.approx(2.0 * (pred - target), abs=1e-15)
 
     def test_zero_loss_gives_zero_gradients(self):
-        params = init_params(3, 4, Rng(12))
-        window = Rng(13).uniform(-1, 1, size=(5, 3))
+        params = init_params(3, 4, np.random.default_rng(12))
+        window = np.random.default_rng(13).uniform(-1, 1, size=(5, 3))
         _, cache = forward(params, window)
         grads = backward(params, cache, np.array([0.0]))
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_stale_cache_rejected(self):
-        params = init_params(3, 4, Rng(14))
+        params = init_params(3, 4, np.random.default_rng(14))
         _, cache = forward(params, np.zeros((5, 3)))
-        other = init_params(3, 4, Rng(15))
+        other = init_params(3, 4, np.random.default_rng(15))
         with pytest.raises(ValueError, match="different parameter"):
             backward(other, cache, np.array([1.0]))
 
@@ -227,9 +227,9 @@ class TestBackward:
         # under 1 and 2 OpenBLAS threads; dw must not.
         script = (
             "import hashlib\n"
-            "from malaria_forecast.core_math import Rng\n"
+            "import numpy as np\n"
             "from malaria_forecast.lstm import backward, forward, init_params\n"
-            "rng = Rng(3)\n"
+            "rng = np.random.default_rng(3)\n"
             "params = init_params(5, 32, rng)\n"
             "preds, cache = forward(params, rng.uniform(0, 1, size=(86, 12, 5)))\n"
             "grads = backward(params, cache, (preds - rng.uniform(0, 1, size=86)) / 43)\n"
@@ -249,7 +249,7 @@ class TestBackward:
     def test_gradient_check_small_nets(self):
         worst = 0.0
         for seed in range(3):
-            rng = Rng(seed)
+            rng = np.random.default_rng(seed)
             params = init_params(3, 4, rng)
             inputs = rng.uniform(-1, 1, size=(4, 5, 3))
             targets = rng.uniform(-1, 1, size=4)
@@ -265,7 +265,7 @@ def bits(values):
 
 def random_problem(n, length, features, hidden, seed):
     """Spread weights, inputs and output gradients for one batch."""
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     params = init_params(features, hidden, rng)
     for _, arr in params.tensors():
         arr *= rng.uniform(0.5, 3.0)
@@ -321,48 +321,49 @@ class TestWorkspace:
         assert bits(a for _, a in reused.params.tensors()) == bits(a for _, a in fresh.params.tensors())
 
     def test_cache_of_another_shape_is_refused(self):
-        params = init_params(3, 4, Rng(0))
+        params = init_params(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError, match="cache does not fit"):
             forward(params, np.zeros((2, 5, 3)), ForwardCache.empty(3, 5, 3, 4))
         with pytest.raises(ShapeError, match="cache does not fit"):
             forward(params, np.zeros((2, 5, 3)), ForwardCache.empty(2, 5, 3, 5))
 
 
+def zero_moments(params):
+    """Adam's first and second moments at step 0."""
+    return ({name: np.zeros_like(arr) for name, arr in params.tensors()} for _ in range(2))
+
+
 class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
         # Closed form: m-hat/sqrt(v-hat) = sign(g) at t=1, so the update is
         # lr * |g| / (|g| + eps) ~ lr for any non-vanishing constant gradient.
-        params = init_params(2, 3, Rng(16))
-        before = params.copy()
+        params = init_params(2, 3, np.random.default_rng(16))
+        before = copy.deepcopy(params)
         cfg = TrainConfig(hidden=3, learning_rate=1e-3)
         grads = {name: np.full_like(arr, 0.25) for name, arr in params.tensors()}
         clipped_norm = math.sqrt(sum(g.size * 0.25**2 for g in grads.values()))
         assert clipped_norm < cfg.clip_norm, "test gradient must not trigger clipping"
-        adam_step(params, grads, AdamMoments.zeros(params), 1, cfg)
+        adam_step(params, grads, *zero_moments(params), 1, cfg)
         for (_, new), (_, old) in zip(params.tensors(), before.tensors()):
             delta = np.abs(new - old)
             assert np.all(np.abs(delta - cfg.learning_rate) < 1e-7)
 
     def test_zero_gradient_leaves_params(self):
-        params = init_params(2, 3, Rng(17))
-        before = params.copy()
+        params = init_params(2, 3, np.random.default_rng(17))
+        before = copy.deepcopy(params)
         grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
-        moments = AdamMoments.zeros(params)
-        adam_step(params, grads, moments, 1, TrainConfig(hidden=3))
+        adam_step(params, grads, *zero_moments(params), 1, TrainConfig(hidden=3))
         for (_, new), (_, old) in zip(params.tensors(), before.tensors()):
             assert np.array_equal(new, old)
 
     def test_moments_decay_under_zero_gradient(self):
-        params = init_params(2, 3, Rng(18))
-        moments = AdamMoments.zeros(params)
-        for name in moments.m:
-            moments.m[name][:] = 1.0
-            moments.v[name][:] = 1.0
+        params = init_params(2, 3, np.random.default_rng(18))
+        m, v = ({name: np.ones_like(arr) for name, arr in params.tensors()} for _ in range(2))
         cfg = TrainConfig(hidden=3)
         grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
-        adam_step(params, grads, moments, 5, cfg)
-        assert np.all(moments.m["w"] == cfg.beta1)
-        assert np.all(moments.v["w"] == cfg.beta2)
+        adam_step(params, grads, m, v, 5, cfg)
+        assert np.all(m["w"] == cfg.beta1)
+        assert np.all(v["w"] == cfg.beta2)
 
     def test_clipping_scales_to_threshold(self):
         grads = {"a": np.full(4, 10.0), "b": np.full(2, -10.0)}
@@ -384,7 +385,7 @@ class TestTrain:
         cfg = TrainConfig(hidden=4, epochs=0, seed=3)
         model = train(train_part, cfg)
         assert model.loss_history == []
-        fresh = init_params(1, 4, Rng(3))
+        fresh = init_params(1, 4, np.random.default_rng(3))
         for (_, a), (_, b) in zip(model.params.tensors(), fresh.tensors()):
             assert np.array_equal(a, b)
 

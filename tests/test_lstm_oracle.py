@@ -22,7 +22,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malaria_forecast.core_math import Rng
 from malaria_forecast.lstm import backward, forward, init_params
 
 GATES = "ifgo"
@@ -138,8 +137,8 @@ def problems(draw):
 @given(problems())
 def test_init_packs_the_per_gate_draws_bit_for_bit(problem):
     features, hidden, _, _, seed = problem
-    params = init_params(features, hidden, Rng(seed))
-    expected = pack(ref_init(features, hidden, Rng(seed)))
+    params = init_params(features, hidden, np.random.default_rng(seed))
+    expected = pack(ref_init(features, hidden, np.random.default_rng(seed)))
     for name, arr in params.tensors():
         assert np.array_equal(arr, expected[name]), name
 
@@ -148,7 +147,7 @@ def test_init_packs_the_per_gate_draws_bit_for_bit(problem):
 @given(problems())
 def test_forward_and_gradients_match_the_per_gate_reference(problem):
     features, hidden, n, length, seed = problem
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     params = init_params(features, hidden, rng)
     # Spread the weights so that gates leave the linear region.
     for _, arr in params.tensors():

@@ -155,9 +155,8 @@ class TestGenerate:
         climate = truth.climate[0].tolist()
         population, cases = truth.population[0].tolist(), truth.cases[0].tolist()
         from malaria_forecast.synthgen import _draw_climate_params
-        from malaria_forecast.core_math import Rng
 
-        params = _draw_climate_params(Rng(cfg.seed).split(4)[0])
+        params = _draw_climate_params(np.random.default_rng(cfg.seed).spawn(4)[0])
         for t in range(2, len(cases)):
             rate = case_rate(
                 cfg,
