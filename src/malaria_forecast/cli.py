@@ -10,10 +10,11 @@ and ``provinces``), :class:`ForestConfig` and :class:`TrainConfig` (less
 declared in the table itself. The table gives the pipeline's
 ``--section.field`` flags and config keys, the lines of ``run_config.txt``,
 the stage commands' ``--field-name`` flags and the ``synth --config`` keys.
-Config files are read by :func:`data_model.read_kv`. Flag and file values
-are parsed and checked by :func:`parse_setting`, a file's errors naming its
-line, and the config dataclasses check their fields when the :class:`Config`
-is built, so a bad value ends in ``error:config`` before any file is written.
+Config files are read by :func:`data_model.read_kv`. Every rule is declared
+once, on its dataclass field (:func:`core_math.ruled`) or on its table row,
+and is checked where the value is read: :func:`parse_setting` parses and
+checks each flag and file value, its error naming the flag or the file line,
+so a bad value ends in ``error:config`` before any file is written.
 
 Every command takes the global seed and derives its own stage seed from it,
 so a full pipeline run and the equivalent sequence of individual commands
@@ -46,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from . import data_model, evaluation, imputation, lstm, parallel, synthgen, windowing
-from .core_math import derive_seed
+from .core_math import AT_LEAST_1, OPEN_UNIT, derive_seed
 from .data_model import Dataset
 from .errors import (
     CompletenessError,
@@ -69,6 +70,7 @@ _ERROR_CATEGORIES = [
     (DataError, "data"),
     (ShapeError, "shape"),
     (WorkerError, "worker"),
+    (MemoryError, "memory"),
     (OSError, "io"),
     (ValueError, "argument"),
 ]
@@ -98,9 +100,8 @@ def _optional_int(raw: str) -> int | None:
 class Setting:
     """One row of :data:`SETTINGS`. ``key`` is ``section.field``, or a bare
     name for the run-wide settings. ``rule`` (a check and its wording) is
-    given for the rows that are not dataclass fields, and
-    :func:`parse_setting` applies it; the config dataclasses check their own
-    fields."""
+    the dataclass field's own rule, or declared on the row for the settings
+    that are not fields; :func:`parse_setting` applies it."""
 
     key: str
     parse: Callable[[str], object]
@@ -117,13 +118,11 @@ _PARSERS = {"int": int, "float": float, "int | None": _optional_int}
 
 def _fields(section: str, cls, *skip: str) -> list[Setting]:
     return [
-        Setting(f"{section}.{f.name}", _PARSERS[f.type], f.default)
+        Setting(f"{section}.{f.name}", _PARSERS[f.type], f.default, f.metadata.get("rule"))
         for f in dataclasses.fields(cls)
         if f.name not in skip
     ]
 
-
-_POSITIVE = (lambda v: v >= 1, "must be >= 1")
 
 # Every setting of a run, in run_config.txt order.
 SETTINGS = {
@@ -135,9 +134,9 @@ SETTINGS = {
         Setting("map_csv", str, ""),
         *_fields("synth", synthgen.SynthConfig, "seed", "provinces"),
         *_fields("impute", imputation.ForestConfig),
-        Setting("impute.max_iter", int, imputation.MAX_ITER, _POSITIVE),
-        Setting("window.lookback", int, 12, _POSITIVE),
-        Setting("window.train_fraction", float, 0.8, (lambda v: 0.0 < v < 1.0, "must be in (0, 1)")),
+        Setting("impute.max_iter", int, imputation.MAX_ITER, AT_LEAST_1),
+        Setting("window.lookback", int, 12, AT_LEAST_1),
+        Setting("window.train_fraction", float, 0.8, OPEN_UNIT),
         *_fields("train", lstm.TrainConfig, "seed"),
         Setting("forecast.recursive", _parse_bool, False),
     ]
@@ -171,7 +170,7 @@ def read_config(path, prefix: str = "") -> dict:
 
 class Config:
     """The value of every setting (its default where ``values`` has none)
-    and the config dataclasses built from them, which check their fields."""
+    and the config dataclasses built from them."""
 
     def __init__(self, values: dict):
         self.values = {key: values.get(key, s.default) for key, s in SETTINGS.items()}

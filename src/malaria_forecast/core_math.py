@@ -1,16 +1,41 @@
-"""Numeric helpers: min-max scaling and per-stage seeds.
+"""Numeric helpers: min-max scaling, per-stage seeds and setting rules.
 
 Everything runs in 64-bit floats. A stage seeds its own generator with
 ``np.random.default_rng(derive_seed(seed, label))``, never global state.
+A config dataclass declares each field's rule, a ``(check, wording)`` pair,
+with :func:`ruled`; :func:`check_fields` applies them when it is built, and
+``cli.SETTINGS`` reads the same rules to check a value where it is read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
+
+AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+NONE_OR_AT_LEAST_1 = (lambda v: v is None or v >= 1, "must be >= 1")
+OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
+FINITE = (math.isfinite, "must be finite")
+POSITIVE_FINITE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
+
+
+def ruled(default, rule):
+    """A dataclass field with ``default`` whose values must pass ``rule``."""
+    return dataclasses.field(default=default, metadata={"rule": rule})
+
+
+def check_fields(config) -> None:
+    """Raise ConfigError for the first field of ``config`` that breaks its rule."""
+    for f in dataclasses.fields(config):
+        rule, value = f.metadata.get("rule"), getattr(config, f.name)
+        if rule and not rule[0](value):
+            raise ConfigError(f"{f.name} {rule[1]}, got {value}")
+
 
 class MinMaxScaler:
     """Per-feature min-max scaling onto [0, 1].

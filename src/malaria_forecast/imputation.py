@@ -25,8 +25,9 @@ from itertools import repeat
 
 import numpy as np
 
+from .core_math import AT_LEAST_1, NONE_OR_AT_LEAST_1, check_fields, ruled
 from .data_model import CLIMATE_FIELDS, Dataset
-from .errors import ConfigError, DataError, ShapeError
+from .errors import DataError, ShapeError
 from .parallel import pmap
 
 MAX_ITER = 10  # the default cap on missForest sweeps
@@ -40,20 +41,13 @@ class ForestConfig:
     grows until leaves hold fewer than ``2 * min_samples_leaf`` rows.
     """
 
-    n_trees: int = 100
-    mtry: int | None = None
-    min_samples_leaf: int = 5
-    max_depth: int | None = None
+    n_trees: int = ruled(100, AT_LEAST_1)
+    mtry: int | None = ruled(None, NONE_OR_AT_LEAST_1)
+    min_samples_leaf: int = ruled(5, AT_LEAST_1)
+    max_depth: int | None = ruled(None, (lambda v: v is None or v >= 0, "must be >= 0"))
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.mtry is not None and self.mtry < 1:
-            raise ConfigError(f"mtry must be >= 1, got {self.mtry}")
-        if self.min_samples_leaf < 1:
-            raise ConfigError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
+        check_fields(self)
 
     def resolve_mtry(self, n_features: int) -> int:
         if self.mtry is not None:

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core_math import MinMaxScaler
+from .core_math import AT_LEAST_1, NONE_OR_AT_LEAST_1, OPEN_UNIT, POSITIVE_FINITE, MinMaxScaler, check_fields, ruled
 from .data_model import Dataset, MonthKey, atomic_write, read_kv
-from .errors import ConfigError, DataError, DivergenceError, ShapeError
+from .errors import DataError, DivergenceError, ShapeError
 from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows
 
 
@@ -84,29 +84,18 @@ class LstmParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    hidden: int = 32
-    epochs: int = 300
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int | None = None  # None = full batch
+    hidden: int = ruled(32, AT_LEAST_1)
+    epochs: int = ruled(300, (lambda v: v >= 0, "must be >= 0"))
+    learning_rate: float = ruled(1e-3, POSITIVE_FINITE)
+    beta1: float = ruled(0.9, OPEN_UNIT)
+    beta2: float = ruled(0.999, OPEN_UNIT)
+    eps: float = ruled(1e-8, POSITIVE_FINITE)
+    batch_size: int | None = ruled(None, NONE_OR_AT_LEAST_1)  # None = full batch
     seed: int = 0
-    clip_norm: float = 5.0
+    clip_norm: float = ruled(5.0, POSITIVE_FINITE)
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not all(0.0 < v < math.inf for v in (self.learning_rate, self.eps, self.clip_norm)):
-            raise ConfigError("learning_rate, eps and clip_norm must be positive and finite")
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0.0 < b < 1.0:
-                raise ConfigError(f"{name} must be in (0, 1), got {b}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_fields(self)
 
 
 @dataclass
@@ -484,7 +473,6 @@ def gradient_check(
 
 
 MODEL_FORMAT = "malaria-forecast model 3"
-_MONTH = re.compile(r"([0-9]{4})-([0-9]{2})")
 _POSITIVE = re.compile(r"[1-9][0-9]{0,17}")
 # The keys of a model file, in file order.
 _MODEL_KEYS = (
@@ -567,9 +555,15 @@ def load_model(path) -> TrainedModel:
         raise fail("variant", f"variant must be one of {VARIANTS}, got {variant!r}")
     spec = WindowSpec(lookback=positive_int("lookback"), variant=variant)
     features, hidden = positive_int("features"), positive_int("hidden")
-    month = _MONTH.fullmatch(lines["train_end"][1])
-    if month is None or not 1 <= int(month[2]) <= 12:
-        raise fail("train_end", f"train_end must be a YYYY-MM month, got {lines['train_end'][1]!r}")
+    # Only the spelling that ``str(MonthKey)`` writes reads back.
+    text = lines["train_end"][1]
+    year, _, month = text.rpartition("-")
+    try:
+        train_end = MonthKey(int(year), int(month))
+    except (ValueError, DataError):
+        train_end = None
+    if train_end is None or str(train_end) != text:
+        raise fail("train_end", f"train_end must be a YYYY-MM month, got {text!r}")
     shapes = LstmParams.shapes(features, hidden)
     params = LstmParams(**{name: floats(name, math.prod(shape)).reshape(shape) for name, shape in shapes.items()})
     scalers = []
@@ -587,6 +581,6 @@ def load_model(path) -> TrainedModel:
         spec=spec,
         input_scaler=scalers[0],
         target_scaler=scalers[1],
-        train_end=MonthKey(int(month[1]), int(month[2])),
+        train_end=train_end,
         region=lines["region"][1],
     )

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_math import FINITE, POSITIVE_FINITE, check_fields, ruled
 from .data_model import MAX_COUNT, OLD_PROVINCES, Dataset, MonthKey
 from .errors import ConfigError
 
 MAX_BASE_POPULATION = 950_000.0  # a province's first-year population is below it
+_NOISE = (lambda v: 0.0 <= v < math.inf, "must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -47,34 +49,20 @@ class SynthConfig:
     """
 
     seed: int = 0
-    months: int = 120
+    months: int = ruled(120, (lambda v: v >= 22, "must be >= 22"))
     start_year: int = 2010
-    start_month: int = 1
-    provinces: tuple[str, ...] = tuple(OLD_PROVINCES)
-    missing_rate: float = 0.05
-    climate_noise: float = 1.0
-    case_noise: float = 1.0
-    baseline: float = 0.004
-    rain_weight: float = 0.35
-    temp_weight: float = 0.2
-    pop_growth: float = 0.02
+    start_month: int = ruled(1, (lambda v: 1 <= v <= 12, "must be in 1..12"))
+    provinces: tuple[str, ...] = ruled(tuple(OLD_PROVINCES), (bool, "must be non-empty"))
+    missing_rate: float = ruled(0.05, (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"))
+    climate_noise: float = ruled(1.0, _NOISE)
+    case_noise: float = ruled(1.0, _NOISE)
+    baseline: float = ruled(0.004, POSITIVE_FINITE)
+    rain_weight: float = ruled(0.35, FINITE)
+    temp_weight: float = ruled(0.2, FINITE)
+    pop_growth: float = ruled(0.02, FINITE)
 
     def __post_init__(self):
-        if self.months < 22:
-            raise ConfigError(f"months must be >= 22, got {self.months}")
-        if not 0.0 <= self.missing_rate < 1.0:
-            raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate}")
-        for name in ("climate_noise", "case_noise", "baseline", "rain_weight", "temp_weight", "pop_growth"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if self.climate_noise < 0 or self.case_noise < 0:
-            raise ConfigError("noise levels must be non-negative")
-        if self.baseline <= 0:
-            raise ConfigError(f"baseline incidence must be positive, got {self.baseline}")
-        if not self.provinces:
-            raise ConfigError("province list must be non-empty")
-        if not 1 <= self.start_month <= 12:
-            raise ConfigError(f"start_month must be in 1..12, got {self.start_month}")
+        check_fields(self)
         # The largest population drawn is below MAX_BASE_POPULATION times
         # the growth factor of the last year.
         years = (self.start_month + self.months - 2) // 12

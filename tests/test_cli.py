@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import os
 import re
 import signal
@@ -18,6 +19,9 @@ from malaria_forecast import cli, data_model, evaluation, lstm, parallel
 from malaria_forecast.data_model import COUNTRY_NAME, ingest_csv
 from malaria_forecast.errors import ConfigError, DataError
 from malaria_forecast.evaluation import REGION_ORDER
+from malaria_forecast.imputation import ForestConfig
+from malaria_forecast.lstm import TrainConfig
+from malaria_forecast.synthgen import SynthConfig
 from malaria_forecast.windowing import WindowSpec, make_windows, split_train_test
 
 SMALL_PIPELINE = [
@@ -32,6 +36,66 @@ SMALL_PIPELINE = [
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+# Settings that no rule constrains: every value that parses is accepted.
+UNRULED = {"seed", "out_dir", "input_csv", "map_csv", "synth.start_year", "forecast.recursive"}
+# The stage command that takes a section's settings as --field-name flags,
+# with its required arguments.
+TRAIN_ARGS = ["train", "--in", "in.csv", "--region", "Gitega", "--variant", "univariate", "--out-model", "m.model"]
+STAGE_ARGS = {
+    "synth": ["synth", "--out-truth", "t.csv", "--out-masked", "m.csv"],
+    "impute": ["impute", "--in", "in.csv", "--out", "out.csv"],
+    "window": TRAIN_ARGS,
+    "train": TRAIN_ARGS,
+}
+
+
+# Values that break each ruled setting's rule, at or just past each end of
+# its range, written as the setting prints them. The first value of a key
+# gives the ids ``<name>-<source>``, each other ``<name>=<value>-<source>``.
+BREAKERS = {
+    "synth.months": ["21", "0"],
+    "synth.start_month": ["0", "13"],
+    "synth.missing_rate": ["1.0", "-1.0", "nan"],
+    "synth.climate_noise": ["-1.0", "inf", "nan"],
+    "synth.case_noise": ["-1.0", "inf", "nan"],
+    "synth.baseline": ["0.0", "inf", "nan"],
+    "synth.rain_weight": ["inf", "nan"],
+    "synth.temp_weight": ["inf", "nan"],
+    "synth.pop_growth": ["inf", "nan"],
+    "impute.n_trees": ["0"],
+    "impute.mtry": ["-1"],  # 0 reads as None
+    "impute.min_samples_leaf": ["0"],
+    "impute.max_depth": ["-1"],  # 0 reads as None
+    "impute.max_iter": ["0"],
+    "window.lookback": ["0"],
+    "window.train_fraction": ["1.5", "0.0", "1.0", "nan"],
+    "train.hidden": ["0"],
+    "train.epochs": ["-1"],
+    "train.learning_rate": ["0.0", "inf", "nan"],
+    "train.beta1": ["0.0", "1.0", "nan"],
+    "train.beta2": ["0.0", "1.0", "nan"],
+    "train.eps": ["0.0", "inf", "nan"],
+    "train.batch_size": ["-1"],  # 0 reads as None
+    "train.clip_norm": ["0.0", "inf", "nan"],
+}
+
+
+def rule_cases():
+    """``(key, value, source)`` for every setting that has a rule, or should
+    have one: a pipeline flag and config line, the stage flag where a stage
+    command takes the setting, and a ``synth --config`` line."""
+    cases = []
+    for key, s in cli.SETTINGS.items():
+        if key in UNRULED:
+            continue
+        section = key.partition(".")[0]
+        sources = ["file", "flag"] + ["stage_flag"] * (section in STAGE_ARGS) + ["stage_file"] * (section == "synth")
+        for i, value in enumerate(BREAKERS.get(key, [None])):
+            name = s.name if i == 0 else f"{s.name}={value}"
+            cases += [pytest.param(key, value, source, id=f"{name}-{source}") for source in sources]
+    return cases
 
 
 def cli_process(argv, **kwargs):
@@ -216,6 +280,28 @@ class TestTrainForecastEvaluate:
         lines = losses.read_text().splitlines()
         assert lines[0] == "epoch,loss"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("start_year", [10000, -3])
+    def test_forecast_reads_the_model_of_any_year(self, tmp_path, start_year):
+        # train_end is written as 10002-10 or -001-10.
+        truth, new_csv, model = tmp_path / "truth.csv", tmp_path / "new.csv", tmp_path / "g.model"
+        assert run(["synth", "--start-year", start_year, "--months", 40, "--missing-rate", 0,
+                    "--out-truth", truth, "--out-masked", tmp_path / "m.csv"]) == 0
+        assert run(["aggregate", "--in", truth, "--out", new_csv, "--level", "new"]) == 0
+        assert run(["train", "--in", new_csv, "--region", "Gitega", "--variant", "univariate",
+                    "--epochs", 2, "--hidden", 2, "--out-model", model]) == 0
+        assert run(["forecast", "--model", model, "--in", new_csv, "--out", tmp_path / "f.csv"]) == 0
+
+    def test_memory_error_is_one_error_line(self, tmp_path, province_csv, monkeypatch, capsys):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(lstm, "init_params", no_memory)
+        capsys.readouterr()
+        assert run(["train", "--in", province_csv, "--region", "Gitega", "--variant", "univariate",
+                    "--hidden", 100000, "--out-model", tmp_path / "g.model"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error:memory: Unable to allocate 74.5 GiB"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_region_rejected(self, tmp_path, province_csv, capsys):
         assert run(["train", "--in", province_csv, "--region", "Atlantis",
@@ -534,6 +620,19 @@ class TestPipeline:
         assert re.fullmatch(r"error:worker: the worker running item \d+ was killed by signal 9 before it answered", last)
         assert_no_children()
 
+    def test_memory_error_in_a_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        # Workers are forked, so they run the patched function.
+        monkeypatch.setattr(lstm, "init_params", no_memory)
+        capsys.readouterr()
+        assert run(["pipeline", "--seed", 5, "--out_dir", tmp_path / "out"] + SMALL_PIPELINE) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error:memory: Unable to allocate 74.5 GiB"
+        assert_no_children()
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch, workers):
         argv = ["pipeline", "--seed", 21] + SMALL_PIPELINE
@@ -711,27 +810,36 @@ class TestPipeline:
         ]
         assert list(tmp_path.iterdir()) == [cfg]
 
-    @pytest.mark.parametrize("source", ["file", "flag"])
-    @pytest.mark.parametrize(
-        "key, value, rule",
-        [
-            ("impute.max_iter", "0", "must be >= 1"),
-            ("window.lookback", "0", "must be >= 1"),
-            ("window.train_fraction", "1.5", "must be in (0, 1)"),
-        ],
-        ids=["max_iter", "lookback", "train_fraction"],
-    )
-    def test_value_breaking_a_rule_names_its_source(self, tmp_path, capsys, key, value, rule, source):
-        out = tmp_path / "out"
-        if source == "file":
-            cfg = tmp_path / "bad.cfg"
+    @pytest.mark.parametrize("key, value, source", rule_cases())
+    def test_value_breaking_a_rule_names_its_source(self, tmp_path, monkeypatch, capsys, key, value, source):
+        s = cli.SETTINGS[key]
+        assert s.rule, f"{key} has no rule"
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        flag = "--" + s.name.replace("_", "-")
+        if source == "flag":
+            argv, where = ["pipeline", "--out_dir", "out", f"--{key}", value], f"command line: --{key}"
+        elif source == "file":
             cfg.write_text(f"{key} = {value}\n")
-            argv, where = ["--config", cfg], f"{cfg} line 1: {key}"
-        else:
-            argv, where = [f"--{key}", value], f"command line: --{key}"
-        assert run(["pipeline", "--out_dir", out, *argv]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error:config: {where} {rule}, got {value}"]
-        assert not out.exists()
+            argv, where = ["pipeline", "--out_dir", "out", "--config", cfg], f"{cfg} line 1: {key}"
+        elif source == "stage_flag":
+            argv, where = [*STAGE_ARGS[key.partition(".")[0]], flag, value], f"command line: {flag}"
+        else:  # a synth --config line
+            cfg.write_text(f"{s.name} = {value}\n")
+            argv, where = [*STAGE_ARGS["synth"], "--config", cfg], f"{cfg} line 1: {s.name}"
+        before = sorted(tmp_path.iterdir())
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error:config: {where} {s.rule[1]}, got {value}"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_every_ruled_setting_breaks_its_rule_in_a_test(self):
+        assert {key for key, s in cli.SETTINGS.items() if s.rule} == set(BREAKERS) == {case.values[0] for case in rule_cases()}
+
+    @pytest.mark.parametrize("section, cls", [("synth", SynthConfig), ("impute", ForestConfig), ("train", TrainConfig)])
+    def test_a_field_row_has_its_fields_rule(self, section, cls):
+        for f in dataclasses.fields(cls):
+            if f"{section}.{f.name}" in cli.SETTINGS:
+                assert cli.SETTINGS[f"{section}.{f.name}"].rule is f.metadata.get("rule")
 
     def test_config_file_not_utf8_is_one_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from malaria_forecast.core_math import MinMaxScaler, derive_seed
-from malaria_forecast.errors import ShapeError
+from malaria_forecast.errors import ConfigError, ShapeError
+from malaria_forecast.imputation import ForestConfig
+from malaria_forecast.lstm import TrainConfig
+from malaria_forecast.synthgen import SynthConfig
 
 
 LOGISTIC, TANH = 0.5, 1.0  # gate_activation scales
@@ -168,3 +172,20 @@ class TestDeriveSeed:
         for label in ("a", "b", "train:Gitega:univariate"):
             s = derive_seed(7, label)
             assert 0 <= s < 2**63
+
+
+class TestFieldRules:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TrainConfig(hidden=0), "hidden must be >= 1, got 0"),
+            (lambda: TrainConfig(eps=math.inf), "eps must be positive and finite, got inf"),
+            (lambda: ForestConfig(max_depth=-1), "max_depth must be >= 0, got -1"),
+            (lambda: SynthConfig(case_noise=-1.0), "case_noise must be non-negative and finite, got -1.0"),
+            (lambda: SynthConfig(provinces=()), "provinces must be non-empty, got ()"),
+        ],
+        ids=["hidden", "eps", "max_depth", "case_noise", "provinces"],
+    )
+    def test_config_dataclasses_check_their_fields_when_built(self, build, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()

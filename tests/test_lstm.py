@@ -555,7 +555,7 @@ class TestSerialization:
             spec=WindowSpec(data.draw(st.integers(1, 10**6)), data.draw(st.sampled_from(VARIANTS))),
             input_scaler=scalers[0],
             target_scaler=scalers[1],
-            train_end=MonthKey(data.draw(st.integers(0, 9999)), data.draw(st.integers(1, 12))),
+            train_end=MonthKey(data.draw(st.integers(-10**5, 10**5)), data.draw(st.integers(1, 12))),
             region=region,
         )
         path = tmp_path_factory.mktemp("model") / "model.txt"
@@ -615,13 +615,14 @@ class TestSerialization:
             (3, lambda v: ["bogus"], "line 3: variant must be one of"),
             (4, lambda v: ["twelve"], "line 4: lookback must be a positive integer"),
             (7, lambda v: ["2018-13"], "line 7: train_end must be a YYYY-MM month"),
+            (7, lambda v: ["-0001-10"], "line 7: train_end must be a YYYY-MM month"),  # not as str(MonthKey)
             (8, lambda v: ["0xZZp+0", *v[1:]], "line 8: malformed hex float"),  # tensor w
             (9, lambda v: ["inf", *v[1:]], "line 9: non-finite value"),  # tensor b
             (10, lambda v: [*v, v[0]], "line 10: expected 2 values, got 3"),  # w_y at H = 2
             (15, lambda v: ["-0x1p+10"], "line 15: scaler max must be >= min"),  # target_maxs
             (16, lambda v: ["0"], "line 16: checksum mismatch"),
         ],
-        ids=["variant", "lookback", "train_end", "hex-float", "non-finite", "count", "scaler-bounds", "checksum"],
+        ids=["variant", "lookback", "train_end", "train_end-padded", "hex-float", "non-finite", "count", "scaler-bounds", "checksum"],
     )
     def test_bad_token_names_the_line(self, tmp_path, line_no, edit, message):
         # ``edit`` maps the tokens of the line's value to new ones.

@@ -77,7 +77,8 @@ class TestConfig:
             (["--months", "30", "--baseline", "1e300"], "baseline"),
             (["--months", "30", "--case-noise", "1e300"], "case_noise"),
             (["--months", "30", "--climate-noise", "1e308"], "climate_noise"),
-            (["--months", "30", "--climate-noise", "nan"], "climate_noise"),
+            # Refused as the flag is read, before anything is drawn.
+            pytest.param(["--months", "30", "--climate-noise", "nan"], "--climate-noise", id="flags8-climate_noise"),
         ],
     )
     def test_unrepresentable_draws_are_config_errors(self, tmp_path, capsys, flags, setting):
