@@ -349,6 +349,13 @@ def run_pipeline(cfg: Config) -> None:
     synthetic = None if cfg["input_csv"] else synthgen.generate(cfg.synth)
     masked = data_model.ingest_csv(cfg["input_csv"]) if cfg["input_csv"] else synthetic[1]
     imputation.require_observed(masked)
+    regions = sorted(set(redistricting.values()))
+    if regions != sorted(data_model.BURUNDI_REDISTRICTING_GROUPS):
+        raise DataError(
+            f"{cfg['map_csv']}: regroups into {regions}, not the report's regions "
+            f"{list(data_model.BURUNDI_REDISTRICTING_GROUPS)}"
+        )
+    data_model.check_coverage(masked.provinces, redistricting)
     # Every model splits the same number of windows, known before any file
     # is written.
     months = masked.cases.shape[1]

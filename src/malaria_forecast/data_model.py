@@ -98,16 +98,16 @@ def _month(ordinal: int) -> MonthKey:
     return MonthKey(year, month + 1)
 
 
-# The five new provinces and their former members.
+# The five new provinces, in the order the report lists them, and their
+# former members.
 BURUNDI_REDISTRICTING_GROUPS = {
     "Bujumbura": ["Bujumbura Mairie", "Bujumbura Rural", "Bubanza", "Cibitoke"],
     "Gitega": ["Gitega", "Mwaro", "Karuzi", "Muramvya"],
-    "Buhumuza": ["Cankuzo", "Muyinga", "Ruyigi"],
-    "Butanyerera": ["Kirundo", "Ngozi", "Kayanza"],
     "Burunga": ["Bururi", "Makamba", "Rumonge", "Rutana"],
+    "Butanyerera": ["Kirundo", "Ngozi", "Kayanza"],
+    "Buhumuza": ["Cankuzo", "Muyinga", "Ruyigi"],
 }
 
-NEW_PROVINCES = sorted(BURUNDI_REDISTRICTING_GROUPS)
 OLD_PROVINCES = sorted(
     old for members in BURUNDI_REDISTRICTING_GROUPS.values() for old in members
 )
@@ -169,11 +169,6 @@ class Dataset:
                 )
         for array in (self.climate, self.population, self.cases):
             array.flags.writeable = False
-
-    def __reduce__(self):
-        # Rebuilt by the constructor, so an unpickled copy is checked and
-        # read-only too. (Pool workers inherit their datasets by fork.)
-        return Dataset, (self.provinces, self.start, self.climate, self.population, self.cases)
 
     def months(self) -> list[MonthKey]:
         first = _ordinal(self.start.year, self.start.month)
@@ -258,16 +253,15 @@ def write_table(path, header, rows) -> None:
     atomic_write(path, text.getvalue())
 
 
-def read_table(source, *headers):
-    """The header of a CSV path or open text stream, cells stripped and one
-    of ``headers``, and an iterator of ``(line number, cells)`` over the
+def read_table(path, *headers):
+    """The header of the CSV file at ``path``, cells stripped and one of
+    ``headers``, and an iterator of ``(line number, cells)`` over the
     non-blank records after it, for :func:`parse_cell`. Each fault (an
     unknown header, a record not as wide as the header, an unclosed quote, a
     field over the csv module's size limit) raises DataError starting
-    ``<source> line <n>:``; bytes that are not UTF-8 raise it from
+    ``<path> line <n>:``; bytes that are not UTF-8 raise it from
     :func:`read_text`."""
-    text = source.read() if hasattr(source, "read") else read_text(source)
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
 
     def records():
         width = None
@@ -279,17 +273,17 @@ def read_table(source, *headers):
                     width = len(row)
                 elif len(row) != width:
                     raise DataError(
-                        f"{source} line {reader.line_num}: expected {width} cells, got {len(row)}"
+                        f"{path} line {reader.line_num}: expected {width} cells, got {len(row)}"
                     )
                 yield reader.line_num, row
         except csv.Error as exc:
-            raise DataError(f"{source} line {reader.line_num}: {exc}") from None
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
 
     rows = records()
     line_no, header = next(rows, (1, []))
     header = [cell.strip() for cell in header]
     if header not in headers:
-        raise DataError(f"{source} line {line_no}: unrecognized header {header!r}")
+        raise DataError(f"{path} line {line_no}: unrecognized header {header!r}")
     return header, rows
 
 
@@ -317,59 +311,59 @@ def read_kv(path, error):
 _KINDS = {"province": "text", "year": "int", "month": "month", "population": "int", "cases": "int"}
 
 
-def ingest_csv(source) -> Dataset:
-    """Read a monthly dataset CSV from a path or an open text stream.
+def ingest_csv(path) -> Dataset:
+    """Read the monthly dataset CSV at ``path``.
 
     Accepts either the ``temp_mean`` header or the ``temp_min,temp_max``
     variant (the two are averaged). Rows may come in any order. Empty climate
     cells become missing values; ``nan`` and ``inf`` are refused. Each
     province needs one row per month, without gaps, over the same month range
-    as every other. Errors name the source and the offending 1-based line.
+    as every other. Errors name the path and the offending 1-based line.
     """
-    header, records = read_table(source, CSV_HEADER, CSV_HEADER_MINMAX)
+    header, records = read_table(path, CSV_HEADER, CSV_HEADER_MINMAX)
     kinds = [_KINDS.get(name, "climate") for name in header]
     # province -> month ordinal -> (line, climate triple, population, cases)
     rows: dict[str, dict[int, tuple]] = {}
     for line_no, row in records:
         province, year, month, *climate, population, cases = map(
-            parse_cell, row, kinds, header, repeat(source), repeat(line_no)
+            parse_cell, row, kinds, header, repeat(path), repeat(line_no)
         )
         if len(climate) == 4:
             tmin, tmax, *climate = climate
             if math.isnan(tmin) != math.isnan(tmax):
                 raise DataError(
-                    f"{source} line {line_no}: temp_min and temp_max must be both present or both empty"
+                    f"{path} line {line_no}: temp_min and temp_max must be both present or both empty"
                 )
             climate.insert(0, (tmin + tmax) / 2.0)
         cells = rows.setdefault(province, {})
         ordinal = _ordinal(year, month)
         if ordinal in cells:
             raise DataError(
-                f"{source} line {line_no}: duplicate row for {province} {_month(ordinal)} "
+                f"{path} line {line_no}: duplicate row for {province} {_month(ordinal)} "
                 f"(first on line {cells[ordinal][0]})"
             )
         cells[ordinal] = (line_no, climate, population, cases)
     if not rows:
-        raise DataError(f"{source}: no data rows")
-    return _to_dataset(rows, source)
+        raise DataError(f"{path}: no data rows")
+    return _to_dataset(rows, path)
 
 
-def _to_dataset(rows: dict[str, dict[int, tuple]], source) -> Dataset:
-    """Check the month axes, then build the arrays; errors name ``source`` and the line."""
+def _to_dataset(rows: dict[str, dict[int, tuple]], path) -> Dataset:
+    """Check the month axes, then build the arrays; errors name ``path`` and the line."""
     provinces = sorted(rows)
     series = [sorted(rows[p].items()) for p in provinces]
     for province, cells in zip(provinces, series):
         for (prev, _), (cur, (line_no, *_)) in zip(cells, cells[1:]):
             if cur != prev + 1:
                 raise DataError(
-                    f"{source} line {line_no}: month gap for province {province} between "
+                    f"{path} line {line_no}: month gap for province {province} between "
                     f"{_month(prev)} and {_month(cur)}"
                 )
     first, last = series[0][0][0], series[0][-1][0]
     for province, cells in zip(provinces, series):
         if (cells[0][0], cells[-1][0]) != (first, last):
             raise DataError(
-                f"{source} line {cells[0][1][0]}: provinces cover different month ranges: "
+                f"{path} line {cells[0][1][0]}: provinces cover different month ranges: "
                 f"{province} {_month(cells[0][0])}..{_month(cells[-1][0])}, "
                 f"{provinces[0]} {_month(first)}..{_month(last)}"
             )
@@ -381,7 +375,7 @@ def _to_dataset(rows: dict[str, dict[int, tuple]], source) -> Dataset:
     for bad, values, rule in _violations(climate, population, cases):
         if bad.any():
             line_no = lines[bad].min()
-            raise DataError(f"{source} line {line_no}: {rule}, got {values[lines == line_no][0]}")
+            raise DataError(f"{path} line {line_no}: {rule}, got {values[lines == line_no][0]}")
     return Dataset(provinces, _month(first), climate, population, cases)
 
 
@@ -441,6 +435,19 @@ def _regroup(dataset: Dataset, names: list[str], groups: list[list[int]]) -> Dat
     )
 
 
+def check_coverage(provinces: list[str], redistricting: Mapping[str, str]) -> None:
+    """DataError for the first of ``provinces`` that ``redistricting`` (old
+    -> new) does not map; CoverageError for the first mapped province that
+    ``provinces`` lacks."""
+    for province in provinces:
+        if province not in redistricting:
+            raise DataError(f"province {province!r} is not in the redistricting map")
+    present = set(provinces)
+    for old in redistricting:
+        if old not in present:
+            raise CoverageError(f"dataset is missing mapped province {old!r}")
+
+
 def aggregate_provinces(dataset: Dataset, redistricting: Mapping[str, str]) -> Dataset:
     """Regroup old provinces into the new scheme (``redistricting`` maps old -> new).
 
@@ -448,13 +455,8 @@ def aggregate_provinces(dataset: Dataset, redistricting: Mapping[str, str]) -> D
     Members are combined in sorted order, so the result is exactly invariant
     to the ordering of the input mapping.
     """
-    for province in dataset.provinces:
-        if province not in redistricting:
-            raise DataError(f"province {province!r} is not in the redistricting map")
+    check_coverage(dataset.provinces, redistricting)
     rows = {name: p for p, name in enumerate(dataset.provinces)}
-    for old in redistricting:
-        if old not in rows:
-            raise CoverageError(f"dataset is missing mapped province {old!r}")
     names = sorted(set(redistricting.values()))
     groups = [[rows[old] for old in sorted(redistricting) if redistricting[old] == name] for name in names]
     return _regroup(dataset, names, groups)

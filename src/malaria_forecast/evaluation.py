@@ -3,7 +3,7 @@
 Produces the three report artifacts: a six-row comparison table (five new
 provinces plus the country line, univariate vs multivariate RMSE), per-region
 totals over the forecast horizon, and per-month curve files (CSV and an
-optional SVG with exactly two polylines). Numbers in reports use fixed
+SVG with exactly two polylines). Numbers in reports use fixed
 two-decimal dot notation; curve CSVs keep full precision so they round-trip.
 """
 
@@ -15,11 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_model import COUNTRY_NAME, MonthKey, atomic_write, write_table
-from .errors import CompletenessError
+from .data_model import BURUNDI_REDISTRICTING_GROUPS, COUNTRY_NAME, MonthKey, atomic_write, write_table
+from .errors import CompletenessError, DataError
 from .windowing import VARIANTS, WindowedDataset
 
-REGION_ORDER = ["Bujumbura", "Gitega", "Burunga", "Butanyerera", "Buhumuza", COUNTRY_NAME]
+REGION_ORDER = [*BURUNDI_REDISTRICTING_GROUPS, COUNTRY_NAME]
 
 
 def region_label(region: str) -> str:
@@ -76,18 +76,16 @@ class ForecastReport:
 
 
 def make_report(region, model_variant, months, observed, predicted) -> ForecastReport:
+    """The report of one forecast; DataError when its values are so large
+    that the RMSE or a total overflows."""
     observed = np.asarray(observed, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
-    return ForecastReport(
-        region=region,
-        model_variant=model_variant,
-        months=list(months),
-        observed=observed,
-        predicted=predicted,
-        rmse=rmse(observed, predicted),
-        observed_total=float(np.sum(observed)),
-        predicted_total=float(np.sum(predicted)),
-    )
+    try:
+        with np.errstate(over="raise"):
+            scores = rmse(observed, predicted), float(np.sum(observed)), float(np.sum(predicted))
+    except FloatingPointError:
+        raise DataError(f"{region} {model_variant}: forecast values too large to score") from None
+    return ForecastReport(region, model_variant, list(months), observed, predicted, *scores)
 
 
 def _index_reports(reports: Sequence[ForecastReport]) -> list[tuple[str, ForecastReport, ForecastReport]]:
@@ -154,8 +152,8 @@ def write_totals_csv(reports: Sequence[ForecastReport], path) -> None:
     )
 
 
-def emit_curves(report: ForecastReport, csv_path, svg_path=None) -> None:
-    """Write the per-month curve data; optionally render an SVG.
+def emit_curves(report: ForecastReport, csv_path, svg_path) -> None:
+    """Write the per-month curve data and render it as an SVG.
 
     The CSV keeps full float precision (repr) so re-ingesting reproduces the
     series exactly. The SVG holds exactly two polylines: observed then
@@ -169,8 +167,7 @@ def emit_curves(report: ForecastReport, csv_path, svg_path=None) -> None:
             for month, obs, pred in zip(report.months, report.observed, report.predicted)
         ),
     )
-    if svg_path is not None:
-        write_svg(report, svg_path)
+    write_svg(report, svg_path)
 
 
 SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 800, 400, 45

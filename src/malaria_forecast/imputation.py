@@ -299,10 +299,7 @@ def _delta(new, old, mask) -> float:
 
 
 def missforest_impute(
-    X,
-    config: ForestConfig | None = None,
-    rng: np.random.Generator | None = None,
-    max_iter: int = MAX_ITER,
+    X, config: ForestConfig, rng: np.random.Generator, max_iter: int = MAX_ITER
 ) -> ImputationResult:
     """Fill NaN entries of a (rows, features) matrix.
 
@@ -310,8 +307,6 @@ def missforest_impute(
     observed value, and at least two columns are required so each imputed
     column has predictors.
     """
-    config = config or ForestConfig()
-    rng = rng or np.random.default_rng(0)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X = np.array(X, dtype=np.float64)
@@ -371,10 +366,7 @@ def require_observed(dataset: Dataset) -> None:
 
 
 def impute_dataset(
-    dataset: Dataset,
-    config: ForestConfig | None = None,
-    rng: np.random.Generator | None = None,
-    max_iter: int = MAX_ITER,
+    dataset: Dataset, config: ForestConfig, rng: np.random.Generator, max_iter: int = MAX_ITER
 ) -> tuple[Dataset, dict[str, ImputationResult]]:
     """Impute climate fields province by province.
 
@@ -386,7 +378,6 @@ def impute_dataset(
     Every province is checked with :func:`require_observed` first.
     """
     require_observed(dataset)
-    rng = rng or np.random.default_rng(0)
     rngs = rng.spawn(len(dataset.provinces))
     todo = np.flatnonzero(np.isnan(dataset.climate).any(axis=(1, 2)))
     imputed = pmap(

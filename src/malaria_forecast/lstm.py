@@ -178,24 +178,17 @@ class ForwardCache:
         return self.xh[:, 1 + self.features :]
 
 
-def _as_batch(window) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(window, dtype=np.float64)
-    if arr.ndim == 2:
-        return arr[None, :, :], True
-    if arr.ndim == 3:
-        return arr, False
-    raise ShapeError(f"window must be (L, features) or (n, L, features), got {arr.shape}")
-
-
 def forward(params: LstmParams, window, cache: ForwardCache | None = None):
-    """Thread the cell through a window from zero state; head off the last h.
+    """Thread the cell through a batch of windows from zero state; head off
+    the last h.
 
-    Accepts one (L, features) window or a batch (n, L, features); returns a
-    scalar or an (n,) vector of predictions plus the activation cache. A
-    ``cache`` from an earlier call of the same shape is overwritten instead
-    of allocating a new one.
+    Takes an (n, L, features) batch and returns the (n,) predictions plus
+    the activation cache. A ``cache`` from an earlier call of the same shape
+    is overwritten instead of allocating a new one.
     """
-    x, single = _as_batch(window)
+    x = np.asarray(window, dtype=np.float64)
+    if x.ndim != 3:
+        raise ShapeError(f"windows must be an (n, L, features) batch, got shape {x.shape}")
     n, length, feat = x.shape
     if length < 1:
         raise ShapeError("window length must be >= 1")
@@ -226,8 +219,7 @@ def forward(params: LstmParams, window, cache: ForwardCache | None = None):
         c[t + 1] += i * g
         np.tanh(c[t + 1], out=tanh_c[t])
         np.multiply(o, tanh_c[t], out=h[t + 1])
-    preds = params.w_y @ h[length] + params.b_y[0]
-    return (float(preds[0]) if single else preds), cache
+    return params.w_y @ h[length] + params.b_y[0], cache
 
 
 def loss_mse(predictions, targets) -> float:
@@ -383,13 +375,11 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
 
 
 def predict(model: TrainedModel, windows) -> np.ndarray:
-    """Forecast case counts for scaled windows: forward pass, inverse
-    transform, clamp at zero (case counts cannot be negative)."""
-    x, single = _as_batch(windows)
-    preds, _ = forward(model.params, x)
-    raw = model.target_scaler.inverse(np.atleast_1d(preds).reshape(-1, 1)).ravel()
-    raw = np.maximum(raw, 0.0)
-    return raw[:1] if single else raw
+    """Forecast case counts for an (n, L, features) batch of scaled windows:
+    forward pass, inverse transform, clamp at zero (case counts cannot be
+    negative)."""
+    preds, _ = forward(model.params, windows)
+    return np.maximum(model.target_scaler.inverse(preds[:, None]).ravel(), 0.0)
 
 
 def forecast_test_horizon(
@@ -433,8 +423,7 @@ def forecast_test_horizon(
             horizon_offset = k - back
             if horizon_offset >= 0:
                 window[lookback - back, -1] = predicted[horizon_offset]
-        scaled = model.input_scaler.transform(window)
-        predicted[k] = predict(model, scaled)[0]
+        predicted[k] = predict(model, model.input_scaler.transform(window[None]))[0]
     return months, observed, predicted
 
 
@@ -450,7 +439,6 @@ def gradient_check(
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     preds, cache = forward(params, inputs)
-    preds = np.atleast_1d(preds)
     analytic = backward(params, cache, 2.0 * (preds - targets) / targets.size)
 
     errors = {}

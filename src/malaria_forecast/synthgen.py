@@ -50,7 +50,9 @@ class SynthConfig:
 
     seed: int = 0
     months: int = ruled(120, (lambda v: v >= 22, "must be >= 22"))
-    start_year: int = 2010
+    # A series of any length that fits in memory then writes only years that
+    # fit in 64 bits, as the CSV reader requires.
+    start_year: int = ruled(2010, (lambda v: -(2**62) <= v < 2**62, "must be in [-2**62, 2**62)"))
     start_month: int = ruled(1, (lambda v: 1 <= v <= 12, "must be in 1..12"))
     provinces: tuple[str, ...] = ruled(tuple(OLD_PROVINCES), (bool, "must be non-empty"))
     missing_rate: float = ruled(0.05, (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"))

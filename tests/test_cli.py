@@ -39,7 +39,7 @@ def run(argv):
 
 
 # Settings that no rule constrains: every value that parses is accepted.
-UNRULED = {"seed", "out_dir", "input_csv", "map_csv", "synth.start_year", "forecast.recursive"}
+UNRULED = {"seed", "out_dir", "input_csv", "map_csv", "forecast.recursive"}
 # The stage command that takes a section's settings as --field-name flags,
 # with its required arguments.
 TRAIN_ARGS = ["train", "--in", "in.csv", "--region", "Gitega", "--variant", "univariate", "--out-model", "m.model"]
@@ -56,6 +56,7 @@ STAGE_ARGS = {
 # gives the ids ``<name>-<source>``, each other ``<name>=<value>-<source>``.
 BREAKERS = {
     "synth.months": ["21", "0"],
+    "synth.start_year": ["4611686018427387904", "-4611686018427387905", "10000000000000000000"],
     "synth.start_month": ["0", "13"],
     "synth.missing_rate": ["1.0", "-1.0", "nan"],
     "synth.climate_noise": ["-1.0", "inf", "nan"],
@@ -538,6 +539,16 @@ class TestTables:
         assert capsys.readouterr().err.splitlines() == [f"error:data: {path} line 5: {message}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["1e300", "-1.7e308"])
+    def test_forecast_values_too_large_to_score_are_one_error(self, tmp_path, capsys, value):
+        path = tmp_path / "forecast.csv"
+        path.write_text(with_cell(table_text("forecast", None), 5, 5, value))
+        assert run(["evaluate", "--out-dir", tmp_path / "out", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["evaluate: 1 forecasts -> " + str(tmp_path / "out"),
+                       "error:data: Bujumbura multivariate: forecast values too large to score"]
+        assert not (tmp_path / "out").exists()
+
     def test_forecast_header_may_space_its_cells(self, tmp_path):
         text = table_text("forecast", None)
         spaced = text.replace(",".join(cli.FORECAST_HEADER), ", ".join(cli.FORECAST_HEADER), 1)
@@ -715,6 +726,25 @@ class TestPipeline:
         assert run(["pipeline", "--seed", 1, "--out_dir", out] + synth) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error:data: Kirundo: temp_mean has no observed month; cannot impute"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["other regions", "province left out"])
+    def test_map_the_report_cannot_use_is_refused_before_anything_is_written(self, tmp_path, capsys, fault):
+        rows = sorted(data_model.BURUNDI_REDISTRICTING.items())
+        if fault == "other regions":
+            rows = [(old, f"Region{k % 5}") for k, (old, _) in enumerate(rows)]
+            expected = (f"regroups into {[f'Region{k}' for k in range(5)]}, not the report's regions "
+                        f"{REGION_ORDER[:-1]}")
+        else:
+            expected = f"province {rows.pop(0)[0]!r} is not in the redistricting map"
+        map_csv = tmp_path / "map.csv"
+        map_csv.write_text("old_province,new_province\n" + "".join(f"{old},{new}\n" for old, new in rows))
+        out = tmp_path / "out"
+        assert run(["pipeline", "--seed", 21, "--out_dir", out, "--map_csv", map_csv] + SMALL_PIPELINE) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:data: ") and err[0].endswith(expected)
+        if fault == "other regions":
+            assert err[0].startswith(f"error:data: {map_csv}: ")
         assert not out.exists()
 
     def test_rerun_from_its_own_run_config(self, tmp_path):
@@ -995,6 +1025,32 @@ class TestAtomicWrite:
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
         assert {owner for owner, _ in found} == {"data_model.atomic_write", "data_model.read_text"}
         assert {name for _, name in found} == {"open", "mkstemp", "read_bytes"}
+
+
+def test_src_defines_no_name_that_src_does_not_read():
+    # ``gradient_check`` is kept for the acceptance tests and
+    # ``persistence_baseline`` for the baseline report; every other
+    # module-level function, class and assignment is loaded, imported or read
+    # as an attribute somewhere in the package. Dunder names are read by
+    # Python and packaging tools, not by the package.
+    defined, read = set(), set()
+    for path in Path(data_model.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name))
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                read.update(alias.name for alias in sub.names)
+    unread = {name for name in defined - read if not (name.startswith("__") and name.endswith("__"))}
+    assert unread == {"gradient_check", "persistence_baseline"}
 
 
 class TestProcess:

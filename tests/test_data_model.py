@@ -1,6 +1,4 @@
 import csv
-import io
-import pickle
 import tempfile
 from pathlib import Path
 
@@ -14,7 +12,6 @@ from malaria_forecast.data_model import (
     BURUNDI_REDISTRICTING,
     BURUNDI_REDISTRICTING_GROUPS,
     COUNTRY_NAME,
-    NEW_PROVINCES,
     OLD_PROVINCES,
     Dataset,
     MonthKey,
@@ -104,15 +101,6 @@ class TestDatasetInvariants:
         ds = make_series("A", 3)
         with pytest.raises(ValueError):
             ds.cases[0, 0] = 1
-
-    def test_pickled_copy_is_equal_and_read_only(self):
-        # The pipeline pickles no dataset (its workers inherit them by fork),
-        # but any other caller may.
-        ds = with_cell(make_series("A", 3), "A", 1, rainfall=None)
-        copy = pickle.loads(pickle.dumps(ds))
-        assert same_dataset(copy, ds)
-        for array in (copy.climate, copy.population, copy.cases):
-            assert not array.flags.writeable
 
 
 def write_rows(path, header, rows):
@@ -238,18 +226,17 @@ class TestIngest:
         again = ingest_csv(path)
         assert same_dataset(again, two_province_dataset)
 
-    def test_accepts_open_stream(self, tmp_path, two_province_dataset):
-        path = tmp_path / "stream.csv"
+    def test_accepts_a_str_path(self, tmp_path, two_province_dataset):
+        path = tmp_path / "str.csv"
         write_csv(two_province_dataset, path)
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            again = ingest_csv(fh)
+        again = ingest_csv(str(path))
         assert same_dataset(again, two_province_dataset)
 
 
 class TestRedistrictingMap:
     def test_builtin_covers_18_onto_5(self):
         assert len(BURUNDI_REDISTRICTING) == 18
-        assert sorted(set(BURUNDI_REDISTRICTING.values())) == NEW_PROVINCES
+        assert sorted(set(BURUNDI_REDISTRICTING.values())) == sorted(BURUNDI_REDISTRICTING_GROUPS)
         assert len(OLD_PROVINCES) == 18
 
     def test_builtin_group_sizes(self):
@@ -476,10 +463,13 @@ def mutated_csv(draw):
 @settings(max_examples=500, deadline=None)
 @given(mutated_csv())
 def test_mutated_csv_raises_only_data_error(text):
-    try:
-        ds = ingest_csv(io.StringIO(text, newline=""))
-    except DataError:
-        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            ds = ingest_csv(path)
+        except DataError:
+            return
     # Whatever is accepted meets every value rule, and a missing cell only
     # ever comes from an empty one.
     assert np.isfinite(ds.climate[~np.isnan(ds.climate)]).all()

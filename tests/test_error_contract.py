@@ -1,0 +1,143 @@
+"""Generated error-contract tests for the inputs of the fast stage commands.
+
+Each test drives ``cli.main`` in-process on a mutated copy of one input
+kind: a ``synth --config`` file, an ``aggregate --map`` file, and one of the
+twelve forecast files that ``evaluate`` reads. A run either exits 0, or
+exits 1 with exactly one ``error:<category>: ...`` line on stderr (no
+warning besides it) and no output file written. No example runs a pipeline.
+"""
+
+import contextlib
+import io
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from malaria_forecast import cli, data_model
+from malaria_forecast.evaluation import REGION_ORDER
+from malaria_forecast.windowing import VARIANTS
+
+MUTATIONS = ["truncate", "flip", "non-finite", "header-only", "duplicate", "width"]
+# Non-finite cells, and finite ones whose squares or sums overflow.
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "1e999", "-1e999", "1e300", "-1.7e308"]
+ERROR_LINE = re.compile(r"error:[a-z]+: .+")
+
+SYNTH_CONFIG = (
+    "seed = 3\nmonths = 24\nstart_year = 2010\nstart_month = 5\nmissing_rate = 0.1\n"
+    "climate_noise = 1.0\ncase_noise = 0.5\nbaseline = 0.004\nrain_weight = 0.35\n"
+)
+MAP_CSV = "old_province,new_province\n" + "".join(
+    f"{old},{new}\n" for old, new in sorted(data_model.BURUNDI_REDISTRICTING.items())
+)
+FORECASTS = {
+    f"{region}_{variant}.csv": ",".join(cli.FORECAST_HEADER) + "\n" + "".join(
+        f"{region},{variant},2019,{month},{10 * month}.0,{11 * month}.123456789\n" for month in (1, 2, 3)
+    )
+    for region in REGION_ORDER
+    for variant in VARIANTS
+}
+
+
+@st.composite
+def mutated(draw, text: str, csv: bool) -> bytes:
+    """``text`` after one to three mutations. A CSV's first line is its
+    header; a config file's lines are all ``key = value``."""
+    data = text.encode("utf-8")
+    for _ in range(draw(st.integers(1, 3))):
+        lines = data.split(b"\n")
+        k = draw(st.integers(min(int(csv), len(lines) - 1), len(lines) - 1))
+        action = draw(st.sampled_from(MUTATIONS))
+        if action == "truncate":
+            data = data[: draw(st.integers(0, len(data)))]
+            continue
+        if action == "flip":
+            if data:
+                at = draw(st.integers(0, len(data) - 1))
+                data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+            continue
+        if action == "header-only":
+            lines = lines[:1] + [b""]
+        elif action == "duplicate":
+            lines.insert(k, lines[k])
+        elif csv:
+            cells = lines[k].split(b",")
+            at = draw(st.integers(0, len(cells) - 1))
+            if action == "non-finite":
+                cells[at] = draw(st.sampled_from(NON_FINITE)).encode()
+            elif draw(st.booleans()) or len(cells) < 2:
+                cells.insert(at, cells[at])
+            else:
+                del cells[at]
+            lines[k] = b",".join(cells)
+        else:
+            key = lines[k].partition(b"=")[0]
+            if action == "non-finite":
+                lines[k] = key + b"= " + draw(st.sampled_from(NON_FINITE)).encode()
+            else:
+                lines[k] = draw(st.sampled_from([lines[k] + b" 1", key + b"=", key]))
+        data = b"\n".join(lines)
+    return data
+
+
+def check_contract(argv, folder: Path, inputs) -> None:
+    """Run ``argv``; on failure, assert one error line and that ``folder``
+    holds only ``inputs``."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main([str(a) for a in argv])
+    assert not caught, [str(w.message) for w in caught]
+    if code == 0:
+        return
+    assert code == 1
+    lines = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and ERROR_LINE.fullmatch(lines[0]), err.getvalue()
+    assert err.getvalue().splitlines()[-1] == lines[0]
+    assert sorted(p.name for p in folder.iterdir()) == sorted(inputs)
+
+
+@pytest.fixture(scope="module")
+def truth_csv(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("truth")
+    assert cli.main(["synth", "--seed", "7", "--months", "24", "--missing-rate", "0.0",
+                     "--out-truth", str(tmp / "truth.csv"), "--out-masked", str(tmp / "m.csv")]) == 0
+    return tmp / "truth.csv"
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated(SYNTH_CONFIG, csv=False))
+def test_mutated_synth_config_fails_with_one_error_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        (folder / "synth.cfg").write_bytes(data)
+        argv = ["synth", "--config", folder / "synth.cfg",
+                "--out-truth", folder / "truth.csv", "--out-masked", folder / "masked.csv"]
+        check_contract(argv, folder, ["synth.cfg"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=mutated(MAP_CSV, csv=True))
+def test_mutated_map_fails_with_one_error_line(truth_csv, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        (folder / "map.csv").write_bytes(data)
+        argv = ["aggregate", "--in", truth_csv, "--out", folder / "new.csv", "--level", "new",
+                "--map", folder / "map.csv"]
+        check_contract(argv, folder, ["map.csv"])
+
+
+@settings(max_examples=200, deadline=None)
+@example(("Gitega_univariate.csv", FORECASTS["Gitega_univariate.csv"].replace("22.123456789", "1e300").encode()))
+@given(st.sampled_from(sorted(FORECASTS)).flatmap(lambda name: st.tuples(st.just(name), mutated(FORECASTS[name], csv=True))))
+def test_mutated_forecast_file_fails_with_one_error_line(case):
+    name, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        for other, text in FORECASTS.items():
+            (folder / other).write_bytes(data if other == name else text.encode("utf-8"))
+        check_contract(["evaluate", "--out-dir", folder / "out", *sorted(folder.iterdir())], folder, FORECASTS)

@@ -214,7 +214,7 @@ class TestCurves:
     def test_csv_rows_and_round_trip(self, tmp_path):
         report = region_report("Gitega", "univariate", n=24)
         path = tmp_path / "curve.csv"
-        emit_curves(report, path)
+        emit_curves(report, path, tmp_path / "curve.svg")
         lines = path.read_text().splitlines()
         assert lines[0] == "month,observed,predicted"
         assert len(lines) == 25

@@ -73,7 +73,7 @@ class TestCellStep:
         # Gates sit at 0.5 and the candidate at tanh(0)=0 for any input.
         params = zero_params()
         for x in (np.zeros(3), np.array([0.3, -1.0, 2.0])):
-            pred, cache = forward(params, x[None, :])
+            (pred,), cache = forward(params, x[None, None, :])
             assert np.all(cache.h == 0.0)
             assert np.all(cache.c == 0.0)
             assert pred == 0.0
@@ -92,24 +92,24 @@ class TestCellStep:
         params.b[f] = 20.0
         params.b[g] = math.atanh(0.5)
         params.b[o] = 20.0
-        _, cache = forward(params, np.array([[1.0]]))
+        _, cache = forward(params, np.array([[[1.0]]]))
         assert cache.c[1, 0, 0] == pytest.approx(0.5, abs=1e-8)
         assert cache.h[1, 0, 0] == pytest.approx(0.4621, abs=1e-4)
         assert cache.h[1, 0, 0] == pytest.approx(math.tanh(0.5), abs=1e-8)
-        _, cache = forward(params, np.array([[1.0], [0.0]]))
+        _, cache = forward(params, np.array([[[1.0], [0.0]]]))
         assert cache.c[2, 0, 0] == pytest.approx(0.5, abs=1e-8)
         assert cache.h[2, 0, 0] == pytest.approx(math.tanh(0.5), abs=1e-8)
 
     def test_purity(self):
         params = init_params(2, 3, np.random.default_rng(5))
         before = copy.deepcopy(params)
-        x = np.array([[0.3, -0.2]])
-        a, cache_a = forward(params, x)
-        b, cache_b = forward(params, x)
+        x = np.array([[[0.3, -0.2]]])
+        (a,), cache_a = forward(params, x)
+        (b,), cache_b = forward(params, x)
         assert a == b
         assert np.array_equal(cache_a.h, cache_b.h)
         assert np.array_equal(cache_a.c, cache_b.c)
-        assert np.array_equal(x, np.array([[0.3, -0.2]])), "input window must not mutate"
+        assert np.array_equal(x, np.array([[[0.3, -0.2]]])), "input window must not mutate"
         for (_, new), (_, old) in zip(params.tensors(), before.tensors()):
             assert np.array_equal(new, old), "params must not mutate"
 
@@ -128,7 +128,7 @@ class TestForward:
     def test_zero_params_predict_bias(self):
         params = zero_params()
         params.b_y[:] = 0.37
-        pred, _ = forward(params, np.random.default_rng(1).uniform(-1, 1, size=(6, 3)))
+        (pred,), _ = forward(params, np.random.default_rng(1).uniform(-1, 1, size=(1, 6, 3)))
         assert pred == 0.37
 
     def test_length_one_equals_cell_step_plus_head(self):
@@ -141,7 +141,7 @@ class TestForward:
         c = 1.0 / (1.0 + np.exp(-i)) * np.tanh(g)
         h = 1.0 / (1.0 + np.exp(-o)) * np.tanh(c)
         expected = float(h @ params.w_y + params.b_y[0])
-        pred, _ = forward(params, x[None, :])
+        (pred,), _ = forward(params, x[None, None, :])
         assert pred == pytest.approx(expected, abs=1e-15)
 
     def test_leading_closed_gate_step_is_invisible(self):
@@ -150,8 +150,8 @@ class TestForward:
         params = gate_forced_params()
         window = np.random.default_rng(4).uniform(-1, 1, size=(5, 3))
         longer = np.vstack([np.random.default_rng(5).uniform(-1, 1, size=(1, 3)), window])
-        pred_short, _ = forward(params, window)
-        pred_long, _ = forward(params, longer)
+        (pred_short,), _ = forward(params, window[None])
+        (pred_long,), _ = forward(params, longer[None])
         assert pred_short == pred_long
 
     def test_batch_matches_singles(self):
@@ -159,7 +159,7 @@ class TestForward:
         batch = np.random.default_rng(7).uniform(-1, 1, size=(4, 5, 2))
         preds, _ = forward(params, batch)
         for i in range(4):
-            single, _ = forward(params, batch[i])
+            (single,), _ = forward(params, batch[i : i + 1])
             assert single == pytest.approx(preds[i], abs=1e-15)
 
     def test_folded_half_changes_no_bit(self):
@@ -181,7 +181,18 @@ class TestForward:
     def test_feature_mismatch(self):
         params = init_params(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            forward(params, np.zeros((5, 2)))
+            forward(params, np.zeros((1, 5, 2)))
+
+    def test_a_single_window_needs_a_batch_axis(self):
+        truth, _ = generate(SynthConfig(seed=4, months=30, provinces=("Alpha",), missing_rate=0.0))
+        part, _ = split_train_test(make_windows(truth, "Alpha", WindowSpec(3, "univariate")), 0.8)
+        model = train(part, TrainConfig(hidden=3, epochs=1, seed=0))
+        expects = r"windows must be an \(n, L, features\) batch, got shape \(3, 1\)"
+        with pytest.raises(ShapeError, match=expects):
+            forward(model.params, part.inputs[0])
+        with pytest.raises(ShapeError, match=expects):
+            predict(model, part.inputs[0])
+        assert predict(model, part.inputs[:1]).shape == (1,)
 
 
 class TestLoss:
@@ -202,22 +213,22 @@ class TestLoss:
 class TestBackward:
     def test_output_bias_gradient_closed_form(self):
         params = init_params(3, 4, np.random.default_rng(10))
-        window = np.random.default_rng(11).uniform(-1, 1, size=(5, 3))
+        window = np.random.default_rng(11).uniform(-1, 1, size=(1, 5, 3))
         target = 0.9
-        pred, cache = forward(params, window)
+        (pred,), cache = forward(params, window)
         grads = backward(params, cache, np.array([2.0 * (pred - target)]))
         assert grads["b_y"][0] == pytest.approx(2.0 * (pred - target), abs=1e-15)
 
     def test_zero_loss_gives_zero_gradients(self):
         params = init_params(3, 4, np.random.default_rng(12))
-        window = np.random.default_rng(13).uniform(-1, 1, size=(5, 3))
+        window = np.random.default_rng(13).uniform(-1, 1, size=(1, 5, 3))
         _, cache = forward(params, window)
         grads = backward(params, cache, np.array([0.0]))
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_stale_cache_rejected(self):
         params = init_params(3, 4, np.random.default_rng(14))
-        _, cache = forward(params, np.zeros((5, 3)))
+        _, cache = forward(params, np.zeros((1, 5, 3)))
         other = init_params(3, 4, np.random.default_rng(15))
         with pytest.raises(ValueError, match="different parameter"):
             backward(other, cache, np.array([1.0]))
