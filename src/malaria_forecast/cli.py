@@ -134,7 +134,6 @@ SETTINGS = {
         Setting("map_csv", str, ""),
         *_fields("synth", synthgen.SynthConfig, "seed", "provinces"),
         *_fields("impute", imputation.ForestConfig),
-        Setting("impute.max_iter", int, imputation.MAX_ITER, AT_LEAST_1),
         Setting("window.lookback", int, 12, AT_LEAST_1),
         Setting("window.train_fraction", float, 0.8, OPEN_UNIT),
         *_fields("train", lstm.TrainConfig, "seed"),
@@ -200,10 +199,10 @@ def run_synth(cfg: synthgen.SynthConfig, datasets, truth_path, masked_path) -> N
 
 
 def run_impute(dataset: Dataset, cfg: Config, out_path, log_path) -> Dataset:
-    seed, max_iter = cfg["seed"], cfg["impute.max_iter"]
+    seed, forest = cfg["seed"], cfg.forest
     stage_seed = derive_seed(seed, "impute")
-    log(f"impute: seed={seed} stage_seed={stage_seed} n_trees={cfg.forest.n_trees} max_iter={max_iter}")
-    completed, results = imputation.impute_dataset(dataset, cfg.forest, np.random.default_rng(stage_seed), max_iter)
+    log(f"impute: seed={seed} stage_seed={stage_seed} n_trees={forest.n_trees} max_iter={forest.max_iter}")
+    completed, results = imputation.impute_dataset(dataset, forest, np.random.default_rng(stage_seed))
     data_model.write_csv(completed, out_path)
     if log_path:
         data_model.write_table(
@@ -256,7 +255,6 @@ def run_train(
 
 
 FORECAST_HEADER = ["province", "variant", "year", "month", "observed", "predicted"]
-_FORECAST_KINDS = ("text", "text", "int", "month", "float", "float")
 
 
 def run_forecast(model: lstm.TrainedModel, dataset: Dataset, cfg: Config, out_path):
@@ -280,19 +278,13 @@ def run_forecast(model: lstm.TrainedModel, dataset: Dataset, cfg: Config, out_pa
 def _read_forecast_csv(path):
     """A forecast file, in the form :func:`run_forecast` returns."""
     groups: dict[tuple[str, str], list] = {}
-    _, records = data_model.read_table(path, FORECAST_HEADER)
-    for line_no, row in records:
-        region, variant, year, month, observed, predicted = (
-            data_model.parse_cell(raw, kind, column, path, line_no)
-            for raw, kind, column in zip(row, _FORECAST_KINDS, FORECAST_HEADER)
-        )
+    records = data_model.read_table(path, FORECAST_HEADER)
+    for line_no, (region, variant, year, month, observed, predicted) in records:
         if region not in evaluation.REGION_ORDER or variant not in windowing.VARIANTS:
             raise DataError(f"{path} line {line_no}: unknown region or variant {[region, variant]!r}")
         groups.setdefault((region, variant), []).append(
             (data_model.MonthKey(year, month), observed, predicted)
         )
-    if not groups:
-        raise DataError(f"{path}: no data rows")
     return groups
 
 

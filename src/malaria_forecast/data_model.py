@@ -15,10 +15,11 @@ cell for NaN).
 Files are opened here only: :func:`read_text` reads every input and
 :func:`atomic_write` writes every artifact (temp file + rename, UTF-8, no
 newline translation). Beside them, :func:`read_table` reads every CSV input
-(dataset, map, forecast), checking its header and record widths, and
-:func:`parse_cell` parses its cells; :func:`read_kv` reads every
-``key = value`` input (config and model files). Their errors start
-``<source> line <n>:``. :func:`write_table` ends CSV rows in CRLF.
+(dataset, map, forecast): it checks the header and record widths and parses
+every cell by the kind its column has in the one table ``_KINDS``;
+:func:`read_kv` reads every ``key = value`` input (config and model files).
+Their errors start ``<source> line <n>:``. :func:`write_table` ends CSV rows
+in CRLF.
 
 Burundi's 18 former provinces were regrouped into 5 (Bujumbura, Gitega,
 Buhumuza, Butanyerera, Burunga). Aggregation sums the population and case
@@ -184,7 +185,15 @@ class Dataset:
             ) from None
 
 
-def parse_cell(raw: str, kind: str, column: str, source, line_no: int):
+# The kind (see _parse_cell) of each column of the dataset, map and forecast
+# CSVs; every other column holds climate values.
+_KINDS = {
+    "province": "text", "year": "int", "month": "month", "population": "int", "cases": "int",
+    "old_province": "text", "new_province": "text", "variant": "text", "observed": "float", "predicted": "float",
+}
+
+
+def _parse_cell(raw: str, kind: str, column: str, source, line_no: int):
     """The cell ``raw`` of ``column``, surrounding whitespace ignored, as
     ``kind``: non-empty ``"text"``, an ``"int"`` (64-bit), a ``"month"``
     (1..12), a finite ``"float"``, or a finite ``"climate"`` float where an
@@ -254,37 +263,31 @@ def write_table(path, header, rows) -> None:
 
 
 def read_table(path, *headers):
-    """The header of the CSV file at ``path``, cells stripped and one of
-    ``headers``, and an iterator of ``(line number, cells)`` over the
-    non-blank records after it, for :func:`parse_cell`. Each fault (an
-    unknown header, a record not as wide as the header, an unclosed quote, a
-    field over the csv module's size limit) raises DataError starting
-    ``<path> line <n>:``; bytes that are not UTF-8 raise it from
-    :func:`read_text`."""
+    """Yield ``(line number, values)`` for each non-blank record of the CSV
+    file at ``path`` after its header, each cell parsed by the kind of its
+    column (:data:`_KINDS`). The header, cells stripped, must be one of
+    ``headers``. Each fault (an unknown header, a record not as wide as the
+    header, a bad cell, an unclosed quote, a field over the csv module's
+    size limit) raises DataError starting ``<path> line <n>:``, and a file
+    without data rows raises it naming ``<path>``; bytes that are not UTF-8
+    raise it from :func:`read_text`."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
-
-    def records():
-        width = None
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if width is None:
-                    width = len(row)
-                elif len(row) != width:
-                    raise DataError(
-                        f"{path} line {reader.line_num}: expected {width} cells, got {len(row)}"
-                    )
-                yield reader.line_num, row
-        except csv.Error as exc:
-            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
-
-    rows = records()
-    line_no, header = next(rows, (1, []))
-    header = [cell.strip() for cell in header]
-    if header not in headers:
-        raise DataError(f"{path} line {line_no}: unrecognized header {header!r}")
-    return header, rows
+    records = ((reader.line_num, row) for row in reader if row)
+    try:
+        line_no, header = next(records, (1, []))
+        header = [cell.strip() for cell in header]
+        if header not in headers:
+            raise DataError(f"{path} line {line_no}: unrecognized header {header!r}")
+        kinds = [_KINDS.get(name, "climate") for name in header]
+        line_no = None
+        for line_no, row in records:
+            if len(row) != len(header):
+                raise DataError(f"{path} line {line_no}: expected {len(header)} cells, got {len(row)}")
+            yield line_no, [*map(_parse_cell, row, kinds, header, repeat(path), repeat(line_no))]
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+    if line_no is None:
+        raise DataError(f"{path}: no data rows")
 
 
 def read_kv(path, error):
@@ -307,10 +310,6 @@ def read_kv(path, error):
         yield line_no, key, value.strip()
 
 
-# The kind (see parse_cell) of each dataset column.
-_KINDS = {"province": "text", "year": "int", "month": "month", "population": "int", "cases": "int"}
-
-
 def ingest_csv(path) -> Dataset:
     """Read the monthly dataset CSV at ``path``.
 
@@ -320,14 +319,10 @@ def ingest_csv(path) -> Dataset:
     province needs one row per month, without gaps, over the same month range
     as every other. Errors name the path and the offending 1-based line.
     """
-    header, records = read_table(path, CSV_HEADER, CSV_HEADER_MINMAX)
-    kinds = [_KINDS.get(name, "climate") for name in header]
+    records = read_table(path, CSV_HEADER, CSV_HEADER_MINMAX)
     # province -> month ordinal -> (line, climate triple, population, cases)
     rows: dict[str, dict[int, tuple]] = {}
-    for line_no, row in records:
-        province, year, month, *climate, population, cases = map(
-            parse_cell, row, kinds, header, repeat(path), repeat(line_no)
-        )
+    for line_no, (province, year, month, *climate, population, cases) in records:
         if len(climate) == 4:
             tmin, tmax, *climate = climate
             if math.isnan(tmin) != math.isnan(tmax):
@@ -343,8 +338,6 @@ def ingest_csv(path) -> Dataset:
                 f"(first on line {cells[ordinal][0]})"
             )
         cells[ordinal] = (line_no, climate, population, cases)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
     return _to_dataset(rows, path)
 
 
@@ -405,14 +398,10 @@ def write_csv(dataset: Dataset, path) -> None:
 def read_map_csv(path) -> dict[str, str]:
     """Read a two-column ``old_province,new_province`` file into an old -> new dict."""
     mapping: dict[str, str] = {}
-    header, records = read_table(path, ["old_province", "new_province"])
-    for line_no, row in records:
-        old, new = (parse_cell(raw, "text", column, path, line_no) for raw, column in zip(row, header))
+    for line_no, (old, new) in read_table(path, ["old_province", "new_province"]):
         if old in mapping:
             raise DataError(f"{path} line {line_no}: duplicate old province {old!r}")
         mapping[old] = new
-    if not mapping:
-        raise DataError(f"{path}: no data rows")
     return mapping
 
 
@@ -426,10 +415,13 @@ def _regroup(dataset: Dataset, names: list[str], groups: list[list[int]]) -> Dat
             f"missing climate value for {dataset.provinces[p]} at {dataset.months()[t]}; "
             "run imputation before aggregating"
         )
+    # A mean that overflows is left to the constructor's finite rule.
+    with np.errstate(over="ignore"):
+        climate = [dataset.climate[idx].sum(axis=0) / len(idx) for idx in groups]
     return Dataset(
         names,
         dataset.start,
-        [dataset.climate[idx].sum(axis=0) / len(idx) for idx in groups],
+        climate,
         np.array([dataset.population[idx].sum(axis=0) for idx in groups]),
         np.array([dataset.cases[idx].sum(axis=0) for idx in groups]),
     )

@@ -5,7 +5,7 @@ from column means, then repeatedly revisit columns in order of ascending
 missingness, fitting a random forest on the observed rows (all other columns
 as features) and predicting the missing rows. Iteration stops as soon as the
 normalized squared change of the imputed entries increases, returning the
-matrix from the previous sweep, or after ``max_iter`` sweeps.
+matrix from the previous sweep, or after ``ForestConfig.max_iter`` sweeps.
 
 Trees are plain CART regressors: greedy variance-reduction splits with ties
 broken by lowest feature index, then lowest threshold. A forest's trees grow
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-
 import numpy as np
 
 from .core_math import AT_LEAST_1, NONE_OR_AT_LEAST_1, check_fields, ruled
@@ -30,12 +29,10 @@ from .data_model import CLIMATE_FIELDS, Dataset
 from .errors import DataError, ShapeError
 from .parallel import pmap
 
-MAX_ITER = 10  # the default cap on missForest sweeps
-
-
 @dataclass(frozen=True)
 class ForestConfig:
-    """Hyperparameters shared by single trees and forests.
+    """Hyperparameters shared by single trees and forests, and the cap on
+    missForest sweeps (``max_iter``).
 
     ``mtry=None`` resolves to ceil(sqrt(n_features)); ``max_depth=None``
     grows until leaves hold fewer than ``2 * min_samples_leaf`` rows.
@@ -45,6 +42,7 @@ class ForestConfig:
     mtry: int | None = ruled(None, NONE_OR_AT_LEAST_1)
     min_samples_leaf: int = ruled(5, AT_LEAST_1)
     max_depth: int | None = ruled(None, (lambda v: v is None or v >= 0, "must be >= 0"))
+    max_iter: int = ruled(10, AT_LEAST_1)
 
     def __post_init__(self):
         check_fields(self)
@@ -298,17 +296,13 @@ def _delta(new, old, mask) -> float:
     return num / den
 
 
-def missforest_impute(
-    X, config: ForestConfig, rng: np.random.Generator, max_iter: int = MAX_ITER
-) -> ImputationResult:
+def missforest_impute(X, config: ForestConfig, rng: np.random.Generator) -> ImputationResult:
     """Fill NaN entries of a (rows, features) matrix.
 
     Observed entries are never modified. Every column needs at least one
     observed value, and at least two columns are required so each imputed
     column has predictors.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X = np.array(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 2:
         raise ValueError(f"need a 2-D matrix with >= 2 columns, got shape {X.shape}")
@@ -330,7 +324,7 @@ def missforest_impute(
 
     history: list[float] = []
     delta_prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(config.max_iter):
         previous = work.copy()
         for c in columns:
             obs = ~mask[:, c]
@@ -366,7 +360,7 @@ def require_observed(dataset: Dataset) -> None:
 
 
 def impute_dataset(
-    dataset: Dataset, config: ForestConfig, rng: np.random.Generator, max_iter: int = MAX_ITER
+    dataset: Dataset, config: ForestConfig, rng: np.random.Generator
 ) -> tuple[Dataset, dict[str, ImputationResult]]:
     """Impute climate fields province by province.
 
@@ -385,7 +379,6 @@ def impute_dataset(
         [_province_matrix(dataset, dataset.provinces[p]) for p in todo],
         repeat(config),
         [rngs[p] for p in todo],
-        repeat(max_iter),
     )
     climate = dataset.climate.copy()
     for p, result in zip(todo, imputed):

@@ -377,9 +377,14 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
 def predict(model: TrainedModel, windows) -> np.ndarray:
     """Forecast case counts for an (n, L, features) batch of scaled windows:
     forward pass, inverse transform, clamp at zero (case counts cannot be
-    negative)."""
-    preds, _ = forward(model.params, windows)
-    return np.maximum(model.target_scaler.inverse(preds[:, None]).ravel(), 0.0)
+    negative). DataError when a value overflows on the way."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            preds, _ = forward(model.params, windows)
+            cases = model.target_scaler.inverse(preds[:, None]).ravel()
+    except FloatingPointError:
+        raise DataError(f"{model.region} {model.spec.variant} model: forecasts overflow") from None
+    return np.maximum(cases, 0.0)
 
 
 def forecast_test_horizon(
@@ -543,6 +548,8 @@ def load_model(path) -> TrainedModel:
         raise fail("variant", f"variant must be one of {VARIANTS}, got {variant!r}")
     spec = WindowSpec(lookback=positive_int("lookback"), variant=variant)
     features, hidden = positive_int("features"), positive_int("hidden")
+    if features != spec.feature_width:
+        raise fail("features", f"features must be {spec.feature_width} for a {variant} model, got {features}")
     # Only the spelling that ``str(MonthKey)`` writes reads back.
     text = lines["train_end"][1]
     year, _, month = text.rpartition("-")

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import os
 import re
 import signal
@@ -368,6 +369,21 @@ class TestTrainForecastEvaluate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0] == f"error:data: {model} {expected}"
+
+    def test_forecast_with_features_contradicting_the_variant_names_the_line(
+        self, tmp_path, province_csv, capsys
+    ):
+        model = tmp_path / "g.model"
+        run(["train", "--seed", 1, "--in", province_csv, "--region", "Gitega",
+             "--variant", "multivariate", "--epochs", 1, "--hidden", 2, "--out-model", model])
+        body = model.read_text().rpartition("sha256 = ")[0].replace("variant = multivariate", "variant = univariate")
+        model.write_text(f"{body}sha256 = {hashlib.sha256(body.encode()).hexdigest()}\n")
+        capsys.readouterr()
+        assert run(["forecast", "--model", model, "--in", province_csv, "--out", tmp_path / "f.csv"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:data: {model} line 5: features must be 1 for a univariate model, got 5"
+        ]
+        assert not (tmp_path / "f.csv").exists()
 
     def test_evaluate_requires_all_regions(self, tmp_path, province_csv, capsys):
         model = tmp_path / "g.model"

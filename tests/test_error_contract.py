@@ -1,13 +1,17 @@
 """Generated error-contract tests for the inputs of the fast stage commands.
 
 Each test drives ``cli.main`` in-process on a mutated copy of one input
-kind: a ``synth --config`` file, an ``aggregate --map`` file, and one of the
-twelve forecast files that ``evaluate`` reads. A run either exits 0, or
-exits 1 with exactly one ``error:<category>: ...`` line on stderr (no
-warning besides it) and no output file written. No example runs a pipeline.
+kind: a ``synth --config`` file, an ``aggregate --map`` file, one of the
+twelve forecast files that ``evaluate`` reads, a dataset CSV collapsed by
+``aggregate --level country``, and a model file read by ``forecast``. A run
+either exits 0, or exits 1 with exactly one ``error:<category>: ...`` line
+on stderr (no warning besides it) and no output file written; a bad dataset
+or model file is an ``error:data:`` line. No example runs a pipeline or the
+process pool.
 """
 
 import contextlib
+import hashlib
 import io
 import re
 import tempfile
@@ -18,14 +22,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from malaria_forecast import cli, data_model
+from malaria_forecast import cli, data_model, lstm
 from malaria_forecast.evaluation import REGION_ORDER
-from malaria_forecast.windowing import VARIANTS
+from malaria_forecast.windowing import VARIANTS, WindowSpec, make_windows, split_train_test
 
 MUTATIONS = ["truncate", "flip", "non-finite", "header-only", "duplicate", "width"]
 # Non-finite cells, and finite ones whose squares or sums overflow.
 NON_FINITE = ["nan", "inf", "-inf", "NaN", "1e999", "-1e999", "1e300", "-1.7e308"]
-ERROR_LINE = re.compile(r"error:[a-z]+: .+")
 
 SYNTH_CONFIG = (
     "seed = 3\nmonths = 24\nstart_year = 2010\nstart_month = 5\nmissing_rate = 0.1\n"
@@ -41,6 +44,48 @@ FORECASTS = {
     for region in REGION_ORDER
     for variant in VARIANTS
 }
+
+
+def dataset_csv(huge=()) -> str:
+    """The 18 former provinces over 24 months from 2010-01; the 2010-01
+    temp_mean of each of the ``huge`` provinces is 1.7e308."""
+    rows = (
+        [province, 2010 + t // 12, t % 12 + 1, "1.7e308" if t == 0 and province in huge else 20 + i % 7 + t % 4 / 4,
+         100 + 7 * t % 53 + 0.5, 60 + t % 9, 5000 + 100 * i, (3 * i + 5 * t) % 40]
+        for i, province in enumerate(data_model.OLD_PROVINCES)
+        for t in range(24)
+    )
+    return "".join(",".join(map(str, row)) + "\n" for row in [data_model.CSV_HEADER, *rows])
+
+
+DATASET_CSV = dataset_csv()
+
+
+def country_model() -> tuple[bytes, str]:
+    """The country-level CSV of :data:`DATASET_CSV`, and the text of a small
+    multivariate model file trained on it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        (folder / "truth.csv").write_text(DATASET_CSV)
+        country = data_model.to_country_level(data_model.ingest_csv(folder / "truth.csv"))
+        windows = make_windows(country, data_model.COUNTRY_NAME, WindowSpec(3, "multivariate"))
+        model = lstm.train(split_train_test(windows, 0.8)[0], lstm.TrainConfig(hidden=3, epochs=2, seed=1))
+        data_model.write_csv(country, folder / "country.csv")
+        lstm.save_model(model, folder / "country.model")
+        return (folder / "country.csv").read_bytes(), (folder / "country.model").read_text()
+
+
+COUNTRY_CSV, MODEL = country_model()
+
+
+def with_values(model: str, **values) -> bytes:
+    """The model file ``model`` with the given keys' values replaced and its
+    digest recomputed, so that it passes the checksum."""
+    body = "".join(
+        f"{key} = {values[key]}\n" if (key := line.partition(" = ")[0]) in values else line
+        for line in model.splitlines(keepends=True)[:-1]
+    )
+    return f"{body}sha256 = {hashlib.sha256(body.encode()).hexdigest()}\n".encode()
 
 
 @st.composite
@@ -84,9 +129,9 @@ def mutated(draw, text: str, csv: bool) -> bytes:
     return data
 
 
-def check_contract(argv, folder: Path, inputs) -> None:
-    """Run ``argv``; on failure, assert one error line and that ``folder``
-    holds only ``inputs``."""
+def check_contract(argv, folder: Path, inputs, category="[a-z]+") -> None:
+    """Run ``argv``; on failure, assert one error line of ``category`` (a
+    pattern) and that ``folder`` holds only ``inputs``."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
@@ -96,7 +141,7 @@ def check_contract(argv, folder: Path, inputs) -> None:
         return
     assert code == 1
     lines = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-    assert len(lines) == 1 and ERROR_LINE.fullmatch(lines[0]), err.getvalue()
+    assert len(lines) == 1 and re.fullmatch(f"error:{category}: .+", lines[0]), err.getvalue()
     assert err.getvalue().splitlines()[-1] == lines[0]
     assert sorted(p.name for p in folder.iterdir()) == sorted(inputs)
 
@@ -141,3 +186,31 @@ def test_mutated_forecast_file_fails_with_one_error_line(case):
         for other, text in FORECASTS.items():
             (folder / other).write_bytes(data if other == name else text.encode("utf-8"))
         check_contract(["evaluate", "--out-dir", folder / "out", *sorted(folder.iterdir())], folder, FORECASTS)
+
+
+@settings(max_examples=200, deadline=None)
+# Two finite temperatures whose country mean overflows.
+@example(dataset_csv(huge=("Bubanza", "Bujumbura Rural")).encode())
+@given(mutated(DATASET_CSV, csv=True))
+def test_mutated_dataset_fails_with_one_data_error_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        (folder / "truth.csv").write_bytes(data)
+        argv = ["aggregate", "--in", folder / "truth.csv", "--out", folder / "country.csv", "--level", "country"]
+        check_contract(argv, folder, ["truth.csv"], category="data")
+
+
+@settings(max_examples=200, deadline=None)
+# Finite weights whose outputs overflow (the model has 3 hidden units), and
+# a multivariate model relabelled univariate.
+@example(with_values(MODEL, w_y=" ".join([float.hex(1e308)] * 3), b_y=float.hex(1e308)))
+@example(with_values(MODEL, variant="univariate"))
+@given(mutated(MODEL, csv=False))
+def test_mutated_model_fails_with_one_data_error_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        (folder / "country.csv").write_bytes(COUNTRY_CSV)
+        (folder / "country.model").write_bytes(data)
+        argv = ["forecast", "--model", folder / "country.model", "--in", folder / "country.csv",
+                "--out", folder / "forecast.csv"]
+        check_contract(argv, folder, ["country.csv", "country.model"], category="data")

@@ -318,7 +318,7 @@ class TestMissForest:
 
     def test_max_iter_validated(self):
         with pytest.raises(ValueError, match="max_iter"):
-            missforest_impute(np.zeros((3, 2)), ForestConfig(n_trees=1), np.random.default_rng(0), max_iter=0)
+            missforest_impute(np.zeros((3, 2)), ForestConfig(n_trees=1, max_iter=0), np.random.default_rng(0))
 
     def test_needs_two_columns(self):
         with pytest.raises(ValueError, match="2 columns"):
@@ -365,9 +365,9 @@ class TestImputeDataset:
                           if any(np.array_equal(m, _province_matrix(mixed, p), equal_nan=True) for m in matrices)])
             return pmap(fn, matrices, *rest)
 
-        full, _ = impute_dataset(masked, ForestConfig(n_trees=4), np.random.default_rng(2), max_iter=3)
+        full, _ = impute_dataset(masked, ForestConfig(n_trees=4, max_iter=3), np.random.default_rng(2))
         monkeypatch.setattr(imputation, "pmap", recording_pmap)
-        completed, results = impute_dataset(mixed, ForestConfig(n_trees=4), np.random.default_rng(2), max_iter=3)
+        completed, results = impute_dataset(mixed, ForestConfig(n_trees=4, max_iter=3), np.random.default_rng(2))
         assert calls == [["Alpha", "Gamma"]]
         assert set(results) == {"Alpha", "Gamma"}
         assert np.array_equal(completed.climate[[0, 2]], full.climate[[0, 2]])
