@@ -13,8 +13,10 @@ import os
 
 # Every GEMM here is a few MFLOP at most: a BLAS thread pool only costs
 # start-up time, and with N worker processes it would run N x BLAS threads.
+# OpenBLAS also rounds a large GEMM differently at each thread count, so the
+# count is pinned, not a setting, and no output depends on it.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+    os.environ[_var] = "1"
 del _var
 
 __version__ = "0.1.0"

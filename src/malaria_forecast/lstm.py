@@ -6,19 +6,21 @@ reverse-mode derivation through the unrolled sequence; ``gradient_check``
 verifies it against central finite differences, which only ever call the
 forward pass.
 
-The four gates share one weight matrix (layout in :class:`LstmParams`) and
-one activation: ``forward`` halves the logistic gates' rows exactly, so one
-tanh serves all four gates. Activations are stored batch last (:class:`ForwardCache`), so each step's gates come from one GEMM
-``[b | w] @ [1; x_t; h_t]`` and every gate block is a contiguous array.
+Each affine map keeps its bias in column 0 (layout in :class:`LstmParams`).
+The four gates share one weight matrix and one activation: ``forward``
+halves the logistic gates' rows exactly, so one tanh serves all four gates.
+Activations are stored batch last (:class:`ForwardCache`), so each step's
+gates come from one GEMM ``w @ [1; x_t; h_t]`` and every gate block is a
+contiguous array.
 
 The univariate and multivariate models share every routine here; they differ
 only in the feature width of their windows (1 vs 5).
 
 A model knows the region it was trained on, and :func:`forecast_test_horizon`
-windows that region. :func:`save_model` writes model format 3, ``key = value``
+windows that region. :func:`save_model` writes model format 4, ``key = value``
 lines that :func:`load_model` reads with :func:`data_model.read_kv`: the
-region, spec and training boundary, the tensors and scalers in hex floats, and
-a digest of those lines.
+region, spec, hidden size and training boundary, the two tensors and the
+scalers in hex floats, and a digest of those lines.
 """
 
 from __future__ import annotations
@@ -38,31 +40,29 @@ from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows
 
 @dataclass
 class LstmParams:
-    """Fused gate weights and the output head.
+    """Fused gate weights and the output head, each with its bias first.
 
-    ``w`` is (4H, F+H): row blocks i, f, g, o of H rows each (input gate,
-    forget gate, cell candidate, output gate); columns are the F input
-    features, then the H recurrent inputs. ``b`` is (4H,) in the same block
-    order. The head is ``w_y`` (H,) with scalar bias ``b_y`` stored as (1,).
-    All four blocks use one activation, s·tanh(s·z) + (1 − s): with s = ½ it
+    ``w`` is (4H, 1+F+H): row blocks i, f, g, o of H rows each (input gate,
+    forget gate, cell candidate, output gate); column 0 is the bias, then
+    the F input features, then the H recurrent inputs. ``head`` is (1+H,):
+    the output bias, then the weights of the last hidden state. All four
+    blocks use one activation, s·tanh(s·z) + (1 − s): with s = ½ it
     is the logistic function (σ(z) = ½·tanh(z/2) + ½), used on i, f and o;
     with s = 1 it is tanh, used on g.
     """
 
     w: np.ndarray
-    b: np.ndarray
-    w_y: np.ndarray
-    b_y: np.ndarray
+    head: np.ndarray
 
     @staticmethod
     def shapes(features: int, hidden: int) -> dict[str, tuple[int, ...]]:
-        return {"w": (4 * hidden, features + hidden), "b": (4 * hidden,), "w_y": (hidden,), "b_y": (1,)}
+        return {"w": (4 * hidden, 1 + features + hidden), "head": (1 + hidden,)}
 
     def __post_init__(self):
-        hidden = self.w_y.shape[0] if self.w_y.ndim == 1 else 0
-        features = self.w.shape[1] - hidden if self.w.ndim == 2 else 0
+        hidden = self.head.shape[0] - 1 if self.head.ndim == 1 else 0
+        features = self.w.shape[1] - 1 - hidden if self.w.ndim == 2 else 0
         if hidden < 1 or features < 1:
-            raise ShapeError(f"w {self.w.shape} and w_y {self.w_y.shape} are not (4H, F+H) and (H,)")
+            raise ShapeError(f"w {self.w.shape} and head {self.head.shape} are not (4H, 1+F+H) and (1+H,)")
         for name, shape in self.shapes(features, hidden).items():
             arr = getattr(self, name)
             if arr.shape != shape:
@@ -72,11 +72,11 @@ class LstmParams:
 
     @property
     def hidden(self) -> int:
-        return self.w_y.shape[0]
+        return self.head.shape[0] - 1
 
     @property
     def features(self) -> int:
-        return self.w.shape[1] - self.hidden
+        return self.w.shape[1] - 1 - self.hidden
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
@@ -118,17 +118,16 @@ def init_params(features: int, hidden: int, rng: np.random.Generator) -> LstmPar
     afterwards so early cell state survives long windows.
 
     Values are drawn gate by gate (i, f, g, o), each gate's input weights,
-    then its recurrent weights, then its bias; then w_y and b_y.
+    then its recurrent weights, then its bias; then the head's weights and
+    last its bias.
     """
     k = 1.0 / math.sqrt(hidden)
     n_x, n_h = hidden * features, hidden * hidden
-    draws = rng.uniform(-k, k, size=(4, n_x + n_h + hidden))
-    w_x = draws[:, :n_x].reshape(4 * hidden, features)
-    w_h = draws[:, n_x : n_x + n_h].reshape(4 * hidden, hidden)
-    b = draws[:, n_x + n_h :].reshape(4 * hidden)
-    b[hidden : 2 * hidden] = 1.0
+    w_x, w_h, b = np.split(rng.uniform(-k, k, size=(4, n_x + n_h + hidden)), [n_x, n_x + n_h], axis=1)
+    w = np.hstack([b.reshape(-1, 1), w_x.reshape(-1, features), w_h.reshape(-1, hidden)])
+    w[hidden : 2 * hidden, 0] = 1.0
     w_y = rng.uniform(-k, k, size=hidden)
-    return LstmParams(w=np.hstack([w_x, w_h]), b=b, w_y=w_y, b_y=rng.uniform(-k, k, size=1))
+    return LstmParams(w=w, head=np.concatenate([rng.uniform(-k, k, size=1), w_y]))
 
 
 @dataclass
@@ -150,7 +149,7 @@ class ForwardCache:
     c: np.ndarray  # (L + 1, H, n)
     tanh_c: np.ndarray  # (L, H, n)
     dz: np.ndarray  # (L, 4H, n): dLoss/d(pre-activation), written by backward
-    dw: np.ndarray  # (L, 4H, 1 + F + H): [db | dw] of each step
+    dw: np.ndarray  # (L, 4H, 1 + F + H): the gradient of w at each step
     features: int
     params_id: int = 0
 
@@ -202,8 +201,7 @@ def forward(params: LstmParams, window, cache: ForwardCache | None = None):
     cache.params_id = id(params)
     # Halving the rows of the logistic gates is exact, so tanh of the folded
     # pre-activation is tanh(z/2), and ½·tanh(z/2) + ½ is the logistic σ(z).
-    w = np.hstack([params.b[:, None], params.w])
-    w *= np.repeat([0.5, 0.5, 1.0, 0.5], hdim)[:, None]
+    w = params.w * np.repeat([0.5, 0.5, 1.0, 0.5], hdim)[:, None]
     np.copyto(cache.x, x.transpose(1, 2, 0))
     xh, c, h, tanh_c = cache.xh, cache.c, cache.h, cache.tanh_c
     for t in range(length):
@@ -219,7 +217,7 @@ def forward(params: LstmParams, window, cache: ForwardCache | None = None):
         c[t + 1] += i * g
         np.tanh(c[t + 1], out=tanh_c[t])
         np.multiply(o, tanh_c[t], out=h[t + 1])
-    return params.w_y @ h[length] + params.b_y[0], cache
+    return params.head[1:] @ h[length] + params.head[0], cache
 
 
 def loss_mse(predictions, targets) -> float:
@@ -245,10 +243,10 @@ def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> dict[str
     if d_pred.shape != (n,):
         raise ShapeError(f"d_predictions has shape {d_pred.shape}, expected ({n},)")
     hdim = params.hidden
-    w_h_t = params.w[:, cache.features :].T
+    w_h_t = params.w[:, 1 + cache.features :].T
     c, dz = cache.c, cache.dz
 
-    dh = np.outer(params.w_y, d_pred)
+    dh = np.outer(params.head[1:], d_pred)
     dc = np.zeros_like(dh)
     for t in range(length - 1, -1, -1):
         i, f, g, o = cache.gates[t].reshape(4, hdim, n)
@@ -271,17 +269,11 @@ def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> dict[str
         np.matmul(w_h_t, dz[t], out=dh)
         dc *= f
 
-    # [db | dw] sums one GEMM per step (inner dimension n): OpenBLAS rounds a
-    # single GEMM over all n * L columns differently for different thread
-    # counts.
+    # The gradient of w sums one GEMM per step (inner dimension n): OpenBLAS
+    # rounds a single GEMM over all n * L columns differently for different
+    # thread counts.
     np.matmul(dz, cache.xh[:-1].transpose(0, 2, 1), out=cache.dw)
-    dbw = cache.dw.sum(axis=0)
-    return {
-        "w": dbw[:, 1:],
-        "b": dbw[:, 0],
-        "w_y": cache.h[length] @ d_pred,
-        "b_y": np.array([d_pred.sum()]),
-    }
+    return {"w": cache.dw.sum(axis=0), "head": np.concatenate([[d_pred.sum()], cache.h[length] @ d_pred])}
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -465,11 +457,11 @@ def gradient_check(
     return errors
 
 
-MODEL_FORMAT = "malaria-forecast model 3"
+MODEL_FORMAT = "malaria-forecast model 4"
 _POSITIVE = re.compile(r"[1-9][0-9]{0,17}")
 # The keys of a model file, in file order.
 _MODEL_KEYS = (
-    "format", "region", "variant", "lookback", "features", "hidden", "train_end",
+    "format", "region", "variant", "lookback", "hidden", "train_end",
     *LstmParams.shapes(1, 1),
     "input_mins", "input_maxs", "target_mins", "target_maxs", "sha256",
 )
@@ -481,10 +473,10 @@ def _hex(values: np.ndarray) -> str:
 
 def save_model(model: TrainedModel, path) -> None:
     """Write one ``key = value`` line each for ``format``, ``region``,
-    ``variant``, ``lookback``, ``features``, ``hidden`` and ``train_end``,
-    the tensors ``w``, ``b``, ``w_y`` and ``b_y`` (flattened row-major), the
-    scaler bounds ``input_mins``, ``input_maxs``, ``target_mins`` and
-    ``target_maxs``, and last ``sha256``, the digest of the lines above it.
+    ``variant``, ``lookback``, ``hidden`` and ``train_end``, the tensors
+    ``w`` and ``head`` (flattened row-major; the variant sets the feature
+    count), the scaler bounds ``input_mins``, ``input_maxs``, ``target_mins``
+    and ``target_maxs``, and last ``sha256``, the digest of the lines above it.
     Floats are C99 hex literals, so the round trip is bit-exact. A region
     that would not read back as itself (one with a line break, or whitespace
     at either end) raises DataError."""
@@ -493,7 +485,7 @@ def save_model(model: TrainedModel, path) -> None:
         raise DataError(f"region {region!r} cannot be written on one line of a model file")
     spec, params, scalers = model.spec, model.params, (model.input_scaler, model.target_scaler)
     values = [
-        MODEL_FORMAT, region, spec.variant, spec.lookback, params.features, params.hidden, model.train_end,
+        MODEL_FORMAT, region, spec.variant, spec.lookback, params.hidden, model.train_end,
         *(_hex(arr) for _, arr in params.tensors()),
         *(_hex(bound) for scaler in scalers for bound in (scaler.mins, scaler.maxs)),
     ]
@@ -547,9 +539,7 @@ def load_model(path) -> TrainedModel:
     if variant not in VARIANTS:
         raise fail("variant", f"variant must be one of {VARIANTS}, got {variant!r}")
     spec = WindowSpec(lookback=positive_int("lookback"), variant=variant)
-    features, hidden = positive_int("features"), positive_int("hidden")
-    if features != spec.feature_width:
-        raise fail("features", f"features must be {spec.feature_width} for a {variant} model, got {features}")
+    features, hidden = spec.feature_width, positive_int("hidden")
     # Only the spelling that ``str(MonthKey)`` writes reads back.
     text = lines["train_end"][1]
     year, _, month = text.rpartition("-")

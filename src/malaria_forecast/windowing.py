@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_math import MinMaxScaler
-from .data_model import Dataset, MonthKey
+from .data_model import CSV_HEADER, Dataset, MonthKey
 from .errors import DataError
 
 VARIANTS = ("univariate", "multivariate")
@@ -109,13 +109,19 @@ def split_train_test(
 
     Min-max scalers are fitted on the training inputs and targets only, then
     applied to both partitions. Test values outside the training range land
-    outside [0, 1]; that is expected and preserved.
+    outside [0, 1]; that is expected and preserved. A feature whose training
+    values span more than a 64-bit float holds raises DataError.
     """
     n = windows.samples
     split = split_index(n, train_fraction)
     width = windows.spec.feature_width
     input_scaler = MinMaxScaler.fit(windows.inputs[:split].reshape(-1, width))
     target_scaler = MinMaxScaler.fit(windows.targets[:split].reshape(-1, 1))
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(input_scaler.maxs - input_scaler.mins)
+    if not finite.all():
+        name = CSV_HEADER[-width:][finite.argmin()]  # the window's columns end the header
+        raise DataError(f"{windows.province} {name}: the training values span more than a 64-bit float holds")
 
     def _partition(lo, hi):
         return WindowedDataset(

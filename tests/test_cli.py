@@ -8,14 +8,16 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_no_children, sinusoid_series
+from conftest import with_cell as dataset_with_cell
 from malaria_forecast import cli, data_model, evaluation, lstm, parallel
 from malaria_forecast.data_model import COUNTRY_NAME, ingest_csv
 from malaria_forecast.errors import ConfigError, DataError
@@ -23,7 +25,7 @@ from malaria_forecast.evaluation import REGION_ORDER
 from malaria_forecast.imputation import ForestConfig
 from malaria_forecast.lstm import TrainConfig
 from malaria_forecast.synthgen import SynthConfig
-from malaria_forecast.windowing import WindowSpec, make_windows, split_train_test
+from malaria_forecast.windowing import VARIANTS, WindowSpec, make_windows, split_train_test
 
 SMALL_PIPELINE = [
     "--synth.months", "40",
@@ -305,6 +307,55 @@ class TestTrainForecastEvaluate:
         assert capsys.readouterr().err.splitlines()[-1] == "error:memory: Unable to allocate 74.5 GiB"
         assert list(tmp_path.iterdir()) == []
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.data(), st.integers(0, 6), st.integers(0, 2**53))
+    def test_cases_after_the_training_boundary_never_reach_the_models(
+        self, tmp_path_factory, province_csv, data, after, value
+    ):
+        # A case count ``after`` months past the last training target
+        # changes neither of the region's model files; at the boundary
+        # itself (after = 0) it changes both.
+        dataset = ingest_csv(province_csv)
+        region = data.draw(st.sampled_from(dataset.provinces))
+        tmp = tmp_path_factory.mktemp("horizon")
+
+        def models(csv):
+            for variant in VARIANTS:
+                assert run(["train", "--seed", 1, "--in", csv, "--region", region, "--variant", variant,
+                            "--epochs", 2, "--hidden", 3, "--out-model", tmp / f"{variant}.model"]) == 0
+            return [(tmp / f"{variant}.model").read_bytes() for variant in VARIANTS]
+
+        before = models(province_csv)
+        boundary = dataset.months().index(lstm.load_model(tmp / "univariate.model").train_end)
+        assert boundary + 6 == len(dataset.months()) - 1  # 40 months: the last 6 are the horizon
+        assume(value != dataset.cases[dataset.row(region), boundary + after])
+        data_model.write_csv(dataset_with_cell(dataset, region, boundary + after, cases=value), tmp / "changed.csv")
+        changed = models(tmp / "changed.csv")
+        assert [new == old for new, old in zip(changed, before)] == [after > 0] * 2
+
+    def test_train_refuses_a_climate_span_beyond_the_float_range(self, tmp_path, capsys):
+        # Every temperature is finite, but the training span max - min is
+        # not, so the scaler could only map them to NaN.
+        truth = tmp_path / "truth.csv"
+        assert run(["synth", "--months", 40, "--missing-rate", 0, "--out-truth", truth,
+                    "--out-masked", tmp_path / "masked.csv"]) == 0
+        rows = [line.split(",") for line in truth.read_text().splitlines()]
+        at = rows[0].index("temp_mean")
+        for k, row in enumerate(row for row in rows if row[0] == "Gitega"):
+            row[at] = ("1.7e308", "-1.7e308")[k % 2]
+        big, model = tmp_path / "big.csv", tmp_path / "g.model"
+        big.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--in", big, "--region", "Gitega", "--variant", "multivariate",
+                        "--epochs", 2, "--hidden", 3, "--out-model", model]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")] == [
+            "error:data: Gitega temp_mean: the training values span more than a 64-bit float holds"
+        ]
+        assert not model.exists()
+
     def test_unknown_region_rejected(self, tmp_path, province_csv, capsys):
         assert run(["train", "--in", province_csv, "--region", "Atlantis",
                     "--variant", "univariate", "--out-model", tmp_path / "x.model"]) == 1
@@ -346,7 +397,7 @@ class TestTrainForecastEvaluate:
         capsys.readouterr()
         assert run(["forecast", "--model", model, "--in", province_csv, "--out", tmp_path / "f.csv"]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error:data: {model} line 11: expected 'b_y', got the end of the file"]
+        assert err == [f"error:data: {model} line 11: expected 'target_mins', got the end of the file"]
 
     @pytest.mark.parametrize("corruption", ["altered weight", "format 1"])
     def test_forecast_with_altered_model_is_one_error_line(
@@ -357,12 +408,12 @@ class TestTrainForecastEvaluate:
              "--variant", "univariate", "--epochs", 1, "--hidden", 2, "--out-model", model])
         text = model.read_text()
         if corruption == "format 1":
-            text = text.replace("format = malaria-forecast model 3", "malaria-forecast model 1", 1)
+            text = text.replace("format = malaria-forecast model 4", "malaria-forecast model 1", 1)
             expected = "line 1: expected key = value, got 'malaria-forecast model 1'"
         else:
-            row = text.splitlines()[7]  # line 8, tensor w
+            row = text.splitlines()[6]  # line 7, tensor w
             text = text.replace(row, row.replace("p", "1p", 1), 1)  # one more hex digit
-            expected = "line 16: checksum mismatch"  # the sha256 line
+            expected = "line 13: checksum mismatch"  # the sha256 line
         model.write_text(text)
         capsys.readouterr()
         assert run(["forecast", "--model", model, "--in", province_csv, "--out", tmp_path / "f.csv"]) == 1
@@ -380,8 +431,10 @@ class TestTrainForecastEvaluate:
         model.write_text(f"{body}sha256 = {hashlib.sha256(body.encode()).hexdigest()}\n")
         capsys.readouterr()
         assert run(["forecast", "--model", model, "--in", province_csv, "--out", tmp_path / "f.csv"]) == 1
+        # The variant sets the feature count, so w holds 4H·(1+F+H) = 64
+        # values where a univariate model at H = 2 has 32.
         assert capsys.readouterr().err.splitlines() == [
-            f"error:data: {model} line 5: features must be 1 for a univariate model, got 5"
+            f"error:data: {model} line 7: expected 32 values, got 64"
         ]
         assert not (tmp_path / "f.csv").exists()
 

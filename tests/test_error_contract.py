@@ -203,7 +203,7 @@ def test_mutated_dataset_fails_with_one_data_error_line(data):
 @settings(max_examples=200, deadline=None)
 # Finite weights whose outputs overflow (the model has 3 hidden units), and
 # a multivariate model relabelled univariate.
-@example(with_values(MODEL, w_y=" ".join([float.hex(1e308)] * 3), b_y=float.hex(1e308)))
+@example(with_values(MODEL, head=" ".join([float.hex(1e308)] * 4)))
 @example(with_values(MODEL, variant="univariate"))
 @given(mutated(MODEL, csv=False))
 def test_mutated_model_fails_with_one_data_error_line(data):

@@ -49,20 +49,19 @@ def zero_params(features=3, hidden=4):
 
 
 def blocks(hidden):
-    """Row slices of the i, f, g, o gate blocks in ``w`` and ``b``."""
+    """Row slices of the i, f, g, o gate blocks in ``w``."""
     return [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
 
 
 def gate_forced_params(features=3, hidden=4, seed=1):
     """Zero weights; forget gate wide open, input/output gates shut."""
     params = init_params(features, hidden, np.random.default_rng(seed))
-    for name, arr in params.tensors():
-        if name != "b_y":
-            arr[:] = 0.0
+    params.w[:] = 0.0
+    params.head[1:] = 0.0
     i, f, _, o = blocks(hidden)
-    params.b[f] = 20.0
-    params.b[i] = -20.0
-    params.b[o] = -20.0
+    params.w[f, 0] = 20.0
+    params.w[i, 0] = -20.0
+    params.w[o, 0] = -20.0
     return params
 
 
@@ -87,11 +86,11 @@ class TestCellStep:
         # initial state, so state t + 1 follows step t.
         params = zero_params(features=1, hidden=1)
         i, f, g, o = blocks(1)
-        params.w[i, 0] = 40.0
-        params.b[i] = -20.0
-        params.b[f] = 20.0
-        params.b[g] = math.atanh(0.5)
-        params.b[o] = 20.0
+        params.w[i, 1] = 40.0  # column 0 is the bias
+        params.w[i, 0] = -20.0
+        params.w[f, 0] = 20.0
+        params.w[g, 0] = math.atanh(0.5)
+        params.w[o, 0] = 20.0
         _, cache = forward(params, np.array([[[1.0]]]))
         assert cache.c[1, 0, 0] == pytest.approx(0.5, abs=1e-8)
         assert cache.h[1, 0, 0] == pytest.approx(0.4621, abs=1e-4)
@@ -121,13 +120,13 @@ class TestCellStep:
             forward(params, np.zeros(2))
         other = init_params(2, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            LstmParams(w=params.w, b=params.b, w_y=other.w_y, b_y=params.b_y)
+            LstmParams(w=params.w, head=other.head)
 
 
 class TestForward:
     def test_zero_params_predict_bias(self):
         params = zero_params()
-        params.b_y[:] = 0.37
+        params.head[0] = 0.37
         (pred,), _ = forward(params, np.random.default_rng(1).uniform(-1, 1, size=(1, 6, 3)))
         assert pred == 0.37
 
@@ -136,11 +135,11 @@ class TestForward:
         # forget gate multiplies the zero initial cell state.
         params = init_params(3, 4, np.random.default_rng(2))
         x = np.random.default_rng(3).uniform(-1, 1, size=3)
-        z = params.w[:, :3] @ x + params.b
+        z = params.w[:, 1:4] @ x + params.w[:, 0]
         i, _, g, o = (z[rows] for rows in blocks(4))
         c = 1.0 / (1.0 + np.exp(-i)) * np.tanh(g)
         h = 1.0 / (1.0 + np.exp(-o)) * np.tanh(c)
-        expected = float(h @ params.w_y + params.b_y[0])
+        expected = float(h @ params.head[1:] + params.head[0])
         (pred,), _ = forward(params, x[None, None, :])
         assert pred == pytest.approx(expected, abs=1e-15)
 
@@ -163,14 +162,13 @@ class TestForward:
             assert single == pytest.approx(preds[i], abs=1e-15)
 
     def test_folded_half_changes_no_bit(self):
-        # forward halves the logistic rows of [b | w] before its GEMM; every
+        # forward halves the logistic rows of w before its GEMM; every
         # step's gates equal gate_activation of the unfolded pre-activation.
         params, x, _ = random_problem(7, 6, 3, 5, seed=4)
         _, cache = forward(params, x)
-        w = np.hstack([params.b[:, None], params.w])
         scale = np.repeat([0.5, 0.5, 1.0, 0.5], 5)[:, None]
         for t in range(6):
-            assert bits([cache.gates[t]]) == bits([gate_activation(np.matmul(w, cache.xh[t]), scale)])
+            assert bits([cache.gates[t]]) == bits([gate_activation(np.matmul(params.w, cache.xh[t]), scale)])
 
     def test_hidden_state_bounded(self):
         params = init_params(3, 8, np.random.default_rng(8))
@@ -217,7 +215,7 @@ class TestBackward:
         target = 0.9
         (pred,), cache = forward(params, window)
         grads = backward(params, cache, np.array([2.0 * (pred - target)]))
-        assert grads["b_y"][0] == pytest.approx(2.0 * (pred - target), abs=1e-15)
+        assert grads["head"][0] == pytest.approx(2.0 * (pred - target), abs=1e-15)
 
     def test_zero_loss_gives_zero_gradients(self):
         params = init_params(3, 4, np.random.default_rng(12))
@@ -432,7 +430,7 @@ class TestTrain:
 
     def test_variants_share_structure(self):
         # Same code path for both variants; parameter shapes differ only in
-        # the input columns of the gate matrix (1 vs 5, then 4 recurrent).
+        # the input columns of the gate matrix (bias, 1 vs 5, then 4 recurrent).
         uni_model = train(sinusoid_partitions()[0], TrainConfig(hidden=4, epochs=1, seed=0))
         truth, _ = generate(SynthConfig(seed=0, months=40, provinces=("Alpha",), missing_rate=0.0))
         w = make_windows(truth, "Alpha", WindowSpec(12, "multivariate"))
@@ -440,8 +438,8 @@ class TestTrain:
         multi_model = train(multi_part, TrainConfig(hidden=4, epochs=1, seed=0))
         for (name, a), (_, b) in zip(uni_model.params.tensors(), multi_model.params.tensors()):
             if name == "w":
-                assert a.shape == (16, 1 + 4)
-                assert b.shape == (16, 5 + 4)
+                assert a.shape == (16, 1 + 1 + 4)
+                assert b.shape == (16, 1 + 5 + 4)
             else:
                 assert a.shape == b.shape
 
@@ -450,7 +448,7 @@ class TestPredict:
     def test_clamped_at_zero(self):
         train_part, _ = sinusoid_partitions()
         model = train(train_part, TrainConfig(hidden=4, epochs=0, seed=0))
-        model.params.b_y[:] = -100.0  # force a hugely negative scaled output
+        model.params.head[0] = -100.0  # force a hugely negative scaled output
         preds = predict(model, train_part.inputs)
         assert np.all(preds == 0.0)
 
@@ -516,8 +514,8 @@ class TestForecastHorizon:
 
 
 LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-MODEL_KEYS = ["format", "region", "variant", "lookback", "features", "hidden", "train_end",
-              "w", "b", "w_y", "b_y", "input_mins", "input_maxs", "target_mins", "target_maxs", "sha256"]
+MODEL_KEYS = ["format", "region", "variant", "lookback", "hidden", "train_end",
+              "w", "head", "input_mins", "input_maxs", "target_mins", "target_maxs", "sha256"]
 
 
 def model_bits(model):
@@ -616,7 +614,7 @@ class TestSerialization:
         for keep in range(len(lines)):
             path.write_text("".join(lines[:keep]))
             if keep == 0:
-                message = "line 1: not a 'malaria-forecast model 3' file"
+                message = "line 1: not a 'malaria-forecast model 4' file"
             else:
                 message = f"line {keep + 1}: expected {MODEL_KEYS[keep]!r}, got the end of the file"
             with pytest.raises(DataError, match=f"^{re.escape(f'{path} {message}')}$"):
@@ -627,13 +625,13 @@ class TestSerialization:
         [
             (3, lambda v: ["bogus"], "line 3: variant must be one of"),
             (4, lambda v: ["twelve"], "line 4: lookback must be a positive integer"),
-            (7, lambda v: ["2018-13"], "line 7: train_end must be a YYYY-MM month"),
-            (7, lambda v: ["-0001-10"], "line 7: train_end must be a YYYY-MM month"),  # not as str(MonthKey)
-            (8, lambda v: ["0xZZp+0", *v[1:]], "line 8: malformed hex float"),  # tensor w
-            (9, lambda v: ["inf", *v[1:]], "line 9: non-finite value"),  # tensor b
-            (10, lambda v: [*v, v[0]], "line 10: expected 2 values, got 3"),  # w_y at H = 2
-            (15, lambda v: ["-0x1p+10"], "line 15: scaler max must be >= min"),  # target_maxs
-            (16, lambda v: ["0"], "line 16: checksum mismatch"),
+            (6, lambda v: ["2018-13"], "line 6: train_end must be a YYYY-MM month"),
+            (6, lambda v: ["-0001-10"], "line 6: train_end must be a YYYY-MM month"),  # not as str(MonthKey)
+            (7, lambda v: ["0xZZp+0", *v[1:]], "line 7: malformed hex float"),  # tensor w
+            (8, lambda v: ["inf", *v[1:]], "line 8: non-finite value"),  # tensor head
+            (8, lambda v: [*v, v[0]], "line 8: expected 3 values, got 4"),  # head at H = 2
+            (12, lambda v: ["-0x1p+10"], "line 12: scaler max must be >= min"),  # target_maxs
+            (13, lambda v: ["0"], "line 13: checksum mismatch"),
         ],
         ids=["variant", "lookback", "train_end", "train_end-padded", "hex-float", "non-finite", "count", "scaler-bounds", "checksum"],
     )
@@ -649,13 +647,13 @@ class TestSerialization:
 
     def test_flipped_hex_digit_fails_the_checksum(self, tmp_path):
         lines = self.small_model_lines(tmp_path)
-        token = lines[7].split()[2]  # first weight of tensor w
+        token = lines[6].split()[2]  # first weight of tensor w
         mantissa_end = token.index("p") - 1
         flipped = "%x" % ((int(token[mantissa_end], 16) + 1) % 16)
-        lines[7] = lines[7].replace(token, token[:mantissa_end] + flipped + token[mantissa_end + 1 :], 1)
+        lines[6] = lines[6].replace(token, token[:mantissa_end] + flipped + token[mantissa_end + 1 :], 1)
         path = tmp_path / "flipped.txt"
         path.write_text("".join(lines))
-        with pytest.raises(DataError, match="line 16: checksum mismatch"):
+        with pytest.raises(DataError, match="line 13: checksum mismatch"):
             load_model(path)
 
     def test_only_whitespace_around_the_equals_sign_is_not_covered(self, tmp_path):
@@ -676,7 +674,7 @@ class TestSerialization:
         lines = self.small_model_lines(tmp_path)
         path = tmp_path / "model.txt"
         path.write_text("".join(lines) + "end = 1\n")
-        with pytest.raises(DataError, match="line 17: 'end' after the sha256 line"):
+        with pytest.raises(DataError, match="line 14: 'end' after the sha256 line"):
             load_model(path)
 
     def test_non_utf8_file_names_the_line(self, tmp_path):
@@ -688,13 +686,15 @@ class TestSerialization:
         assert str(info.value) == f"{path}: not UTF-8 after line 2: invalid continuation byte"
 
     def test_format_1_is_refused(self, tmp_path):
-        # Formats 1 and 2 began with a bare "malaria-forecast model <n>" line.
+        # Formats 1 and 2 began with a bare "malaria-forecast model <n>" line;
+        # format 3 began with a format line, like format 4.
         lines = self.small_model_lines(tmp_path)
         path = tmp_path / "old.txt"
         for first, message in [
             ("malaria-forecast model 1", "expected key = value, got 'malaria-forecast model 1'"),
             ("malaria-forecast model 2", "expected key = value, got 'malaria-forecast model 2'"),
-            ("format = malaria-forecast model 2", "not a 'malaria-forecast model 3' file"),
+            ("format = malaria-forecast model 2", "not a 'malaria-forecast model 4' file"),
+            ("format = malaria-forecast model 3", "not a 'malaria-forecast model 4' file"),
         ]:
             path.write_text("".join([first + "\n"] + lines[1:]))
             with pytest.raises(DataError, match=f"^{re.escape(f'{path} line 1: {message}')}$"):

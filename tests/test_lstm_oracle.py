@@ -3,10 +3,11 @@
 The reference keeps each gate's input weights W, recurrent weights U and
 bias b as separate tensors, runs four GEMM pairs per step, and uses the
 branchy stable logistic ``1/(1+exp(-z))``. The code under test stacks the
-gates into one (4H, F+H) matrix, projects every step's input before the
-recurrence, and uses ``½·tanh(z/2) + ½``. The two sum in different orders,
-so predictions and gradients are compared to a relative tolerance; the
-initial values, drawn from the same stream, must match bit for bit.
+gates and their biases into one (4H, 1+F+H) matrix, multiplies it by
+``[1; x_t; h_t]`` at every step, and uses ``½·tanh(z/2) + ½``. The two sum
+in different orders, so predictions and gradients are compared to a
+relative tolerance; the initial values, drawn from the same stream, must
+match bit for bit.
 
 The relative tolerance (1e-12) has an absolute floor (1e-14) for entries
 that cancel to near zero. Without it, a hidden size of 1 with a nearly shut
@@ -51,23 +52,22 @@ def ref_init(features, hidden, rng):
 
 
 def pack(p):
-    """Per-gate tensors -> the fused layout: rows i, f, g, o; columns x then h."""
+    """Per-gate tensors -> the fused layout: rows i, f, g, o; columns bias,
+    x, then h; the head's bias before its weights."""
     return {
-        "w": np.vstack([np.hstack([p[f"w_{gate}"], p[f"u_{gate}"]]) for gate in GATES]),
-        "b": np.concatenate([p[f"b_{gate}"] for gate in GATES]),
-        "w_y": p["w_y"],
-        "b_y": p["b_y"],
+        "w": np.vstack([np.hstack([p[f"b_{gate}"][:, None], p[f"w_{gate}"], p[f"u_{gate}"]]) for gate in GATES]),
+        "head": np.concatenate([p["b_y"], p["w_y"]]),
     }
 
 
 def unpack(params):
     h, f = params.hidden, params.features
-    p = {"w_y": params.w_y, "b_y": params.b_y}
+    p = {"w_y": params.head[1:], "b_y": params.head[:1]}
     for k, gate in enumerate(GATES):
         rows = slice(k * h, (k + 1) * h)
-        p[f"w_{gate}"] = params.w[rows, :f]
-        p[f"u_{gate}"] = params.w[rows, f:]
-        p[f"b_{gate}"] = params.b[rows]
+        p[f"w_{gate}"] = params.w[rows, 1 : 1 + f]
+        p[f"u_{gate}"] = params.w[rows, 1 + f :]
+        p[f"b_{gate}"] = params.w[rows, 0]
     return p
 
 
