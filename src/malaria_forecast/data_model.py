@@ -31,7 +31,8 @@ build. A membership-matrix product would leave the order to BLAS, and
 Python's built-in ``sum`` compensates its rounding from Python 3.12 on
 (Neumaier), which would make the means depend on the Python version.
 Every count is at most 2**53, so it is exact as a float64 in the windows,
-and the int64 sums of up to 1,024 members are exact too.
+and the int64 sums of up to 1,024 members are exact too. Every climate value
+is at most :data:`MAX_MAGNITUDE` in size, so group sums and means are finite.
 """
 
 from __future__ import annotations
@@ -54,20 +55,16 @@ from .errors import CoverageError, DataError
 COUNTRY_NAME = "Burundi"
 CLIMATE_FIELDS = ("temp_mean", "rainfall", "rel_humidity")
 MAX_COUNT = 2**53
+# The largest magnitude B of a float in a dataset or forecast CSV (a climate
+# value, a forecast). Every sum, mean, span and square taken of them is then
+# finite: group sums and nanmean reach B·rows, min-max spans 2B, the forest's
+# gains (2B·trees·rows)², and _delta's and the RMSE's squares rows·(2B)².
+MAX_MAGNITUDE = 1e100
+MAGNITUDE_RULE = "must be at most 1e100 in magnitude"
 
 CSV_HEADER = ["province", "year", "month", *CLIMATE_FIELDS, "population", "cases"]
 # Alternative ingest layout: raw min/max temperatures instead of the mean.
-CSV_HEADER_MINMAX = [
-    "province",
-    "year",
-    "month",
-    "temp_min",
-    "temp_max",
-    "rainfall",
-    "rel_humidity",
-    "population",
-    "cases",
-]
+CSV_HEADER_MINMAX = [*CSV_HEADER[:3], "temp_min", "temp_max", *CSV_HEADER[4:]]
 
 
 @dataclass(frozen=True, order=True)
@@ -124,6 +121,7 @@ def _violations(climate, population, cases):
     """Yield ``(bad cells (P, T), values (P, T), rule)`` for each value rule."""
     for k, name in enumerate(CLIMATE_FIELDS):
         yield np.isinf(climate[..., k]), climate[..., k], f"{name} must be finite"
+        yield np.abs(climate[..., k]) > MAX_MAGNITUDE, climate[..., k], f"{name} {MAGNITUDE_RULE}"
     humidity = climate[..., 2]
     yield (humidity < 0.0) | (humidity > 100.0), humidity, "rel_humidity out of range [0, 100]"
     for name, counts, rule, bad in (
@@ -196,15 +194,15 @@ _KINDS = {
 def _parse_cell(raw: str, kind: str, column: str, source, line_no: int):
     """The cell ``raw`` of ``column``, surrounding whitespace ignored, as
     ``kind``: non-empty ``"text"``, an ``"int"`` (64-bit), a ``"month"``
-    (1..12), a finite ``"float"``, or a finite ``"climate"`` float where an
-    empty cell gives NaN."""
+    (1..12), a ``"float"`` of magnitude at most :data:`MAX_MAGNITUDE`, or
+    such a ``"climate"`` float where an empty cell gives NaN."""
     rule = None
     try:
         if kind == "climate" or kind == "float":
             value = float(raw)
-            if math.isfinite(value):
+            if abs(value) <= MAX_MAGNITUDE:
                 return value
-            rule = "must be finite"
+            rule = MAGNITUDE_RULE if math.isfinite(value) else "must be finite"
         elif kind == "text":
             if raw.strip():
                 return raw.strip()
@@ -315,9 +313,10 @@ def ingest_csv(path) -> Dataset:
 
     Accepts either the ``temp_mean`` header or the ``temp_min,temp_max``
     variant (the two are averaged). Rows may come in any order. Empty climate
-    cells become missing values; ``nan`` and ``inf`` are refused. Each
-    province needs one row per month, without gaps, over the same month range
-    as every other. Errors name the path and the offending 1-based line.
+    cells become missing values; ``nan``, ``inf`` and values beyond
+    :data:`MAX_MAGNITUDE` are refused. Each province needs one row per month,
+    without gaps, over the same month range as every other. Errors name the
+    path and the offending 1-based line.
     """
     records = read_table(path, CSV_HEADER, CSV_HEADER_MINMAX)
     # province -> month ordinal -> (line, climate triple, population, cases)
@@ -415,13 +414,10 @@ def _regroup(dataset: Dataset, names: list[str], groups: list[list[int]]) -> Dat
             f"missing climate value for {dataset.provinces[p]} at {dataset.months()[t]}; "
             "run imputation before aggregating"
         )
-    # A mean that overflows is left to the constructor's finite rule.
-    with np.errstate(over="ignore"):
-        climate = [dataset.climate[idx].sum(axis=0) / len(idx) for idx in groups]
     return Dataset(
         names,
         dataset.start,
-        climate,
+        [dataset.climate[idx].sum(axis=0) / len(idx) for idx in groups],
         np.array([dataset.population[idx].sum(axis=0) for idx in groups]),
         np.array([dataset.cases[idx].sum(axis=0) for idx in groups]),
     )

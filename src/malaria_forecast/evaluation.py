@@ -9,13 +9,15 @@ two-decimal dot notation; curve CSVs keep full precision so they round-trip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .data_model import BURUNDI_REDISTRICTING_GROUPS, COUNTRY_NAME, MonthKey, atomic_write, write_table
-from .errors import CompletenessError, DataError
+from .errors import CompletenessError
+from .lstm import loss_mse
 from .windowing import VARIANTS, WindowedDataset
 
 REGION_ORDER = [*BURUNDI_REDISTRICTING_GROUPS, COUNTRY_NAME]
@@ -27,13 +29,7 @@ def region_label(region: str) -> str:
 
 def rmse(observed, predicted) -> float:
     """Root mean square error between two equally long non-empty series."""
-    observed = np.asarray(observed, dtype=np.float64)
-    predicted = np.asarray(predicted, dtype=np.float64)
-    if observed.size == 0 or observed.shape != predicted.shape:
-        raise ValueError(
-            f"series must be non-empty and equal length, got {observed.shape} vs {predicted.shape}"
-        )
-    return float(np.sqrt(np.mean((observed - predicted) ** 2)))
+    return math.sqrt(loss_mse(observed, predicted))
 
 
 def persistence_baseline(windows: WindowedDataset) -> np.ndarray:
@@ -71,15 +67,12 @@ class ForecastReport:
 
 
 def make_report(region, model_variant, months, observed, predicted) -> ForecastReport:
-    """The report of one forecast; DataError when its values are so large
-    that the RMSE or a total overflows."""
+    """The report of one forecast. Its values are at most MAX_MAGNITUDE in
+    size, as the forecast reader and ``predict`` ensure, so the RMSE and the
+    totals are finite."""
     observed = np.asarray(observed, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
-    try:
-        with np.errstate(over="raise"):
-            scores = rmse(observed, predicted), float(np.sum(observed)), float(np.sum(predicted))
-    except FloatingPointError:
-        raise DataError(f"{region} {model_variant}: forecast values too large to score") from None
+    scores = rmse(observed, predicted), float(np.sum(observed)), float(np.sum(predicted))
     return ForecastReport(region, model_variant, list(months), observed, predicted, *scores)
 
 

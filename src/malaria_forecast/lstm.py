@@ -33,9 +33,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core_math import AT_LEAST_1, NONE_OR_AT_LEAST_1, OPEN_UNIT, POSITIVE_FINITE, MinMaxScaler, check_fields, ruled
-from .data_model import Dataset, MonthKey, atomic_write, read_kv
+from .data_model import MAX_MAGNITUDE, Dataset, MonthKey, atomic_write, read_kv
 from .errors import DataError, DivergenceError, ShapeError
-from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows
+from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows, scale_inputs
 
 
 @dataclass
@@ -369,13 +369,16 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
 def predict(model: TrainedModel, windows) -> np.ndarray:
     """Forecast case counts for an (n, L, features) batch of scaled windows:
     forward pass, inverse transform, clamp at zero (case counts cannot be
-    negative). DataError when a value overflows on the way."""
+    negative). DataError when a value overflows on the way, or a forecast is
+    beyond MAX_MAGNITUDE, which a forecast file cannot hold."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             preds, _ = forward(model.params, windows)
             cases = model.target_scaler.inverse(preds[:, None]).ravel()
+            if not (cases <= MAX_MAGNITUDE).all():
+                raise FloatingPointError
     except FloatingPointError:
-        raise DataError(f"{model.region} {model.spec.variant} model: forecasts overflow") from None
+        raise DataError(f"{model.region} {model.spec.variant} model: forecasts exceed 1e100") from None
     return np.maximum(cases, 0.0)
 
 
@@ -401,8 +404,7 @@ def forecast_test_horizon(
     months = w.months[split:]
     observed = w.targets[split:]
     if not recursive:
-        scaled = model.input_scaler.transform(w.inputs[split:])
-        return months, observed, predict(model, scaled)
+        return months, observed, predict(model, scale_inputs(w, model.input_scaler, w.inputs[split:]))
     if months[0] != model.train_end.next():
         raise DataError(
             f"recursive forecasts must start at {model.train_end.next()}, the month after "
@@ -420,7 +422,7 @@ def forecast_test_horizon(
             horizon_offset = k - back
             if horizon_offset >= 0:
                 window[lookback - back, -1] = predicted[horizon_offset]
-        predicted[k] = predict(model, model.input_scaler.transform(window[None]))[0]
+        predicted[k] = predict(model, scale_inputs(w, model.input_scaler, window[None]))[0]
     return months, observed, predicted
 
 

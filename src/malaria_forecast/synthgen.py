@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_math import FINITE, POSITIVE_FINITE, check_fields, ruled
-from .data_model import MAX_COUNT, OLD_PROVINCES, Dataset, MonthKey
+from .data_model import MAX_COUNT, MAX_MAGNITUDE, OLD_PROVINCES, Dataset, MonthKey
 from .errors import ConfigError
 
 MAX_BASE_POPULATION = 950_000.0  # a province's first-year population is below it
@@ -154,8 +154,8 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
             ))
         truth[province] = rows
 
-        if not all(math.isfinite(value) for row in rows for value in row):
-            raise ConfigError(f"climate_noise {cfg.climate_noise} draws a non-finite climate value")
+        if not all(abs(value) <= MAX_MAGNITUDE for row in rows for value in row):
+            raise ConfigError(f"climate_noise {cfg.climate_noise} draws a climate value beyond 1e100")
         counts = []
         for t, pop in enumerate(population[province]):
             rate = case_rate(

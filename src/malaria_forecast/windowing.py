@@ -5,7 +5,8 @@ count. The univariate variant uses only lagged cases (feature width 1); the
 multivariate variant adds temperature, rainfall, humidity, and population
 (width 5, cases last). Scaling parameters are fitted on the training
 partition only and applied to both partitions, so no test information leaks
-into the transform.
+into the transform. :func:`scale_inputs` scales the inputs of every window,
+and refuses a value that would scale beyond :data:`data_model.MAX_MAGNITUDE`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_math import MinMaxScaler
-from .data_model import CSV_HEADER, Dataset, MonthKey
+from .data_model import CLIMATE_FIELDS, MAX_MAGNITUDE, Dataset, MonthKey
 from .errors import DataError
 
-VARIANTS = ("univariate", "multivariate")
+# The columns of each variant's windows, in order.
+FEATURES = {"univariate": ("cases",), "multivariate": (*CLIMATE_FIELDS, "population", "cases")}
+VARIANTS = tuple(FEATURES)
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,7 @@ class WindowSpec:
 
     @property
     def feature_width(self) -> int:
-        return 5 if self.variant == "multivariate" else 1
+        return len(FEATURES[self.variant])
 
 
 @dataclass
@@ -82,7 +85,6 @@ def make_windows(dataset: Dataset, province: str, spec: WindowSpec) -> WindowedD
             raise DataError(
                 f"missing climate value at {dataset.months()[missing.argmax()]}; impute before windowing"
             )
-        # temp_mean, rainfall, rel_humidity, population, cases
         rows = np.column_stack([dataset.climate[p], dataset.population[p], cases])
     inputs = sliding_window_view(rows[:-1], spec.lookback, axis=0).transpose(0, 2, 1).copy()
     targets, months = cases[spec.lookback :], dataset.months()[spec.lookback :]
@@ -109,24 +111,19 @@ def split_train_test(
 
     Min-max scalers are fitted on the training inputs and targets only, then
     applied to both partitions. Test values outside the training range land
-    outside [0, 1]; that is expected and preserved. A feature whose training
-    values span more than a 64-bit float holds raises DataError.
+    outside [0, 1]; that is expected and preserved, up to the limit of
+    :func:`scale_inputs`.
     """
     n = windows.samples
     split = split_index(n, train_fraction)
     width = windows.spec.feature_width
     input_scaler = MinMaxScaler.fit(windows.inputs[:split].reshape(-1, width))
     target_scaler = MinMaxScaler.fit(windows.targets[:split].reshape(-1, 1))
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(input_scaler.maxs - input_scaler.mins)
-    if not finite.all():
-        name = CSV_HEADER[-width:][finite.argmin()]  # the window's columns end the header
-        raise DataError(f"{windows.province} {name}: the training values span more than a 64-bit float holds")
 
     def _partition(lo, hi):
         return WindowedDataset(
             spec=windows.spec,
-            inputs=input_scaler.transform(windows.inputs[lo:hi]),
+            inputs=scale_inputs(windows, input_scaler, windows.inputs[lo:hi]),
             targets=target_scaler.transform(windows.targets[lo:hi].reshape(-1, 1)).ravel(),
             months=windows.months[lo:hi],
             province=windows.province,
@@ -135,3 +132,14 @@ def split_train_test(
         )
 
     return _partition(0, split), _partition(split, n)
+
+
+def scale_inputs(windows: WindowedDataset, scaler: MinMaxScaler, inputs) -> np.ndarray:
+    """``inputs``, cut like ``windows``, scaled by ``scaler``; DataError naming
+    the region and feature of a value that would scale beyond MAX_MAGNITUDE."""
+    span = scaler.maxs - scaler.mins
+    far = np.argwhere((np.abs(inputs - scaler.mins) / MAX_MAGNITUDE > span) & (span > 0.0))
+    if far.size:
+        name, value = FEATURES[windows.spec.variant][far[0][-1]], inputs[tuple(far[0])]
+        raise DataError(f"{windows.province} {name}: {value} is too far outside the training range to scale")
+    return scaler.transform(inputs)

@@ -335,7 +335,8 @@ class TestTrainForecastEvaluate:
 
     def test_train_refuses_a_climate_span_beyond_the_float_range(self, tmp_path, capsys):
         # Every temperature is finite, but the training span max - min is
-        # not, so the scaler could only map them to NaN.
+        # not, so the scaler could only map them to NaN. The reader refuses
+        # the first of them, as it is beyond MAX_MAGNITUDE.
         truth = tmp_path / "truth.csv"
         assert run(["synth", "--months", 40, "--missing-rate", 0, "--out-truth", truth,
                     "--out-masked", tmp_path / "masked.csv"]) == 0
@@ -343,6 +344,7 @@ class TestTrainForecastEvaluate:
         at = rows[0].index("temp_mean")
         for k, row in enumerate(row for row in rows if row[0] == "Gitega"):
             row[at] = ("1.7e308", "-1.7e308")[k % 2]
+        first = 1 + next(k for k, row in enumerate(rows) if row[0] == "Gitega")
         big, model = tmp_path / "big.csv", tmp_path / "g.model"
         big.write_text("".join(",".join(row) + "\n" for row in rows))
         capsys.readouterr()
@@ -352,9 +354,39 @@ class TestTrainForecastEvaluate:
                         "--epochs", 2, "--hidden", 3, "--out-model", model]) == 1
         assert [str(w.message) for w in caught] == []
         assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")] == [
-            "error:data: Gitega temp_mean: the training values span more than a 64-bit float holds"
+            f"error:data: {big} line {first}: temp_mean must be at most 1e100 in magnitude, got '1.7e308'"
         ]
         assert not model.exists()
+
+    def test_a_value_too_far_outside_the_training_range_to_scale_is_one_error(self, tmp_path, capsys):
+        # The training temperatures of Gitega span 1e-300, so a temperature
+        # of 1e10 in the horizon would scale past 1e310 and overflow. Both
+        # train (which scales the test partition) and forecast (with a model
+        # trained where that month is ordinary) refuse it where it is scaled.
+        truth = tmp_path / "truth.csv"
+        assert run(["synth", "--months", 40, "--missing-rate", 0, "--out-truth", truth,
+                    "--out-masked", tmp_path / "masked.csv"]) == 0
+        rows = [line.split(",") for line in truth.read_text().splitlines()]
+        at = rows[0].index("temp_mean")
+        gitega = [row for row in rows if row[0] == "Gitega"]
+        for k, row in enumerate(gitega):
+            row[at] = ("0.0", "1e-300")[k % 2]
+        tiny, far = tmp_path / "tiny.csv", tmp_path / "far.csv"
+        tiny.write_text("".join(",".join(row) + "\n" for row in rows))
+        gitega[-2][at] = "1e10"  # month T - 1, the last window's last input
+        far.write_text("".join(",".join(row) + "\n" for row in rows))
+        train = ["train", "--region", "Gitega", "--variant", "multivariate", "--epochs", 2, "--hidden", 3]
+        assert run([*train, "--in", tiny, "--out-model", tmp_path / "tiny.model"]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([*train, "--in", far, "--out-model", tmp_path / "far.model"]) == 1
+            assert run(["forecast", "--model", tmp_path / "tiny.model", "--in", far,
+                        "--out", tmp_path / "forecast.csv"]) == 1
+        assert [str(w.message) for w in caught] == []
+        message = "error:data: Gitega temp_mean: 10000000000.0 is too far outside the training range to scale"
+        assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")] == [message] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["far.csv", "masked.csv", "tiny.csv", "tiny.model", "truth.csv"]
 
     def test_unknown_region_rejected(self, tmp_path, province_csv, capsys):
         assert run(["train", "--in", province_csv, "--region", "Atlantis",
@@ -614,8 +646,7 @@ class TestTables:
         path.write_text(with_cell(table_text("forecast", None), 5, 5, value))
         assert run(["evaluate", "--out-dir", tmp_path / "out", path]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["evaluate: 1 forecasts -> " + str(tmp_path / "out"),
-                       "error:data: Bujumbura multivariate: forecast values too large to score"]
+        assert err == [f"error:data: {path} line 5: predicted must be at most 1e100 in magnitude, got '{value}'"]
         assert not (tmp_path / "out").exists()
 
     def test_forecast_header_may_space_its_cells(self, tmp_path):

@@ -65,6 +65,11 @@ class TestMonthlyRecord:
         with pytest.raises(DataError, match="rainfall must be finite"):
             with_cell(make_series("A", 3), "A", 1, rainfall=np.inf)
 
+    def test_rejects_climate_beyond_the_magnitude_bound(self):
+        with_cell(make_series("A", 3), "A", 1, temp_mean=-1e100)
+        with pytest.raises(DataError, match=r"A 2010-02: temp_mean must be at most 1e100 in magnitude, got -1\.7e\+308"):
+            with_cell(make_series("A", 3), "A", 1, temp_mean=-1.7e308)
+
     def test_rejects_counts_above_2_53(self):
         with_cell(make_series("A", 3), "A", 1, cases=2**53)
         with pytest.raises(DataError, match="cases must be <= 2"):
@@ -165,6 +170,14 @@ class TestIngest:
         write_rows(path, HEADER, [["Alpha", 2010, 1, 20.0, 90.0, 70.0, 1000, 5],
                                   ["Alpha", 2010, 2, 20.0, token, 70.0, 1000, 5]])
         with pytest.raises(DataError, match="line 3: rainfall must be finite"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("token", ["1.0000000000000002e100", "-1e101", "1.7e308"])
+    def test_climate_text_beyond_the_magnitude_bound_refused(self, tmp_path, token):
+        path = tmp_path / "big.csv"
+        write_rows(path, HEADER, [["Alpha", 2010, 1, 20.0, 90.0, 70.0, 1000, 5],
+                                  ["Alpha", 2010, 2, 20.0, token, 70.0, 1000, 5]])
+        with pytest.raises(DataError, match=f"line 3: rainfall must be at most 1e100 in magnitude, got '{token}'"):
             ingest_csv(path)
 
     @pytest.mark.parametrize("count", [2**53 + 1, 10**20, -(10**20)])

@@ -1,13 +1,16 @@
-"""Generated error-contract tests for the inputs of the fast stage commands.
+"""Generated error-contract tests for the inputs of the stage commands.
 
 Each test drives ``cli.main`` in-process on a mutated copy of one input
 kind: a ``synth --config`` file, an ``aggregate --map`` file, one of the
-twelve forecast files that ``evaluate`` reads, a dataset CSV collapsed by
-``aggregate --level country``, and a model file read by ``forecast``. A run
+twelve forecast files that ``evaluate`` reads, a dataset CSV read by
+``aggregate --level country``, ``impute`` and ``train``, a model file read
+by ``forecast``, and the command line of ``train`` and ``impute``. A run
 either exits 0, or exits 1 with exactly one ``error:<category>: ...`` line
 on stderr (no warning besides it) and no output file written; a bad dataset
-or model file is an ``error:data:`` line. No example runs a pipeline or the
-process pool.
+or model file is an ``error:data:`` line, and a mutated command line always
+fails with an ``error:config:`` line. No example runs a pipeline or the
+process pool: the dataset that ``impute`` reads has a missing cell in one
+province only, so ``pmap`` runs a plain loop.
 """
 
 import contextlib
@@ -46,11 +49,13 @@ FORECASTS = {
 }
 
 
-def dataset_csv(huge=()) -> str:
-    """The 18 former provinces over 24 months from 2010-01; the 2010-01
-    temp_mean of each of the ``huge`` provinces is 1.7e308."""
+def dataset_csv(temp_mean=None) -> str:
+    """The 18 former provinces over 24 months from 2010-01; ``temp_mean``
+    maps a (province, month index) pair to the text of its temp_mean cell,
+    in place of an ordinary temperature."""
+    temp_mean = temp_mean or {}
     rows = (
-        [province, 2010 + t // 12, t % 12 + 1, "1.7e308" if t == 0 and province in huge else 20 + i % 7 + t % 4 / 4,
+        [province, 2010 + t // 12, t % 12 + 1, temp_mean.get((province, t), 20 + i % 7 + t % 4 / 4),
          100 + 7 * t % 53 + 0.5, 60 + t % 9, 5000 + 100 * i, (3 * i + 5 * t) % 40]
         for i, province in enumerate(data_model.OLD_PROVINCES)
         for t in range(24)
@@ -58,7 +63,14 @@ def dataset_csv(huge=()) -> str:
     return "".join(",".join(map(str, row)) + "\n" for row in [data_model.CSV_HEADER, *rows])
 
 
+def gitega_csv(value) -> bytes:
+    """:func:`dataset_csv` with Gitega's temp_mean in month t set to ``value(t)``."""
+    return dataset_csv({("Gitega", t): value(t) for t in range(24)}).encode()
+
+
 DATASET_CSV = dataset_csv()
+# One missing cell, in one province.
+MASKED_CSV = dataset_csv({("Gitega", 6): ""})
 
 
 def country_model() -> tuple[bytes, str]:
@@ -129,21 +141,23 @@ def mutated(draw, text: str, csv: bool) -> bytes:
     return data
 
 
-def check_contract(argv, folder: Path, inputs, category="[a-z]+") -> None:
+def check_contract(argv, folder: Path, inputs, category="[a-z]+") -> int:
     """Run ``argv``; on failure, assert one error line of ``category`` (a
-    pattern) and that ``folder`` holds only ``inputs``."""
+    pattern) and that ``folder`` holds only ``inputs``. Returns the exit
+    code."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = cli.main([str(a) for a in argv])
     assert not caught, [str(w.message) for w in caught]
     if code == 0:
-        return
+        return code
     assert code == 1
     lines = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
     assert len(lines) == 1 and re.fullmatch(f"error:{category}: .+", lines[0]), err.getvalue()
     assert err.getvalue().splitlines()[-1] == lines[0]
     assert sorted(p.name for p in folder.iterdir()) == sorted(inputs)
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +203,8 @@ def test_mutated_forecast_file_fails_with_one_error_line(case):
 
 
 @settings(max_examples=200, deadline=None)
-# Two finite temperatures whose country mean overflows.
-@example(dataset_csv(huge=("Bubanza", "Bujumbura Rural")).encode())
+# Two finite temperatures whose country mean would overflow.
+@example(dataset_csv({("Bubanza", 0): "1.7e308", ("Bujumbura Rural", 0): "1.7e308"}).encode())
 @given(mutated(DATASET_CSV, csv=True))
 def test_mutated_dataset_fails_with_one_data_error_line(data):
     with tempfile.TemporaryDirectory() as tmp:
@@ -214,3 +228,105 @@ def test_mutated_model_fails_with_one_data_error_line(data):
         argv = ["forecast", "--model", folder / "country.model", "--in", folder / "country.csv",
                 "--out", folder / "forecast.csv"]
         check_contract(argv, folder, ["country.csv", "country.model"], category="data")
+
+
+@settings(max_examples=200, deadline=None)
+# Squares of imputed values that overflow in missForest's stopping rule.
+@example(gitega_csv(lambda t: "" if t == 6 else "1e160"))
+# Temperatures whose column mean overflows; every seventh month is missing.
+@example(gitega_csv(lambda t: "" if t % 7 == 6 else "1.7e308"))
+@given(mutated(MASKED_CSV, csv=True))
+def test_mutated_dataset_fails_impute_with_one_data_error_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        (folder / "masked.csv").write_bytes(data)
+        argv = ["impute", "--in", folder / "masked.csv", "--out", folder / "completed.csv",
+                "--log", folder / "log.csv", "--n-trees", "2", "--max-iter", "3"]
+        check_contract(argv, folder, ["masked.csv"], category="data")
+
+
+TRAIN_ARGV = ["train", "--region", "Gitega", "--variant", "multivariate", "--lookback", "3",
+              "--epochs", "2", "--hidden", "3"]
+
+
+@settings(max_examples=200, deadline=None)
+# Temperatures whose training span overflows.
+@example(gitega_csv(lambda t: ("1.7e308", "-1.7e308")[t % 2]))
+@given(mutated(DATASET_CSV, csv=True))
+def test_mutated_dataset_fails_train_with_one_data_error_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        (folder / "truth.csv").write_bytes(data)
+        argv = [*TRAIN_ARGV, "--in", folder / "truth.csv", "--out-model", folder / "g.model",
+                "--out-loss", folder / "loss.csv"]
+        check_contract(argv, folder, ["truth.csv"], category="data")
+
+
+def flags(*sections):
+    """The setting keys of ``sections`` with their stage-command flags."""
+    return [(key, cli._flag(key, True)) for key in cli.SETTINGS if key.partition(".")[0] in sections]
+
+
+FLAGS = {"train": flags("seed", "window", "train"), "impute": flags("seed", "impute")}
+VALUES = ["0", "-1", "1", "0.5", "1.5", "-0.5", "inf", "nan", "1e400", "x", "1.5.", "", "1,5", "0x10", "--"]
+
+
+def bad_values(key):
+    """The :data:`VALUES` that do not parse as setting ``key``, and those that
+    parse but break its rule."""
+    setting, malformed, ruled = cli.SETTINGS[key], [], []
+    for raw in VALUES:
+        try:
+            value = setting.parse(raw)
+        except ValueError:
+            malformed.append(raw)
+            continue
+        if setting.rule and not setting.rule[0](value):
+            ruled.append(raw)
+    return {"malformed": malformed, "ruled": ruled}
+
+
+@st.composite
+def mutated_argv(draw):
+    """A command (``train`` or ``impute``) and one mutation of its flags: an
+    unknown flag, a flag without its value, a value that does not parse, or
+    one that breaks the setting's rule."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    action = draw(st.sampled_from(["unknown", "missing", "malformed", "ruled"]))
+    if action == "unknown":
+        return command, [draw(st.from_regex(r"--x[a-z-]{0,8}", fullmatch=True))]
+    ruled = [(key, flag) for key, flag in FLAGS[command] if cli.SETTINGS[key].rule]
+    key, flag = draw(st.sampled_from(ruled if action == "ruled" else FLAGS[command]))
+    if action == "missing":
+        return command, [flag]
+    return command, [flag, draw(st.sampled_from(bad_values(key)[action]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_argv())
+def test_mutated_flags_fail_with_one_config_error_line(case):
+    # The mutation comes last, as a repeated flag's last value counts.
+    command, extra = case
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        (folder / "in.csv").write_text(MASKED_CSV if command == "impute" else DATASET_CSV)
+        if command == "impute":
+            argv = ["impute", "--in", folder / "in.csv", "--out", folder / "out.csv", "--n-trees", "2"]
+        else:
+            argv = [*TRAIN_ARGV, "--in", folder / "in.csv", "--out-model", folder / "g.model"]
+        assert check_contract([*argv, *extra], folder, ["in.csv"], category="config") == 1
+
+
+def test_forecasts_beyond_the_bound_are_refused(tmp_path, capsys):
+    # Finite forecasts that a forecast file could not hold: the head always
+    # predicts the top of a target range that reaches 1e200. Forecast
+    # writes no file that evaluate would refuse.
+    head = " ".join(map(float.hex, [1.0, 0.0, 0.0, 0.0]))
+    (tmp_path / "country.csv").write_bytes(COUNTRY_CSV)
+    (tmp_path / "country.model").write_bytes(with_values(MODEL, head=head, target_maxs=float.hex(1e200)))
+    argv = ["forecast", "--model", tmp_path / "country.model", "--in", tmp_path / "country.csv",
+            "--out", tmp_path / "forecast.csv"]
+    capsys.readouterr()
+    assert cli.main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error:data: Burundi multivariate model: forecasts exceed 1e100"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["country.csv", "country.model"]

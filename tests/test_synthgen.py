@@ -79,6 +79,8 @@ class TestConfig:
             (["--months", "30", "--climate-noise", "1e308"], "climate_noise"),
             # Refused as the flag is read, before anything is drawn.
             pytest.param(["--months", "30", "--climate-noise", "nan"], "--climate-noise", id="flags8-climate_noise"),
+            # Finite draws, but beyond the magnitude bound of every climate value.
+            (["--months", "30", "--climate-noise", "1e101"], "climate_noise"),
         ],
     )
     def test_unrepresentable_draws_are_config_errors(self, tmp_path, capsys, flags, setting):
