@@ -21,14 +21,14 @@ so a full pipeline run and the equivalent sequence of individual commands
 produce byte-identical artifacts. ``run_impute``, ``run_train`` and
 ``run_forecast`` read their settings and stage seeds from the run's
 :class:`Config`, whichever command calls them. The ``run_*`` stage
-functions take and return datasets and models: a stage command reads its
-inputs from files, while ``pipeline`` hands each result to the next stage
-in memory and still writes every artifact. Independent units (the province imputations, and each
-model's training and forecast) run on a process pool, which changes no
-output byte. Each artifact is written by its own writer (``write_csv``,
-``save_model``, ``emit_curves``, ...), which goes through
-:func:`data_model.atomic_write`. Errors, a bad command line included, exit 1
-with a single machine-parsable line on stderr.
+functions hand on datasets, models and forecast reports: a stage command
+reads its inputs from files, while ``pipeline`` hands each result to the
+next stage in memory and still writes every artifact. Independent units
+(the province imputations, and each model's training and forecast) run on
+a process pool, which changes no output byte. Each artifact is written by
+its own writer (``write_csv``, ``save_model``, ``emit_curves``, ...),
+which goes through :func:`data_model.atomic_write`. Errors, a bad command
+line included, exit 1 with a single machine-parsable line on stderr.
 """
 
 from __future__ import annotations
@@ -155,27 +155,33 @@ def parse_setting(key: str, raw: str, where, name: str):
     return value
 
 
-def read_config(path, prefix: str = "") -> dict:
-    """Setting values from a ``key = value`` file whose keys are setting
-    keys without ``prefix``; ``seed`` is always bare. Errors name the line."""
-    values = {}
+def read_config(path, prefix: str = ""):
+    """Yield ``(key, value, source)`` for each line of a ``key = value`` file
+    whose keys are setting keys without ``prefix``; ``seed`` is always bare.
+    ``source`` and every error name the line."""
     for line_no, name, raw in data_model.read_kv(path, ConfigError):
         key = name if name == "seed" else prefix + name
         if key not in SETTINGS:
             raise ConfigError(f"{path} line {line_no}: unknown config key {name!r}")
-        values[key] = parse_setting(key, raw, f"{path} line {line_no}", name)
-    return values
+        where = f"{path} line {line_no}"
+        yield key, parse_setting(key, raw, where, name), where
 
 
 class Config:
     """The value of every setting (its default where ``values`` has none)
-    and the config dataclasses built from them."""
+    and the config dataclasses built from them. ``sources`` names the flag or
+    config file line that set a given setting, for a rule that spans settings."""
 
-    def __init__(self, values: dict):
+    def __init__(self, values: dict, sources: dict):
         self.values = {key: values.get(key, s.default) for key, s in SETTINGS.items()}
-        self.synth = synthgen.SynthConfig(
-            seed=derive_seed(self["seed"], "synth"), **self._section("synth", synthgen.SynthConfig)
-        )
+        try:
+            self.synth = synthgen.SynthConfig(
+                seed=derive_seed(self["seed"], "synth"), **self._section("synth", synthgen.SynthConfig)
+            )
+        except ConfigError as exc:  # the pop_growth bound, the one rule not checked by parse_setting
+            if "synth.pop_growth" not in sources:
+                raise
+            raise ConfigError(f"{sources['synth.pop_growth']}: {exc}") from None
         self.forest = imputation.ForestConfig(**self._section("impute", imputation.ForestConfig))
         self.train = lstm.TrainConfig(**self._section("train", lstm.TrainConfig))
 
@@ -258,51 +264,45 @@ FORECAST_HEADER = ["province", "variant", "year", "month", "observed", "predicte
 
 
 def run_forecast(model: lstm.TrainedModel, dataset: Dataset, cfg: Config, out_path):
-    """Forecast the test horizon of the model's region and write it; returns
-    the forecast as ``{(region, variant): [(month, observed, predicted), ...]}``."""
-    recursive, region = cfg["forecast.recursive"], model.region
-    log(f"forecast: region={region} variant={model.spec.variant} recursive={recursive}")
-    months, observed, predicted = lstm.forecast_test_horizon(model, dataset, recursive)
-    rows = [(month, float(obs), float(pred)) for month, obs, pred in zip(months, observed, predicted)]
+    """Forecast the test horizon of the model's region, write it and return
+    its :class:`evaluation.ForecastReport`."""
+    recursive, region, variant = cfg["forecast.recursive"], model.region, model.spec.variant
+    log(f"forecast: region={region} variant={variant} recursive={recursive}")
+    report = evaluation.make_report(region, variant, *lstm.forecast_test_horizon(model, dataset, recursive))
     data_model.write_table(
         out_path,
         FORECAST_HEADER,
         (
-            [region, model.spec.variant, month.year, month.month, repr(obs), repr(pred)]
-            for month, obs, pred in rows
+            [region, variant, month.year, month.month, repr(float(obs)), repr(float(pred))]
+            for month, obs, pred in zip(report.months, report.observed, report.predicted)
         ),
     )
-    return {(region, model.spec.variant): rows}
+    return report
 
 
-def _read_forecast_csv(path):
-    """A forecast file, in the form :func:`run_forecast` returns."""
-    groups: dict[tuple[str, str], list] = {}
-    records = data_model.read_table(path, FORECAST_HEADER)
-    for line_no, (region, variant, year, month, observed, predicted) in records:
-        if region not in evaluation.REGION_ORDER or variant not in windowing.VARIANTS:
-            raise DataError(f"{path} line {line_no}: unknown region or variant {[region, variant]!r}")
-        groups.setdefault((region, variant), []).append(
-            (data_model.MonthKey(year, month), observed, predicted)
-        )
-    return groups
+def _read_forecasts(paths) -> list[evaluation.ForecastReport]:
+    """The reports of the forecast files at ``paths``, their rows grouped by
+    (region, variant) across files and sorted by month. A month that comes
+    twice for one region and variant raises DataError naming its second row."""
+    groups: dict[tuple[str, str], dict] = {}  # each month's row, by (region, variant)
+    for path in paths:
+        for line_no, row in data_model.read_table(path, FORECAST_HEADER):
+            region, variant, year, month, observed, predicted = row
+            if region not in evaluation.REGION_ORDER or variant not in windowing.VARIANTS:
+                raise DataError(f"{path} line {line_no}: unknown region or variant {[region, variant]!r}")
+            rows, key = groups.setdefault((region, variant), {}), data_model.MonthKey(year, month)
+            if key in rows:
+                raise DataError(f"{path} line {line_no}: duplicate forecast month {key} for {region} {variant}")
+            rows[key] = key, observed, predicted
+    return [
+        evaluation.make_report(region, variant, *zip(*sorted(rows.values())))
+        for (region, variant), rows in sorted(groups.items())
+    ]
 
 
-def run_evaluate(forecasts, out_dir) -> None:
-    """Score forecasts (each in the form :func:`run_forecast` returns) and
-    write the report, tables and curves to ``out_dir``."""
-    log(f"evaluate: {len(forecasts)} forecasts -> {out_dir}")
-    groups: dict[tuple[str, str], list] = {}
-    for forecast in forecasts:
-        for key, rows in forecast.items():
-            groups.setdefault(key, []).extend(rows)
-    reports = []
-    for (region, variant), rows in sorted(groups.items()):
-        rows.sort(key=lambda r: r[0])
-        for a, b in zip(rows, rows[1:]):
-            if a[0] == b[0]:
-                raise DataError(f"duplicate forecast month {a[0]} for {region} {variant}")
-        reports.append(evaluation.make_report(region, variant, *zip(*rows)))
+def run_evaluate(reports: list[evaluation.ForecastReport], out_dir) -> None:
+    """Write the report, tables and curves of ``reports`` to ``out_dir``."""
+    log(f"evaluate: {len(reports)} forecasts -> {out_dir}")
     comparison = evaluation.build_comparison(reports)
     out = Path(out_dir)
     (out / "curves").mkdir(parents=True, exist_ok=True)
@@ -319,7 +319,7 @@ def run_evaluate(forecasts, out_dir) -> None:
 
 def run_model(cfg: Config, out: Path, dataset: Dataset, region: str, variant: str):
     """Train one (region, variant) model of the pipeline and forecast its
-    test horizon with it; returns the forecast. One job of the pipeline's pool."""
+    test horizon with it; returns its report. One job of the pipeline's pool."""
     stem = f"{region}_{variant}"
     model = run_train(
         dataset, region, variant, cfg, out / "models" / f"{stem}.model", out / "losses" / f"{stem}.csv"
@@ -373,8 +373,7 @@ def run_pipeline(cfg: Config) -> None:
         (country if region == data_model.COUNTRY_NAME else aggregated, region, variant)
         for region, variant in itertools.product(evaluation.REGION_ORDER, windowing.VARIANTS)
     ]
-    forecasts = parallel.pmap(functools.partial(run_model, cfg, out), *zip(*jobs))
-    run_evaluate(forecasts, out)
+    run_evaluate(parallel.pmap(functools.partial(run_model, cfg, out), *zip(*jobs)), out)
 
 
 def _flag(key: str, stage: bool) -> str:
@@ -461,18 +460,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        values = {}
-        if getattr(args, "config", None):
-            values = read_config(args.config, "synth." if args.command == "synth" else "")
+        given = []  # (key, value, source); a later entry overrides an earlier one
         if args.command == "pipeline" and os.environ.get(OUT_DIR_ENV):
-            values.setdefault("out_dir", os.environ[OUT_DIR_ENV])
-        stage = args.command != "pipeline"
-        values.update(
-            (k, parse_setting(k, v, "command line", _flag(k, stage)))
-            for k, v in vars(args).items()
-            if k in SETTINGS and v is not None
-        )
-        cfg = Config(values)
+            given.append(("out_dir", os.environ[OUT_DIR_ENV], f"${OUT_DIR_ENV}"))
+        if getattr(args, "config", None):
+            given += read_config(args.config, "synth." if args.command == "synth" else "")
+        for key, raw in vars(args).items():
+            if key in SETTINGS and raw is not None:
+                flag = _flag(key, args.command != "pipeline")
+                given.append((key, parse_setting(key, raw, "command line", flag), f"command line: {flag}"))
+        cfg = Config({key: value for key, value, _ in given}, {key: source for key, _, source in given})
         if args.command == "synth":
             run_synth(cfg.synth, synthgen.generate(cfg.synth), args.out_truth, args.out_masked)
         elif args.command == "impute":
@@ -491,7 +488,7 @@ def main(argv=None) -> int:
             dataset = data_model.ingest_csv(args.in_path)
             run_forecast(model, dataset, cfg, args.out_path)
         elif args.command == "evaluate":
-            run_evaluate([_read_forecast_csv(path) for path in args.forecasts], args.out_dir)
+            run_evaluate(_read_forecasts(args.forecasts), args.out_dir)
         elif args.command == "pipeline":
             run_pipeline(cfg)
     except Exception as exc:  # single-line machine-parsable failure

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core_math import AT_LEAST_1, NONE_OR_AT_LEAST_1, OPEN_UNIT, POSITIVE_FINITE, MinMaxScaler, check_fields, ruled
-from .data_model import MAX_MAGNITUDE, Dataset, MonthKey, atomic_write, read_kv
+from .data_model import MAGNITUDE_RULE, MAX_MAGNITUDE, Dataset, MonthKey, atomic_write, read_kv
 from .errors import DataError, DivergenceError, ShapeError
 from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows, scale_inputs
 
@@ -413,16 +413,13 @@ def forecast_test_horizon(
 
     lookback = model.spec.lookback
     predicted = np.empty(len(months))
-    raw_windows = w.inputs[split:].copy()
+    raw = w.inputs[split:].copy()
     for k in range(len(months)):
-        window = raw_windows[k]
-        # Positions whose month falls in the forecast horizon get the model's
-        # own earlier predictions instead of observed cases.
-        for back in range(1, lookback + 1):
-            horizon_offset = k - back
-            if horizon_offset >= 0:
-                window[lookback - back, -1] = predicted[horizon_offset]
-        predicted[k] = predict(model, scale_inputs(w, model.input_scaler, window[None]))[0]
+        # The last ``fed`` positions of window k fall in the horizon: they get
+        # the model's own earlier predictions instead of observed cases.
+        fed = min(k, lookback)
+        raw[k, lookback - fed :, -1] = predicted[k - fed : k]
+        predicted[k] = predict(model, scale_inputs(w, model.input_scaler, raw[k : k + 1]))[0]
     return months, observed, predicted
 
 
@@ -525,7 +522,7 @@ def load_model(path) -> TrainedModel:
             raise fail(key, f"{key} must be a positive integer, got {lines[key][1]!r}")
         return int(lines[key][1])
 
-    def floats(key, count):
+    def floats(key, count, bounded=False):
         tokens = lines[key][1].split()
         if len(tokens) != count:
             raise fail(key, f"expected {count} values, got {len(tokens)}")
@@ -535,6 +532,8 @@ def load_model(path) -> TrainedModel:
             raise fail(key, "malformed hex float") from None
         if not np.isfinite(values).all():
             raise fail(key, "non-finite value")
+        if bounded and not (np.abs(values) <= MAX_MAGNITUDE).all():
+            raise fail(key, f"{key} {MAGNITUDE_RULE}")
         return values
 
     variant = lines["variant"][1]
@@ -555,7 +554,7 @@ def load_model(path) -> TrainedModel:
     params = LstmParams(**{name: floats(name, math.prod(shape)).reshape(shape) for name, shape in shapes.items()})
     scalers = []
     for label, width in (("input", features), ("target", 1)):
-        mins, maxs = floats(f"{label}_mins", width), floats(f"{label}_maxs", width)
+        mins, maxs = (floats(f"{label}_{end}", width, bounded=True) for end in ("mins", "maxs"))
         try:
             scalers.append(MinMaxScaler(mins, maxs))
         except ValueError as exc:

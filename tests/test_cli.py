@@ -657,6 +657,28 @@ class TestTables:
             assert run(["evaluate", "--out-dir", tmp_path / name, tmp_path / f"{name}.csv"]) == 0
         assert snapshot(tmp_path / "spaced") == snapshot(tmp_path / "plain")
 
+    def test_duplicate_forecast_month_names_the_second_file_and_line(self, tmp_path, capsys):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text(table_text("forecast", None))
+        second.write_text(",".join(cli.FORECAST_HEADER) + "\nGitega,multivariate,2019,2,20.0,21.0\n")
+        capsys.readouterr()
+        assert run(["evaluate", "--out-dir", tmp_path / "out", first, second]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:data: {second} line 2: duplicate forecast month 2019-02 for Gitega multivariate"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_a_forecast_split_across_files_is_read_as_one(self, tmp_path):
+        # The second file holds each forecast's month 2, the first its months
+        # 3 and 1, in that order.
+        header, *rows = table_text("forecast", None).splitlines(keepends=True)
+        (tmp_path / "one.csv").write_text(header + "".join(rows))
+        (tmp_path / "a.csv").write_text(header + "".join(r for r in rows[::-1] if ",2019,2," not in r))
+        (tmp_path / "b.csv").write_text(header + "".join(r for r in rows if ",2019,2," in r))
+        assert run(["evaluate", "--out-dir", tmp_path / "whole", tmp_path / "one.csv"]) == 0
+        assert run(["evaluate", "--out-dir", tmp_path / "split", tmp_path / "a.csv", tmp_path / "b.csv"]) == 0
+        assert snapshot(tmp_path / "split") == snapshot(tmp_path / "whole")
+
     def test_csv_is_parsed_only_in_read_table(self):
         owners = set()
         for path in Path(data_model.__file__).parent.glob("*.py"):

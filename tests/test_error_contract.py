@@ -215,10 +215,12 @@ def test_mutated_dataset_fails_with_one_data_error_line(data):
 
 
 @settings(max_examples=200, deadline=None)
-# Finite weights whose outputs overflow (the model has 3 hidden units), and
-# a multivariate model relabelled univariate.
+# Finite weights whose outputs overflow (the model has 3 hidden units), a
+# multivariate model relabelled univariate, and finite scaler bounds whose
+# span overflows.
 @example(with_values(MODEL, head=" ".join([float.hex(1e308)] * 4)))
 @example(with_values(MODEL, variant="univariate"))
+@example(with_values(MODEL, input_mins=" ".join([float.hex(-1e308)] * 5), input_maxs=" ".join([float.hex(1e308)] * 5)))
 @given(mutated(MODEL, csv=False))
 def test_mutated_model_fails_with_one_data_error_line(data):
     with tempfile.TemporaryDirectory() as tmp:
@@ -319,11 +321,11 @@ def test_mutated_flags_fail_with_one_config_error_line(case):
 
 def test_forecasts_beyond_the_bound_are_refused(tmp_path, capsys):
     # Finite forecasts that a forecast file could not hold: the head always
-    # predicts the top of a target range that reaches 1e200. Forecast
-    # writes no file that evaluate would refuse.
-    head = " ".join(map(float.hex, [1.0, 0.0, 0.0, 0.0]))
+    # predicts about ten times the top of a target range that reaches 1e100.
+    # Forecast writes no file that evaluate would refuse.
+    head = " ".join(map(float.hex, [10.0, 0.0, 0.0, 0.0]))
     (tmp_path / "country.csv").write_bytes(COUNTRY_CSV)
-    (tmp_path / "country.model").write_bytes(with_values(MODEL, head=head, target_maxs=float.hex(1e200)))
+    (tmp_path / "country.model").write_bytes(with_values(MODEL, head=head, target_maxs=float.hex(1e100)))
     argv = ["forecast", "--model", tmp_path / "country.model", "--in", tmp_path / "country.csv",
             "--out", tmp_path / "forecast.csv"]
     capsys.readouterr()

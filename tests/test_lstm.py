@@ -17,7 +17,7 @@ import malaria_forecast
 from malaria_forecast import lstm
 from conftest import gate_activation, month_slice, sinusoid_series
 from malaria_forecast.core_math import MinMaxScaler
-from malaria_forecast.data_model import MonthKey
+from malaria_forecast.data_model import MAX_MAGNITUDE, Dataset, MonthKey
 from malaria_forecast.errors import DataError, DivergenceError, ShapeError
 from malaria_forecast.synthgen import SynthConfig, generate
 from malaria_forecast.lstm import (
@@ -484,6 +484,28 @@ class TestForecastHorizon:
         assert np.all(np.isfinite(recursive))
         assert len(recursive) == len(one_step)
 
+    def test_recursive_windows_feed_back_earlier_predictions(self, monkeypatch):
+        # Climate varies, so every cell of a window is checked against its
+        # own observed value.
+        base, t = sinusoid_series(n=100), np.arange(100)
+        climate = np.stack([20.0 + t % 5, 100.0 + 3 * t % 17, 70.0 + t % 3], axis=-1)[None]
+        series = Dataset(base.provinces, base.start, climate, base.population, base.cases)
+        windows = make_windows(series, "Signal", WindowSpec(12, "multivariate"))
+        model = train(split_train_test(windows, 0.8)[0], TrainConfig(hidden=4, epochs=5, seed=1))
+        seen, scale_inputs = [], lstm.scale_inputs
+        monkeypatch.setattr(
+            lstm, "scale_inputs", lambda w, scaler, inputs: seen.append(inputs.copy()) or scale_inputs(w, scaler, inputs)
+        )
+        months, _, predicted = forecast_test_horizon(model, series, recursive=True)
+        split = windows.samples - len(months)
+        assert len(seen) == len(months) == 18
+        for k, window in enumerate(seen):
+            fed, observed = min(k, 12), windows.inputs[split + k]
+            assert window.shape == (1, *observed.shape)
+            assert np.array_equal(window[0, 12 - fed :, -1], predicted[k - fed : k])
+            assert np.array_equal(window[0, : 12 - fed], observed[: 12 - fed])
+            assert np.array_equal(window[0, 12 - fed :, :-1], observed[12 - fed :, :-1])
+
     def test_never_scores_training_months(self):
         # 100 months from 2000-01 with lookback 12 give 88 windows; the first
         # 70 train, so the last training target is month 82 (2006-10). On
@@ -556,9 +578,12 @@ class TestSerialization:
             **{name: data.draw(arrays(np.float64, shape, elements=finite))
                for name, shape in LstmParams.shapes(features, hidden).items()}
         )
+        # A model file's scaler bounds are at most MAX_MAGNITUDE in size, as
+        # the scalers' training data is.
+        bounded = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)
         scalers = []
         for width in (features, 1):
-            a, b = (data.draw(arrays(np.float64, width, elements=finite)) for _ in range(2))
+            a, b = (data.draw(arrays(np.float64, width, elements=bounded)) for _ in range(2))
             scalers.append(MinMaxScaler(np.minimum(a, b), np.maximum(a, b)))
         region = data.draw(st.text() | st.sampled_from(["Gitega", "a,b", "x = y", "#1", "a # b", "=", " Ngozi"]))
         model = TrainedModel(
@@ -630,10 +655,12 @@ class TestSerialization:
             (7, lambda v: ["0xZZp+0", *v[1:]], "line 7: malformed hex float"),  # tensor w
             (8, lambda v: ["inf", *v[1:]], "line 8: non-finite value"),  # tensor head
             (8, lambda v: [*v, v[0]], "line 8: expected 3 values, got 4"),  # head at H = 2
+            (9, lambda v: ["-0x1p+400", *v[1:]], "line 9: input_mins must be at most 1e100 in magnitude"),
             (12, lambda v: ["-0x1p+10"], "line 12: scaler max must be >= min"),  # target_maxs
             (13, lambda v: ["0"], "line 13: checksum mismatch"),
         ],
-        ids=["variant", "lookback", "train_end", "train_end-padded", "hex-float", "non-finite", "count", "scaler-bounds", "checksum"],
+        ids=["variant", "lookback", "train_end", "train_end-padded", "hex-float", "non-finite", "count",
+             "scaler-magnitude", "scaler-bounds", "checksum"],
     )
     def test_bad_token_names_the_line(self, tmp_path, line_no, edit, message):
         # ``edit`` maps the tokens of the line's value to new ones.

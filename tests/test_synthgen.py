@@ -99,6 +99,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="pop_growth"):
             SynthConfig(months=30, pop_growth=limit * (1 + 1e-9))
 
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_pop_growth_error_names_its_source(self, tmp_path, capsys, command, where):
+        # The bound spans pop_growth, months and start_month, so it is checked
+        # after every setting is read; its error names where pop_growth was set.
+        if command == "synth":
+            key, flag = "pop_growth", "--pop-growth"
+            outputs = ["--out-truth", tmp_path / "t.csv", "--out-masked", tmp_path / "m.csv"]
+        else:
+            key, flag, outputs = "synth.pop_growth", "--synth.pop_growth", ["--out_dir", tmp_path / "out"]
+        # A flag overrides the config file's 0.5.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"seed = 1\n{key} = {12 if where == 'config' else 0.5}\n")
+        argv = [command, "--config", cfg_path, *outputs, *([flag, "12"] if where == "flag" else [])]
+        assert cli.main([str(a) for a in argv]) == 1
+        source = f"command line: {flag}" if where == "flag" else f"{cfg_path} line 2"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:config: {source}: pop_growth 12.0 takes a population past 2**53 within 120 months"
+        ]
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
 
 class TestGenerate:
     def test_shape_and_invariants(self):
