@@ -179,9 +179,8 @@ class Config:
                 seed=derive_seed(self["seed"], "synth"), **self._section("synth", synthgen.SynthConfig)
             )
         except ConfigError as exc:  # the pop_growth bound, the one rule not checked by parse_setting
-            if "synth.pop_growth" not in sources:
-                raise
-            raise ConfigError(f"{sources['synth.pop_growth']}: {exc}") from None
+            setters = [sources[k] for k in ("synth.pop_growth", "synth.months", "synth.start_month") if k in sources]
+            raise (ConfigError(f"{setters[0]}: {exc}") if setters else exc) from None
         self.forest = imputation.ForestConfig(**self._section("impute", imputation.ForestConfig))
         self.train = lstm.TrainConfig(**self._section("train", lstm.TrainConfig))
 

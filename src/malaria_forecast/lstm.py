@@ -478,15 +478,19 @@ def save_model(model: TrainedModel, path) -> None:
     and ``target_maxs``, and last ``sha256``, the digest of the lines above it.
     Floats are C99 hex literals, so the round trip is bit-exact. A region
     that would not read back as itself (one with a line break, or whitespace
-    at either end) raises DataError."""
+    at either end) or a scaler bound beyond 1e100 raises DataError before writing."""
     region = model.region
     if region.splitlines() != [region] or region.strip() != region:
         raise DataError(f"region {region!r} cannot be written on one line of a model file")
     spec, params, scalers = model.spec, model.params, (model.input_scaler, model.target_scaler)
+    bounds = dict(zip(_MODEL_KEYS[-5:-1], (b for scaler in scalers for b in (scaler.mins, scaler.maxs))))
+    for key, bound in bounds.items():
+        if not (np.abs(bound) <= MAX_MAGNITUDE).all():
+            raise DataError(f"{key} {MAGNITUDE_RULE}")
     values = [
         MODEL_FORMAT, region, spec.variant, spec.lookback, params.hidden, model.train_end,
         *(_hex(arr) for _, arr in params.tensors()),
-        *(_hex(bound) for scaler in scalers for bound in (scaler.mins, scaler.maxs)),
+        *map(_hex, bounds.values()),
     ]
     body = "".join(f"{key} = {value}\n" for key, value in zip(_MODEL_KEYS, values))
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()

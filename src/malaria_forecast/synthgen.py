@@ -5,6 +5,12 @@ climate (period-12 sinusoids plus noise), annually constant populations, and
 case counts driven by population and 1-2 month lagged climate. A masked copy
 with climate values removed completely at random accompanies the truth, so
 imputation and forecasting can be scored against known values.
+
+Four generators spawned from the seed each draw in one call, province by
+province in ``provinces`` order, then by month, then by field: ``params`` the
+ten :data:`_RANGES` per province, ``climate`` three normals and ``mask`` three
+uniforms per month, and ``cases`` one Poisson count per month if case_noise >
+0. So no province's series depends on later ones; rows are sorted by name.
 """
 
 from __future__ import annotations
@@ -20,21 +26,10 @@ from .errors import ConfigError
 
 MAX_BASE_POPULATION = 950_000.0  # a province's first-year population is below it
 _NOISE = (lambda v: 0.0 <= v < math.inf, "must be non-negative and finite")
-
-
-@dataclass(frozen=True)
-class ClimateParams:
-    """Per-province seasonal parameters: level, amplitude, phase (months)."""
-
-    temp_mean: float
-    temp_amp: float
-    temp_phase: float
-    rain_mean: float
-    rain_amp: float
-    rain_phase: float
-    hum_mean: float
-    hum_amp: float
-    hum_phase: float
+# The uniform (lows, highs) of a province's draws, in draw order: level, amplitude
+# and phase (months) of temperature, rainfall and humidity; first-year population.
+_RANGES = np.array([(18.0, 24.0), (2.0, 4.0), (0.0, 12.0), (90.0, 140.0), (30.0, 60.0), (0.0, 12.0),
+                    (60.0, 80.0), (5.0, 12.0), (0.0, 12.0), (250_000.0, MAX_BASE_POPULATION)]).T
 
 
 @dataclass(frozen=True)
@@ -78,119 +73,61 @@ class SynthConfig:
             )
 
 
-def _draw_climate_params(rng: np.random.Generator) -> ClimateParams:
-    return ClimateParams(
-        temp_mean=rng.uniform(18.0, 24.0),
-        temp_amp=rng.uniform(2.0, 4.0),
-        temp_phase=rng.uniform(0.0, 12.0),
-        rain_mean=rng.uniform(90.0, 140.0),
-        rain_amp=rng.uniform(30.0, 60.0),
-        rain_phase=rng.uniform(0.0, 12.0),
-        hum_mean=rng.uniform(60.0, 80.0),
-        hum_amp=rng.uniform(5.0, 12.0),
-        hum_phase=rng.uniform(0.0, 12.0),
-    )
-
-
-def _season(level: float, amp: float, phase: float, t: int) -> float:
-    return level + amp * math.sin(2.0 * math.pi * (t + phase) / 12.0)
-
-
-def case_rate(
-    cfg: SynthConfig,
-    params: ClimateParams,
-    population: int,
-    rain_lag1: float | None,
-    temp_lag2: float | None,
-) -> float:
-    """Deterministic incidence rate for one province-month.
-
-    Lagged climate enters as a standardized anomaly of the seasonal signal;
-    unavailable lags (series start) contribute zero.
-    """
-    z_rain = 0.0
-    if rain_lag1 is not None and params.rain_amp > 0:
-        z_rain = (rain_lag1 - params.rain_mean) / (params.rain_amp / math.sqrt(2.0))
-    z_temp = 0.0
-    if temp_lag2 is not None and params.temp_amp > 0:
-        z_temp = (temp_lag2 - params.temp_mean) / (params.temp_amp / math.sqrt(2.0))
+def _exp(x: float) -> float:
+    """``math.exp``, inf past its range. numpy's SIMD ``exp`` rounds some
+    arguments differently, and a rate one ulp off can draw another count."""
     try:
-        return cfg.baseline * population * math.exp(cfg.rain_weight * z_rain + cfg.temp_weight * z_temp)
+        return math.exp(x)
     except OverflowError:
         return math.inf
 
 
+def case_rate(cfg: SynthConfig, level, amp, population, climate) -> np.ndarray:
+    """Deterministic incidence rate of each province-month (P × T). Lagged
+    climate (P × T × 3) enters as its anomaly from the seasonal ``level`` over
+    the sinusoid's RMS, ``amp``/√2; unavailable lags (series start) add zero."""
+    z = (climate - level) / (amp / math.sqrt(2.0))
+    arg = np.zeros(population.shape)
+    arg[:, 1:] += cfg.rain_weight * z[:, :-1, 1]
+    arg[:, 2:] += cfg.temp_weight * z[:, :-2, 0]
+    return cfg.baseline * population * np.fromiter(map(_exp, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
+
+
 def generate(cfg: SynthConfig) -> tuple[Dataset, Dataset]:
-    """Produce ``(truth, masked)`` datasets for the configured provinces.
-
-    Both datasets share population and case columns; the masked copy has
-    climate cells removed uniformly at random at ``cfg.missing_rate``.
-    Identical configs produce bit-identical output.
-    """
+    """``(truth, masked)`` datasets sharing population and cases; the masked
+    copy has climate cells removed uniformly at random at ``cfg.missing_rate``.
+    Identical configs produce bit-identical output."""
     r_params, r_climate, r_cases, r_mask = np.random.default_rng(cfg.seed).spawn(4)
-    years = [cfg.start_year + (cfg.start_month - 1 + t) // 12 for t in range(cfg.months)]
-
-    params, population = {}, {}
-    for province in cfg.provinces:
-        params[province] = _draw_climate_params(r_params)
-        base = r_params.uniform(250_000.0, MAX_BASE_POPULATION)
-        population[province] = [
-            max(1, round(base * (1.0 + cfg.pop_growth) ** (year - cfg.start_year)))
-            for year in years
-        ]
-
-    truth, masked, cases = {}, {}, {}
-    for province in cfg.provinces:
-        p = params[province]
-        rows = []
-        for t in range(cfg.months):
-            noise_t = r_climate.normal(0.0, 1.0)
-            noise_r = r_climate.normal(0.0, 1.0)
-            noise_h = r_climate.normal(0.0, 1.0)
-            rows.append((
-                _season(p.temp_mean, p.temp_amp, p.temp_phase, t) + cfg.climate_noise * 0.4 * noise_t,
-                max(0.0, _season(p.rain_mean, p.rain_amp, p.rain_phase, t) + cfg.climate_noise * 8.0 * noise_r),
-                min(100.0, max(0.0, _season(p.hum_mean, p.hum_amp, p.hum_phase, t) + cfg.climate_noise * 2.0 * noise_h)),
-            ))
-        truth[province] = rows
-
-        if not all(abs(value) <= MAX_MAGNITUDE for row in rows for value in row):
+    shape = (len(cfg.provinces), cfg.months)
+    params = r_params.uniform(*_RANGES, size=(shape[0], 10))
+    level, amp, phase = (params[:, None, k:9:3] for k in range(3))  # P × 1 × field
+    year = (cfg.start_month - 1 + np.arange(cfg.months)) // 12
+    growth = np.array([(1.0 + cfg.pop_growth) ** k for k in range(year[-1] + 1)])
+    population = np.maximum(np.rint(params[:, 9:] * growth[year]), 1.0).astype(np.int64)
+    # Huge noise, baseline or weights overflow to inf here and are refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        climate = level + amp * np.sin(2.0 * math.pi * (np.arange(cfg.months)[:, None] + phase) / 12.0)
+        climate += cfg.climate_noise * np.array([0.4, 8.0, 2.0]) * r_climate.normal(size=(*shape, 3))
+        climate[..., 1] = np.maximum(climate[..., 1], 0.0)
+        climate[..., 2] = np.clip(climate[..., 2], 0.0, 100.0)
+        rate = case_rate(cfg, level, amp, population, climate)
+        # Counts are drawn up to the first bad climate row or rate, in draw order.
+        climate_ok = (np.abs(climate) <= MAX_MAGNITUDE).all(axis=(1, 2))
+        ok = (rate <= MAX_COUNT) & climate_ok[:, None]
+        stop = ok.size if ok.all() else int(np.argmin(ok))
+        count = rate.ravel()[:stop]
+        if cfg.case_noise > 0:
+            count = count + cfg.case_noise * (r_cases.poisson(count) - count)
+    if (count > MAX_COUNT).any():
+        raise ConfigError(f"case_noise {cfg.case_noise} draws a count beyond 2**53")
+    if stop < ok.size:
+        p, t = divmod(stop, cfg.months)
+        if not climate_ok[p]:
             raise ConfigError(f"climate_noise {cfg.climate_noise} draws a climate value beyond 1e100")
-        counts = []
-        for t, pop in enumerate(population[province]):
-            rate = case_rate(
-                cfg,
-                p,
-                pop,
-                rows[t - 1][1] if t >= 1 else None,
-                rows[t - 2][0] if t >= 2 else None,
-            )
-            if not rate <= MAX_COUNT:  # NaN too
-                raise ConfigError(
-                    f"case rate {rate} of {province} in month {t} is beyond 2**53; "
-                    "lower baseline, rain_weight or temp_weight"
-                )
-            count = rate
-            if cfg.case_noise > 0:
-                count = rate + cfg.case_noise * (int(r_cases.poisson(rate)) - rate)
-                if count > MAX_COUNT:
-                    raise ConfigError(f"case_noise {cfg.case_noise} draws a count beyond 2**53")
-            counts.append(round(max(0.0, count)))
-        cases[province] = counts
-        masked[province] = [
-            [value if r_mask.uniform(0.0, 1.0) >= cfg.missing_rate else math.nan for value in row]
-            for row in rows
-        ]
-
-    names = sorted(cfg.provinces)
-    start = MonthKey(cfg.start_year, cfg.start_month)
-    return tuple(
-        Dataset(
-            names,
-            start,
-            [climate[n] for n in names],
-            [population[n] for n in names],
-            [cases[n] for n in names],
-        )
-        for climate in (truth, masked)
-    )
+        raise ConfigError(f"case rate {float(rate[p, t])} of {cfg.provinces[p]} in month {t} is beyond 2**53; "
+                          "lower baseline, rain_weight or temp_weight")
+    cases = np.rint(np.maximum(count, 0.0)).astype(np.int64).reshape(shape)
+    masked = np.where(r_mask.uniform(size=(*shape, 3)) >= cfg.missing_rate, climate, np.nan)
+    order = sorted(range(shape[0]), key=cfg.provinces.__getitem__)
+    names, start = [cfg.provinces[i] for i in order], MonthKey(cfg.start_year, cfg.start_month)
+    return tuple(Dataset(names, start, c[order], population[order], cases[order]) for c in (climate, masked))

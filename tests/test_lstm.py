@@ -612,6 +612,21 @@ class TestSerialization:
             save_model(model, tmp_path / "m.model")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "key, bound", [("target_maxs", 1e200), ("input_mins", -1e200), ("target_maxs", math.nan)]
+    )
+    def test_scaler_bound_beyond_the_magnitude_bound_is_refused(self, tmp_path, key, bound):
+        # load_model would refuse the file, so save_model does not write it.
+        train_part, _ = sinusoid_partitions()
+        model = train(train_part, TrainConfig(hidden=2, epochs=0, seed=1))
+        label, end = key.split("_")
+        scaler = getattr(model, f"{label}_scaler")
+        getattr(scaler, end)[0] = bound
+        with pytest.raises(DataError) as info:
+            save_model(model, tmp_path / "m.model")
+        assert str(info.value) == f"{key} must be at most 1e100 in magnitude"
+        assert list(tmp_path.iterdir()) == []
+
     def test_save_is_byte_stable(self, tmp_path):
         train_part, _ = sinusoid_partitions()
         model = train(train_part, TrainConfig(hidden=3, epochs=2, seed=6))

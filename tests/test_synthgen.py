@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,47 @@ from malaria_forecast import cli
 from malaria_forecast.core_math import derive_seed
 from malaria_forecast.data_model import MAX_COUNT, OLD_PROVINCES, MonthKey, ingest_csv
 from malaria_forecast.errors import ConfigError
-from malaria_forecast.synthgen import MAX_BASE_POPULATION, SynthConfig, case_rate, generate
+from malaria_forecast.synthgen import _RANGES, MAX_BASE_POPULATION, SynthConfig, generate
+
+
+def scalar_reference(cfg):
+    """``generate`` one value at a time, in draw order: ``(names, climate,
+    masked climate, population, cases)``, rows sorted by name. It raises the
+    same ConfigError, at the first bad (province, month) it reaches."""
+    r_params, r_climate, r_cases, r_mask = np.random.default_rng(cfg.seed).spawn(4)
+    draws = [[r_params.uniform(low, high) for low, high in zip(*_RANGES)] for _ in cfg.provinces]
+    series = {}
+    for name, d in zip(cfg.provinces, draws):
+        years = [(cfg.start_month - 1 + t) // 12 for t in range(cfg.months)]
+        population = [max(1, round(d[9] * (1.0 + cfg.pop_growth) ** year)) for year in years]
+        climate = []
+        for t in range(cfg.months):
+            row = [d[3 * f] + d[3 * f + 1] * math.sin(2.0 * math.pi * (t + d[3 * f + 2]) / 12.0)
+                   + cfg.climate_noise * sd * r_climate.normal(0.0, 1.0) for f, sd in enumerate((0.4, 8.0, 2.0))]
+            climate.append([row[0], max(0.0, row[1]), min(100.0, max(0.0, row[2]))])
+        if not all(abs(v) <= 1e100 for row in climate for v in row):
+            raise ConfigError(f"climate_noise {cfg.climate_noise} draws a climate value beyond 1e100")
+        cases = []
+        for t in range(cfg.months):
+            z_rain = (climate[t - 1][1] - d[3]) / (d[4] / math.sqrt(2.0)) if t >= 1 else 0.0
+            z_temp = (climate[t - 2][0] - d[0]) / (d[1] / math.sqrt(2.0)) if t >= 2 else 0.0
+            try:
+                rate = cfg.baseline * population[t] * math.exp(cfg.rain_weight * z_rain + cfg.temp_weight * z_temp)
+            except OverflowError:
+                rate = math.inf
+            if not rate <= MAX_COUNT:
+                raise ConfigError(f"case rate {rate} of {name} in month {t} is beyond 2**53; "
+                                  "lower baseline, rain_weight or temp_weight")
+            count = rate
+            if cfg.case_noise > 0:
+                count = rate + cfg.case_noise * (int(r_cases.poisson(rate)) - rate)
+                if count > MAX_COUNT:
+                    raise ConfigError(f"case_noise {cfg.case_noise} draws a count beyond 2**53")
+            cases.append(round(max(0.0, count)))
+        masked = [[v if r_mask.uniform(0.0, 1.0) >= cfg.missing_rate else math.nan for v in row] for row in climate]
+        series[name] = (climate, masked, population, cases)
+    names = sorted(cfg.provinces)
+    return (names, *(np.array([series[name][k] for name in names]) for k in range(4)))
 
 
 class TestConfig:
@@ -100,23 +142,31 @@ class TestConfig:
             SynthConfig(months=30, pop_growth=limit * (1 + 1e-9))
 
     @pytest.mark.parametrize("command", ["synth", "pipeline"])
-    @pytest.mark.parametrize("where", ["flag", "config"])
-    def test_pop_growth_error_names_its_source(self, tmp_path, capsys, command, where):
+    @pytest.mark.parametrize(
+        "where, setting",
+        [pytest.param(where, setting, id=where if setting == "pop_growth" else f"{setting}-{where}")
+         for setting in ("pop_growth", "months") for where in ("flag", "config")],
+    )
+    def test_pop_growth_error_names_its_source(self, tmp_path, capsys, command, where, setting):
         # The bound spans pop_growth, months and start_month, so it is checked
-        # after every setting is read; its error names where pop_growth was set.
+        # after every setting is read; its error names where pop_growth was
+        # set, or else where the series length was.
+        value = {"pop_growth": "12", "months": "14000"}[setting]
         if command == "synth":
-            key, flag = "pop_growth", "--pop-growth"
+            key, flag = setting, f"--{setting.replace('_', '-')}"
             outputs = ["--out-truth", tmp_path / "t.csv", "--out-masked", tmp_path / "m.csv"]
         else:
-            key, flag, outputs = "synth.pop_growth", "--synth.pop_growth", ["--out_dir", tmp_path / "out"]
-        # A flag overrides the config file's 0.5.
+            key, flag, outputs = f"synth.{setting}", f"--synth.{setting}", ["--out_dir", tmp_path / "out"]
+        # A flag overrides the config file's harmless value.
+        harmless = {"pop_growth": "0.5", "months": "30"}[setting]
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(f"seed = 1\n{key} = {12 if where == 'config' else 0.5}\n")
-        argv = [command, "--config", cfg_path, *outputs, *([flag, "12"] if where == "flag" else [])]
+        cfg_path.write_text(f"seed = 1\n{key} = {value if where == 'config' else harmless}\n")
+        argv = [command, "--config", cfg_path, *outputs, *([flag, value] if where == "flag" else [])]
         assert cli.main([str(a) for a in argv]) == 1
         source = f"command line: {flag}" if where == "flag" else f"{cfg_path} line 2"
+        growth, months = ("12.0", 120) if setting == "pop_growth" else ("0.02", 14000)
         assert capsys.readouterr().err.splitlines() == [
-            f"error:config: {source}: pop_growth 12.0 takes a population past 2**53 within 120 months"
+            f"error:config: {source}: pop_growth {growth} takes a population past 2**53 within {months} months"
         ]
         assert list(tmp_path.iterdir()) == [cfg_path]
 
@@ -139,6 +189,39 @@ class TestGenerate:
         assert (steps[:, ~january[1:]] == 0).all()
         assert (steps[:, january[1:]] > 0).all()
         assert january[1:].sum() == 3
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(seed=1, months=36, start_month=5),
+            dict(seed=2, months=30, provinces=("Zed", "Alpha", "Mid"), missing_rate=0.4),
+            dict(seed=3, months=24, case_noise=0.0, climate_noise=0.0),
+            dict(seed=4, months=300, start_month=12, provinces=("Ngozi", "Gitega")),
+            dict(seed=5, months=40, case_noise=3.5, climate_noise=2.0, rain_weight=-2.0, temp_weight=1.5,
+                 pop_growth=-0.3),
+            # Amplified by case_noise, an exp one ulp off changes counts here.
+            dict(seed=2, months=30, case_noise=1e12),
+            # Each refused at the same point, with the same message.
+            dict(seed=1, months=30, rain_weight=1e3),
+            dict(seed=1, months=30, baseline=1e300),
+            dict(seed=2, months=30, baseline=1e9, rain_weight=5.0),
+            dict(seed=1, months=30, case_noise=1e300),
+            dict(seed=1, months=30, climate_noise=1e308, provinces=("Zed", "Alpha")),
+        ],
+    )
+    def test_matches_the_scalar_reference(self, settings):
+        cfg = SynthConfig(**settings)
+        try:
+            names, *expected = scalar_reference(cfg)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as info:
+                generate(cfg)
+            assert str(info.value) == str(exc)
+            return
+        truth, masked = generate(cfg)
+        assert truth.provinces == masked.provinces == names
+        got = [truth.climate, masked.climate, truth.population, truth.cases]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
     def test_zero_missingness_masked_equals_truth(self):
         truth, masked = generate(SynthConfig(seed=2, months=30, missing_rate=0.0))
@@ -178,18 +261,34 @@ class TestGenerate:
         truth, _ = generate(cfg)
         climate = truth.climate[0].tolist()
         population, cases = truth.population[0].tolist(), truth.cases[0].tolist()
-        from malaria_forecast.synthgen import _draw_climate_params
-
-        params = _draw_climate_params(np.random.default_rng(cfg.seed).spawn(4)[0])
+        # The province's ten draws, one at a time from the first spawned
+        # stream: level, amplitude, phase of each climate field, then base.
+        r_params = np.random.default_rng(cfg.seed).spawn(4)[0]
+        draws = [r_params.uniform(low, high) for low, high in zip(*_RANGES)]
+        (temp_mean, temp_amp, _), (rain_mean, rain_amp, _) = draws[0:3], draws[3:6]
+        for t, row in enumerate(climate):
+            for field in range(3):
+                level, amp, phase = draws[3 * field:3 * field + 3]
+                assert row[field] == level + amp * math.sin(2.0 * math.pi * (t + phase) / 12.0)
         for t in range(2, len(cases)):
-            rate = case_rate(
-                cfg,
-                params,
-                population[t],
-                climate[t - 1][1],
-                climate[t - 2][0],
-            )
+            z_rain = (climate[t - 1][1] - rain_mean) / (rain_amp / math.sqrt(2.0))
+            z_temp = (climate[t - 2][0] - temp_mean) / (temp_amp / math.sqrt(2.0))
+            rate = cfg.baseline * population[t] * math.exp(cfg.rain_weight * z_rain + cfg.temp_weight * z_temp)
             assert cases[t] == round(rate)
+
+    def test_first_listed_province_does_not_depend_on_the_others(self):
+        # Every stream draws province by province in `provinces` order, and
+        # the rows are sorted by name only afterwards.
+        kw = dict(seed=9, months=30, missing_rate=0.3)
+        many = generate(SynthConfig(provinces=("Zed", "Alpha", "Mid"), **kw))
+        solo = generate(SynthConfig(provinces=("Solo",), **kw))
+        assert many[0].provinces == ["Alpha", "Mid", "Zed"]
+        for a, b in zip(many, solo):
+            z = a.row("Zed")
+            assert np.array_equal(a.climate[z], b.climate[0], equal_nan=True)
+            assert np.array_equal(a.population[z], b.population[0])
+            assert np.array_equal(a.cases[z], b.cases[0])
+            assert not np.array_equal(a.climate[a.row("Alpha")], b.climate[0], equal_nan=True)
 
     def test_distinct_seeds_differ(self):
         a, _ = generate(SynthConfig(seed=7, months=24, provinces=("Alpha",)))
