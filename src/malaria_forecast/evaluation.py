@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data_model import BURUNDI_REDISTRICTING_GROUPS, COUNTRY_NAME, MonthKey, atomic_write, write_table
-from .errors import CompletenessError
+from .errors import CompletenessError, DataError
 from .lstm import loss_mse
 from .windowing import VARIANTS, WindowedDataset
 
@@ -79,7 +79,8 @@ def make_report(region, model_variant, months, observed, predicted) -> ForecastR
 def _index_reports(reports: Sequence[ForecastReport]) -> list[tuple[str, ForecastReport, ForecastReport]]:
     """The label of each region of :data:`REGION_ORDER` with its univariate
     and multivariate report; CompletenessError for a duplicate or a missing
-    report."""
+    report, DataError for a region whose two reports differ in months or in
+    observed values, as their scores would not be comparable."""
     indexed = {}
     for report in reports:
         key = (report.region, report.model_variant)
@@ -90,10 +91,15 @@ def _index_reports(reports: Sequence[ForecastReport]) -> list[tuple[str, Forecas
         for variant in VARIANTS:
             if (region, variant) not in indexed:
                 raise CompletenessError(f"missing {variant} report for region {region!r}")
-    return [
-        (region_label(region), indexed[region, "univariate"], indexed[region, "multivariate"])
-        for region in REGION_ORDER
-    ]
+    pairs = [(region, indexed[region, "univariate"], indexed[region, "multivariate"]) for region in REGION_ORDER]
+    for region, uni, multi in pairs:
+        if uni.months != multi.months or not np.array_equal(uni.observed, multi.observed):
+            spans = [f"{r.months[0]}..{r.months[-1]} ({len(r.months)} months)" for r in (uni, multi)]
+            raise DataError(
+                f"{region}: the univariate forecast covers {spans[0]} and the multivariate forecast"
+                f" {spans[1]}; both must cover the same months with the same observed cases"
+            )
+    return [(region_label(region), uni, multi) for region, uni, multi in pairs]
 
 
 def build_comparison(reports: Sequence[ForecastReport]) -> list[tuple[str, str, str]]:

@@ -58,14 +58,14 @@ class Forest:
     """``n_trees`` CART trees stored as flat node arrays.
 
     Node ``t`` is the root of tree ``t``, and each level's nodes follow the
-    level above. A leaf has ``feature == left == right == -1`` and predicts
-    ``value``; an inner node sends a row left when ``row[feature] <= threshold``.
+    level above. A leaf has ``feature == left == -1`` and predicts ``value``;
+    an inner node ``j`` sends a row to its left child ``left[j]`` when
+    ``row[feature] <= threshold``, and else to its right child ``left[j] + 1``.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     n_trees: int
     n_features: int
@@ -89,21 +89,9 @@ def _checked_inputs(X, y):
 
 
 def _pick_features(draws: np.ndarray, mtry: int) -> np.ndarray:
-    """Mark the ``mtry`` smallest draws of each row, as ranking the row with
-    a stable argsort would: among equal draws the lower index comes first.
-
-    One partition finds each row's ``mtry``-th smallest draw, and the draws
-    up to it are picked; only where that picks too many are the ties with
-    it cut back in index order.
-    """
-    kth = np.partition(draws, mtry - 1, axis=1)[:, mtry - 1 : mtry]
-    picked = draws <= kth
-    if np.count_nonzero(picked) > mtry * draws.shape[0]:
-        below = draws < kth
-        tied = picked & ~below
-        room = mtry - below.sum(axis=1, keepdims=True)
-        picked = below | (tied & (np.cumsum(tied, axis=1) <= room))
-    return picked
+    """Mark the ``mtry`` smallest draws of each row: each draw's rank by a
+    stable argsort, so that among equal draws the lower index comes first."""
+    return np.argsort(np.argsort(draws, axis=1, kind="stable"), axis=1, kind="stable") < mtry
 
 
 def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: np.random.Generator) -> Forest:
@@ -120,6 +108,8 @@ def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: np.random.Generator) -
     side; among equal gains the lowest feature, then the lowest threshold,
     wins. Each list sums in the order of a loop over the features one at a
     time, which keeps the forests bit-identical to ``levelwise_reference``.
+    One stable sort of every list by child node (2 * node, plus 1 for the
+    right side) then opens the next level, each child's entries in order.
     ``rng`` draws each level's feature subsets, unless ``mtry`` covers
     every feature.
     """
@@ -200,37 +190,23 @@ def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: np.random.Generator) -
         levels.append((feature, threshold, value))
         if not split.any():
             break
-        # Each entry's side, found from list 0, is the same in every list.
+        # Each entry's side, found from list 0, is the same in every list. The
+        # child key is narrow: numpy's stable sort is a radix sort up to 16 bits.
         keep = split[node]
         node = node[keep]
-        width = node.size
         entries = lists.compress(keep, axis=1)
         right = np.zeros(p * m, dtype=bool)
         right[entries[0]] = table[0, feature[node] * m + entries[0]] > threshold[node]
         right.reshape(p, m)[1:] = right[:m]
-        goes = right[entries]
-        # A stable two-way partition of each split node in each list, by
-        # counts. Every list holds the same entries per node, so as many
-        # right-goers precede a node's block in every list.
-        n_right = np.bincount(node[goes[0]], minlength=k)
-        sizes = np.where(split, sizes, 0)
-        ahead = np.cumsum(goes, axis=1)
-        ahead -= (np.cumsum(n_right) - n_right)[node]
-        # A left-goer moves back past the right-goers ahead of it in its
-        # node; the j-th right-goer moves to the j-th slot after the node's
-        # left-goers.
-        dest = np.arange(width) - ahead
-        np.add(ahead, (np.cumsum(sizes) - n_right - 1)[node], out=dest, where=goes)
-        dest += np.arange(0, p * width, width)[:, None]
-        lists = np.empty_like(entries)
-        lists.ravel()[dest] = entries
-        sizes = np.ravel([sizes - n_right, n_right], order="F")[np.repeat(split, 2)]
+        child = (2 * node + right[entries]).astype(np.min_scalar_type(2 * k))
+        lists = np.take_along_axis(entries, np.argsort(child, axis=1, kind="stable"), axis=1)
+        sizes = np.bincount(child[0], minlength=2 * k)[np.repeat(split, 2)]
     feature, threshold, value = (np.concatenate(col) for col in zip(*levels))
     # Levels list the children of their parents' level in order, so the
     # children of the i-th inner node are nodes n_trees + 2i and n_trees + 2i + 1.
     inner = feature >= 0
     left = np.where(inner, n_trees + 2 * np.cumsum(inner) - 2, -1)
-    return Forest(feature, threshold, left, np.where(inner, left + 1, -1), value, n_trees, p)
+    return Forest(feature, threshold, left, value, n_trees, p)
 
 
 def bootstrap_weights(rng: np.random.Generator, n_trees: int, n: int) -> np.ndarray:
@@ -266,7 +242,7 @@ def forest_predict(forest: Forest, X) -> np.ndarray:
     feature = forest.feature[node]
     while (inner := feature >= 0).any():
         go_left = X[rows, feature] <= forest.threshold[node]
-        node = np.where(inner, np.where(go_left, forest.left[node], forest.right[node]), node)
+        node = np.where(inner, forest.left[node] + ~go_left, node)
         feature = forest.feature[node]
     return forest.value[node].sum(axis=0) / forest.n_trees
 

@@ -60,6 +60,8 @@ class SynthConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if len(set(self.provinces)) < len(self.provinces) or not all(self.provinces):
+            raise ConfigError(f"provinces must be distinct non-empty names, got {self.provinces}")
         # The largest population drawn is below MAX_BASE_POPULATION times
         # the growth factor of the last year.
         years = (self.start_month + self.months - 2) // 12

@@ -55,7 +55,7 @@ def walk_tree(forest, t, X):
         node = t
         while forest.feature[node] >= 0:
             go_left = row[forest.feature[node]] <= forest.threshold[node]
-            node = forest.left[node] if go_left else forest.right[node]
+            node = forest.left[node] if go_left else forest.left[node] + 1
         out[i] = forest.value[node]
     return out
 

@@ -668,6 +668,32 @@ class TestTables:
         ]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "row, edited, multivariate_span",
+        [
+            # A multivariate model with the longer lookback starts a month later.
+            ("Gitega,multivariate,2019,1,10.0,11.5\n", "", "2019-02..2019-03 (2 months)"),
+            ("Gitega,multivariate,2019,2,20.0,", "Gitega,multivariate,2019,2,21.0,", "2019-01..2019-03 (3 months)"),
+        ],
+        ids=["months", "observed"],
+    )
+    def test_evaluate_refuses_variants_over_different_months_or_observations(
+        self, tmp_path, capsys, row, edited, multivariate_span
+    ):
+        path = tmp_path / "forecast.csv"
+        text = table_text("forecast", None)
+        assert row in text
+        path.write_text(text.replace(row, edited))
+        capsys.readouterr()
+        assert run(["evaluate", "--out-dir", tmp_path / "out", path]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [
+            "error:data: Gitega: the univariate forecast covers 2019-01..2019-03 (3 months) and the"
+            f" multivariate forecast {multivariate_span}; both must cover the same months with the"
+            " same observed cases"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_a_forecast_split_across_files_is_read_as_one(self, tmp_path):
         # The second file holds each forecast's month 2, the first its months
         # 3 and 1, in that order.

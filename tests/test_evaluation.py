@@ -1,11 +1,12 @@
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from conftest import make_series, month_seq, read_curves
-from malaria_forecast.errors import CompletenessError
+from malaria_forecast.errors import CompletenessError, DataError
 from malaria_forecast.evaluation import (
     REGION_ORDER,
     build_comparison,
@@ -150,6 +151,21 @@ class TestComparison:
         reports = full_report_set()
         with pytest.raises(CompletenessError, match="duplicate"):
             build_comparison(reports + [reports[0]])
+
+    def test_variants_over_different_months_or_observations_are_refused(self, tmp_path):
+        reports = full_report_set()
+        gitega = REGION_ORDER.index("Gitega")
+        uni = reports[2 * gitega]
+        late = make_report("Gitega", "multivariate", uni.months[1:], uni.observed[1:], uni.predicted[1:])
+        recounted = make_report("Gitega", "multivariate", uni.months, uni.observed + 1.0, uni.predicted)
+        path = tmp_path / "totals.csv"
+        for multi, span in ((late, "2020-11..2022-09 (23 months)"), (recounted, "2020-10..2022-09 (24 months)")):
+            bad = reports[: 2 * gitega + 1] + [multi] + reports[2 * gitega + 2 :]
+            message = f"Gitega: the univariate forecast covers 2020-10..2022-09 (24 months) and the multivariate forecast {span};"
+            for build in (build_comparison, render_totals_text, lambda r: write_totals_csv(r, path)):
+                with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+                    build(bad)
+        assert not path.exists()
 
     def test_rendering_is_byte_stable(self):
         table = build_comparison(full_report_set())

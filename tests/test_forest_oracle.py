@@ -25,10 +25,12 @@ from hypothesis import strategies as st
 from malaria_forecast.imputation import (
     Forest,
     ForestConfig,
+    _province_matrix,
     bootstrap_weights,
     forest_fit,
     forest_predict,
 )
+from malaria_forecast.synthgen import SynthConfig, generate
 
 
 @dataclass
@@ -113,7 +115,7 @@ def tree_leaves(forest, t):
         if forest.feature[node] < 0:
             leaves += 1
         else:
-            stack += [forest.left[node], forest.right[node]]
+            stack += [forest.left[node], forest.left[node] + 1]
     return leaves
 
 
@@ -228,7 +230,7 @@ def levelwise_reference(X, y, weights, cfg, rng):
         split = feature >= 0
         slot = np.where(split, 2 * np.cumsum(split) - 2, -1)  # left child's index in the next level
         left = np.where(split, base + k + slot, -1)
-        levels.append((feature, threshold, left, np.where(split, left + 1, -1), value))
+        levels.append((feature, threshold, left, value))
         if not split.any():
             break
         go = feature[node]
@@ -237,8 +239,8 @@ def levelwise_reference(X, y, weights, cfg, rng):
             lists[f] = order[dest >= 0][np.argsort(dest[dest >= 0], kind="stable")]
         sizes = np.bincount(dest[dest >= 0], minlength=2 * int(split.sum()))
         base += k
-    feature, threshold, left, right, value = (np.concatenate(col) for col in zip(*levels))
-    return Forest(feature, threshold, left, right, value, weights.shape[0], p)
+    feature, threshold, left, value = (np.concatenate(col) for col in zip(*levels))
+    return Forest(feature, threshold, left, value, weights.shape[0], p)
 
 
 ADJACENT = [1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(np.nextafter(1.0, 2.0), 2.0))]
@@ -270,7 +272,7 @@ def exact_problems(draw):
 
 
 def assert_identical(forest, reference, rng, reference_rng):
-    for name in ("feature", "threshold", "left", "right", "value"):
+    for name in ("feature", "threshold", "left", "value"):
         assert np.array_equal(getattr(forest, name), getattr(reference, name)), name
     assert (forest.n_trees, forest.n_features) == (reference.n_trees, reference.n_features)
     assert rng.uniform(0.0, 1.0) == reference_rng.uniform(0.0, 1.0), "random draws differ"
@@ -294,3 +296,27 @@ def test_tree_is_bit_identical_to_the_levelwise_reference(problem):
     tree = fit_tree(X, y, cfg, rng)
     weights = np.ones((1, X.shape[0]), dtype=np.intp)
     assert_identical(tree, levelwise_reference(X, y, weights, cfg, reference_rng), rng, reference_rng)
+
+
+def level_sizes(forest):
+    """Nodes per depth level: each level holds two children per inner node
+    of the level above."""
+    sizes, start = [forest.n_trees], 0
+    while inner := int((forest.feature[start : start + sizes[-1]] >= 0).sum()):
+        start += sizes[-1]
+        sizes.append(2 * inner)
+    return sizes
+
+
+def test_forest_with_16_bit_child_keys_is_bit_identical_to_the_levelwise_reference():
+    """A real province matrix grown to single-row leaves: some level holds
+    128 or more nodes, so its children need sort keys wider than 8 bits."""
+    truth, _ = generate(SynthConfig(seed=5, missing_rate=0.0))
+    X = _province_matrix(truth, truth.provinces[0])
+    cfg = ForestConfig(n_trees=20, min_samples_leaf=1)
+    rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
+    forest = forest_fit(X[:, 1:], X[:, 0], cfg, rng)
+    weights = bootstrap_weights(reference_rng, cfg.n_trees, X.shape[0])
+    reference = levelwise_reference(X[:, 1:], X[:, 0], weights, cfg, reference_rng)
+    assert_identical(forest, reference, rng, reference_rng)
+    assert max(level_sizes(forest)) >= 128

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,11 @@ class TestConfig:
             SynthConfig(climate_noise=-1.0)
         with pytest.raises(ConfigError):
             SynthConfig(start_month=13)
+
+    @pytest.mark.parametrize("provinces", [("B", "A", "B"), ("A", "")], ids=["duplicate", "empty"])
+    def test_provinces_must_be_distinct_non_empty_names(self, provinces):
+        with pytest.raises(ConfigError, match=re.escape(f"provinces must be distinct non-empty names, got {provinces}")):
+            SynthConfig(provinces=provinces)
 
     def test_config_file_values_are_applied(self, tmp_path):
         cfg_path = tmp_path / "synth.cfg"
