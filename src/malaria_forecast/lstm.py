@@ -18,9 +18,9 @@ only in the feature width of their windows (1 vs 5).
 
 A model knows the region it was trained on, and :func:`forecast_test_horizon`
 windows that region. :func:`save_model` writes model format 4, ``key = value``
-lines that :func:`load_model` reads with :func:`data_model.read_kv`: the
-region, spec, hidden size and training boundary, the two tensors and the
-scalers in hex floats, and a digest of those lines.
+lines: the region, spec, hidden size and training boundary, the two tensors and
+the scalers in hex floats, and a digest. :func:`load_model` reads them in one
+pass, in file order, and names the line of the first fault.
 """
 
 from __future__ import annotations
@@ -470,6 +470,10 @@ def _hex(values: np.ndarray) -> str:
     return " ".join(map(float.hex, values.ravel().tolist()))
 
 
+def _digest(body: str) -> str:
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
 def save_model(model: TrainedModel, path) -> None:
     """Write one ``key = value`` line each for ``format``, ``region``,
     ``variant``, ``lookback``, ``hidden`` and ``train_end``, the tensors
@@ -493,84 +497,72 @@ def save_model(model: TrainedModel, path) -> None:
         *map(_hex, bounds.values()),
     ]
     body = "".join(f"{key} = {value}\n" for key, value in zip(_MODEL_KEYS, values))
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    atomic_write(path, f"{body}sha256 = {digest}\n")
+    atomic_write(path, f"{body}sha256 = {_digest(body)}\n")
+
+
+def _model_value(key: str, text: str, read: dict, body: str):
+    """Parse ``text``, the value of line ``key`` of a model file, given
+    ``read``, the values of the lines above it (the variant and hidden size
+    set each float line's count; a ``*_maxs`` line returns the scaler of its
+    bounds), and ``body``, the canonical lines ``f"{key} = {text}\\n"`` above
+    it, which the ``sha256`` line must digest. Raises ValueError with the reason."""
+    if key == "variant" and text not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {text!r}")
+    if key == "sha256" and text != _digest(body):
+        raise ValueError("checksum mismatch")
+    if key in ("format", "region", "variant", "sha256"):
+        return text
+    if key in ("lookback", "hidden"):
+        if not _POSITIVE.fullmatch(text):
+            raise ValueError(f"{key} must be a positive integer, got {text!r}")
+        return int(text)
+    if key == "train_end":
+        # Only the spelling that ``str(MonthKey)`` writes reads back.
+        year, _, month = text.rpartition("-")
+        try:
+            train_end = MonthKey(int(year), int(month))
+        except ValueError:
+            train_end = None
+        if train_end is None or str(train_end) != text:
+            raise ValueError(f"train_end must be a YYYY-MM month, got {text!r}")
+        return train_end
+    features = WindowSpec(read["lookback"], read["variant"]).feature_width
+    shape = LstmParams.shapes(features, read["hidden"]).get(key, (features if key.startswith("input") else 1,))
+    tokens = text.split()
+    if len(tokens) != math.prod(shape):
+        raise ValueError(f"expected {math.prod(shape)} values, got {len(tokens)}")
+    try:
+        values = np.array(list(map(float.fromhex, tokens))).reshape(shape)
+    except OverflowError:
+        raise ValueError("hex float beyond the 64-bit float range") from None
+    except ValueError:
+        raise ValueError("malformed hex float") from None
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    if key not in ("w", "head") and not (np.abs(values) <= MAX_MAGNITUDE).all():
+        raise ValueError(f"{key} {MAGNITUDE_RULE}")
+    return MinMaxScaler(read[key.replace("maxs", "mins")], values) if key.endswith("maxs") else values
 
 
 def load_model(path) -> TrainedModel:
-    """Read a file written by :func:`save_model`. Each key is checked in
-    order, then each value's count, finiteness and range, then the digest of
-    the canonical lines ``f"{key} = {value}\\n"`` above ``sha256``. A
-    malformed, truncated or altered file, or one of another format, raises
-    DataError naming the path and line."""
-    lines = {}  # key -> (line number, value)
+    """Read a file written by :func:`save_model` in one pass, in file order:
+    each line's key is checked, then :func:`_model_value` parses its value.
+    The first fault of a malformed, truncated or altered file, or one of
+    another format, raises DataError naming the path and that line."""
     entries = read_kv(path, DataError)
-    line_no = 0
+    read, body, line_no = {}, "", 0
     for key in _MODEL_KEYS:
-        line_no, got, value = next(entries, (line_no + 1, None, None))
-        if key == "format" and (got, value) != (key, MODEL_FORMAT):
-            raise DataError(f"{path} line {line_no}: not a {MODEL_FORMAT!r} file")
-        if got != key:
-            found = "the end of the file" if got is None else repr(got)
-            raise DataError(f"{path} line {line_no}: expected {key!r}, got {found}")
-        lines[key] = line_no, value
-    extra = next(entries, None)
-    if extra is not None:
-        raise DataError(f"{path} line {extra[0]}: {extra[1]!r} after the sha256 line")
-
-    def fail(key, message):
-        return DataError(f"{path} line {lines[key][0]}: {message}")
-
-    def positive_int(key):
-        if not _POSITIVE.fullmatch(lines[key][1]):
-            raise fail(key, f"{key} must be a positive integer, got {lines[key][1]!r}")
-        return int(lines[key][1])
-
-    def floats(key, count, bounded=False):
-        tokens = lines[key][1].split()
-        if len(tokens) != count:
-            raise fail(key, f"expected {count} values, got {len(tokens)}")
+        line_no, got, text = next(entries, (line_no + 1, None, None))
         try:
-            values = np.array(list(map(float.fromhex, tokens)))
-        except ValueError:
-            raise fail(key, "malformed hex float") from None
-        if not np.isfinite(values).all():
-            raise fail(key, "non-finite value")
-        if bounded and not (np.abs(values) <= MAX_MAGNITUDE).all():
-            raise fail(key, f"{key} {MAGNITUDE_RULE}")
-        return values
-
-    variant = lines["variant"][1]
-    if variant not in VARIANTS:
-        raise fail("variant", f"variant must be one of {VARIANTS}, got {variant!r}")
-    spec = WindowSpec(lookback=positive_int("lookback"), variant=variant)
-    features, hidden = spec.feature_width, positive_int("hidden")
-    # Only the spelling that ``str(MonthKey)`` writes reads back.
-    text = lines["train_end"][1]
-    year, _, month = text.rpartition("-")
-    try:
-        train_end = MonthKey(int(year), int(month))
-    except (ValueError, DataError):
-        train_end = None
-    if train_end is None or str(train_end) != text:
-        raise fail("train_end", f"train_end must be a YYYY-MM month, got {text!r}")
-    shapes = LstmParams.shapes(features, hidden)
-    params = LstmParams(**{name: floats(name, math.prod(shape)).reshape(shape) for name, shape in shapes.items()})
-    scalers = []
-    for label, width in (("input", features), ("target", 1)):
-        mins, maxs = (floats(f"{label}_{end}", width, bounded=True) for end in ("mins", "maxs"))
-        try:
-            scalers.append(MinMaxScaler(mins, maxs))
+            if key == "format" and (got, text) != (key, MODEL_FORMAT):
+                raise ValueError(f"not a {MODEL_FORMAT!r} file")
+            if got != key:
+                raise ValueError(f"expected {key!r}, got {'the end of the file' if got is None else repr(got)}")
+            read[key] = _model_value(key, text, read, body)
         except ValueError as exc:
-            raise fail(f"{label}_maxs", str(exc)) from None
-    body = "".join(f"{key} = {lines[key][1]}\n" for key in _MODEL_KEYS[:-1])
-    if lines["sha256"][1] != hashlib.sha256(body.encode("utf-8")).hexdigest():
-        raise fail("sha256", "checksum mismatch")
-    return TrainedModel(
-        params=params,
-        spec=spec,
-        input_scaler=scalers[0],
-        target_scaler=scalers[1],
-        train_end=train_end,
-        region=lines["region"][1],
-    )
+            raise DataError(f"{path} line {line_no}: {exc}") from None
+        body += f"{key} = {text}\n"
+    for line_no, got, _ in entries:
+        raise DataError(f"{path} line {line_no}: {got!r} after the sha256 line")
+    params, spec = LstmParams(read["w"], read["head"]), WindowSpec(read["lookback"], read["variant"])
+    return TrainedModel(params, spec, read["input_maxs"], read["target_maxs"], read["train_end"], read["region"])

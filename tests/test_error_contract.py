@@ -216,11 +216,13 @@ def test_mutated_dataset_fails_with_one_data_error_line(data):
 
 @settings(max_examples=200, deadline=None)
 # Finite weights whose outputs overflow (the model has 3 hidden units), a
-# multivariate model relabelled univariate, and finite scaler bounds whose
-# span overflows.
+# multivariate model relabelled univariate, finite scaler bounds whose span
+# overflows, and hex floats beyond the 64-bit range.
 @example(with_values(MODEL, head=" ".join([float.hex(1e308)] * 4)))
 @example(with_values(MODEL, variant="univariate"))
 @example(with_values(MODEL, input_mins=" ".join([float.hex(-1e308)] * 5), input_maxs=" ".join([float.hex(1e308)] * 5)))
+@example(with_values(MODEL, head=" ".join(["0x1p99999"] * 4)))
+@example(with_values(MODEL, input_maxs=" ".join(["0x1p+1024"] * 5)))
 @given(mutated(MODEL, csv=False))
 def test_mutated_model_fails_with_one_data_error_line(data):
     with tempfile.TemporaryDirectory() as tmp:

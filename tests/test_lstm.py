@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import os
 import re
@@ -668,14 +669,16 @@ class TestSerialization:
             (6, lambda v: ["2018-13"], "line 6: train_end must be a YYYY-MM month"),
             (6, lambda v: ["-0001-10"], "line 6: train_end must be a YYYY-MM month"),  # not as str(MonthKey)
             (7, lambda v: ["0xZZp+0", *v[1:]], "line 7: malformed hex float"),  # tensor w
+            (7, lambda v: ["0x1p+1024", *v[1:]], "line 7: hex float beyond the 64-bit float range"),
             (8, lambda v: ["inf", *v[1:]], "line 8: non-finite value"),  # tensor head
             (8, lambda v: [*v, v[0]], "line 8: expected 3 values, got 4"),  # head at H = 2
             (9, lambda v: ["-0x1p+400", *v[1:]], "line 9: input_mins must be at most 1e100 in magnitude"),
+            (9, lambda v: ["-0x1p99999", *v[1:]], "line 9: hex float beyond the 64-bit float range"),
             (12, lambda v: ["-0x1p+10"], "line 12: scaler max must be >= min"),  # target_maxs
             (13, lambda v: ["0"], "line 13: checksum mismatch"),
         ],
-        ids=["variant", "lookback", "train_end", "train_end-padded", "hex-float", "non-finite", "count",
-             "scaler-magnitude", "scaler-bounds", "checksum"],
+        ids=["variant", "lookback", "train_end", "train_end-padded", "hex-float", "hex-overflow", "non-finite",
+             "count", "scaler-magnitude", "scaler-overflow", "scaler-bounds", "checksum"],
     )
     def test_bad_token_names_the_line(self, tmp_path, line_no, edit, message):
         # ``edit`` maps the tokens of the line's value to new ones.
@@ -685,6 +688,41 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("".join(lines))
         with pytest.raises(DataError, match=f"^{re.escape(f'{path} {message}')}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["w", "head", "input_mins", "input_maxs", "target_mins", "target_maxs"])
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("0x1p+1024", "hex float beyond the 64-bit float range"),
+            ("-0x1p99999", "hex float beyond the 64-bit float range"),
+            # A bare decimal reads as hex: 257 nines are 0x99…9, above 2**1024.
+            ("9" * 257, "hex float beyond the 64-bit float range"),
+            ("inf", "non-finite value"),
+            ("0x", "malformed hex float"),
+        ],
+        ids=["above", "below", "bare-digits", "inf", "no-digits"],
+    )
+    def test_out_of_range_float_names_its_line(self, tmp_path, key, token, message):
+        # The first value of the line is replaced and the digest recomputed,
+        # so only the value can fail.
+        lines = self.small_model_lines(tmp_path)
+        line_no = MODEL_KEYS.index(key) + 1
+        lines[line_no - 1] = f"{key} = {' '.join([token, *lines[line_no - 1].split()[3:]])}\n"
+        body = "".join(lines[:-1])
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{body}sha256 = {hashlib.sha256(body.encode()).hexdigest()}\n")
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path} line {line_no}: {message}"
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # A bad variant on line 3 of a file cut before its sha256 line.
+        lines = self.small_model_lines(tmp_path)
+        lines[2] = "variant = bogus\n"
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path} line 3: variant must be one of')}"):
             load_model(path)
 
     def test_flipped_hex_digit_fails_the_checksum(self, tmp_path):
