@@ -235,9 +235,20 @@ def run_aggregate(
     return result
 
 
+def check_split(months: int, cfg: Config) -> None:
+    """ConfigError unless a series of ``months`` months windows at the
+    window settings into non-empty training and test partitions."""
+    lookback = cfg["window.lookback"]
+    try:
+        windowing.split_index(max(months - lookback, 0), cfg["window.train_fraction"])
+    except ValueError as exc:
+        raise ConfigError(f"{months} months at window.lookback {lookback}: {exc}") from None
+
+
 def run_train(
     dataset: Dataset, region, variant, cfg: Config, model_path, loss_path
 ) -> lstm.TrainedModel:
+    check_split(dataset.cases.shape[1], cfg)
     lookback, train_fraction = cfg["window.lookback"], cfg["window.train_fraction"]
     train_cfg = dataclasses.replace(cfg.train, seed=derive_seed(cfg["seed"], f"train:{region}:{variant}"))
     log(
@@ -349,12 +360,7 @@ def run_pipeline(cfg: Config) -> None:
     data_model.check_coverage(masked.provinces, redistricting)
     # Every model splits the same number of windows, known before any file
     # is written.
-    months = masked.cases.shape[1]
-    lookback = cfg["window.lookback"]
-    try:
-        windowing.split_index(max(months - lookback, 0), cfg["window.train_fraction"])
-    except ValueError as exc:
-        raise ConfigError(f"{months} months at window.lookback {lookback}: {exc}") from None
+    check_split(masked.cases.shape[1], cfg)
 
     out = Path(cfg["out_dir"])
     for sub in ("models", "losses", "forecasts"):

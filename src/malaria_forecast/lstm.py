@@ -6,8 +6,10 @@ reverse-mode derivation through the unrolled sequence; ``gradient_check``
 verifies it against central finite differences, which only ever call the
 forward pass.
 
-Each affine map keeps its bias in column 0 (layout in :class:`LstmParams`).
-The four gates share one weight matrix and one activation: ``forward``
+The parameters are one vector, ``theta`` (layout in :class:`LstmParams`):
+the gate matrix ``w`` and the output head ``head``, each with its bias first,
+are views of it, and the gradient and Adam's moments are vectors laid out
+like it. The four gates share one weight matrix and one activation: ``forward``
 halves the logistic gates' rows exactly, so one tanh serves all four gates.
 Activations are stored batch last (:class:`ForwardCache`), so each step's
 gates come from one GEMM ``w @ [1; x_t; h_t]`` and every gate block is a
@@ -28,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,48 +40,47 @@ from .errors import DataError, DivergenceError, ShapeError
 from .windowing import VARIANTS, WindowSpec, WindowedDataset, make_windows, scale_inputs
 
 
-@dataclass
 class LstmParams:
-    """Fused gate weights and the output head, each with its bias first.
+    """Fused gate weights and the output head, each with its bias first,
+    stored as one float64 vector ``theta``: ``w`` row-major, then ``head``.
 
     ``w`` is (4H, 1+F+H): row blocks i, f, g, o of H rows each (input gate,
     forget gate, cell candidate, output gate); column 0 is the bias, then
     the F input features, then the H recurrent inputs. ``head`` is (1+H,):
-    the output bias, then the weights of the last hidden state. All four
-    blocks use one activation, s·tanh(s·z) + (1 − s): with s = ½ it
-    is the logistic function (σ(z) = ½·tanh(z/2) + ½), used on i, f and o;
-    with s = 1 it is tanh, used on g.
+    the output bias, then the weights of the last hidden state. Both are
+    views of ``theta``, so writing into them writes ``theta``. All four
+    blocks use one activation, s·tanh(s·z) + (1 − s): with s = ½ it is the
+    logistic function (σ(z) = ½·tanh(z/2) + ½), used on i, f and o; with
+    s = 1 it is tanh, used on g.
     """
 
-    w: np.ndarray
-    head: np.ndarray
+    def __init__(self, w: np.ndarray, head: np.ndarray):
+        hidden = head.shape[0] - 1 if head.ndim == 1 else 0
+        features = w.shape[1] - 1 - hidden if w.ndim == 2 else 0
+        if hidden < 1 or features < 1:
+            raise ShapeError(f"w {w.shape} and head {head.shape} are not (4H, 1+F+H) and (1+H,)")
+        for (name, shape), arr in zip(self.shapes(features, hidden).items(), (w, head)):
+            if arr.shape != shape:
+                raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ShapeError(f"{name} contains non-finite entries")
+        self.hidden, self.features = hidden, features
+        self.theta = np.concatenate([w, head], axis=None, dtype=np.float64)
 
     @staticmethod
     def shapes(features: int, hidden: int) -> dict[str, tuple[int, ...]]:
         return {"w": (4 * hidden, 1 + features + hidden), "head": (1 + hidden,)}
 
-    def __post_init__(self):
-        hidden = self.head.shape[0] - 1 if self.head.ndim == 1 else 0
-        features = self.w.shape[1] - 1 - hidden if self.w.ndim == 2 else 0
-        if hidden < 1 or features < 1:
-            raise ShapeError(f"w {self.w.shape} and head {self.head.shape} are not (4H, 1+F+H) and (1+H,)")
-        for name, shape in self.shapes(features, hidden).items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ShapeError(f"{name} contains non-finite entries")
+    @property
+    def w(self) -> np.ndarray:
+        return self.theta[: -1 - self.hidden].reshape(4 * self.hidden, -1)
 
     @property
-    def hidden(self) -> int:
-        return self.head.shape[0] - 1
-
-    @property
-    def features(self) -> int:
-        return self.w.shape[1] - 1 - self.hidden
+    def head(self) -> np.ndarray:
+        return self.theta[-1 - self.hidden :]
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [("w", self.w), ("head", self.head)]
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,8 @@ def loss_mse(predictions, targets) -> float:
     return float(np.mean((predictions - targets) ** 2))
 
 
-def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> dict[str, np.ndarray]:
-    """Exact gradients of the loss w.r.t. every parameter tensor.
+def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> np.ndarray:
+    """Exact gradient of the loss w.r.t. ``params.theta``, in its layout.
 
     ``d_predictions`` is dLoss/dprediction per sample (for mean squared error
     over n samples: 2 * (pred - target) / n).
@@ -273,45 +274,33 @@ def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> dict[str
     # rounds a single GEMM over all n * L columns differently for different
     # thread counts.
     np.matmul(dz, cache.xh[:-1].transpose(0, 2, 1), out=cache.dw)
-    return {"w": cache.dw.sum(axis=0), "head": np.concatenate([[d_pred.sum()], cache.h[length] @ d_pred])}
+    return np.concatenate([cache.dw.sum(axis=0), [d_pred.sum()], cache.h[length] @ d_pred], axis=None)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients down when their global L2 norm exceeds the cap."""
-    total = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
+def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
+    """Scale ``grad`` down in place when its L2 norm exceeds the cap; return
+    the norm. A numpy sum, not a BLAS dot, so it does not depend on the BLAS
+    thread count."""
+    total = math.sqrt(float(np.sum(grad * grad)))
     if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / total
     return total
 
 
-def adam_step(
-    params: LstmParams,
-    grads: dict[str, np.ndarray],
-    m: dict[str, np.ndarray],
-    v: dict[str, np.ndarray],
-    t: int,
-    cfg: TrainConfig,
-) -> None:
-    """Bias-corrected Adam update of ``params`` and the first and second
-    moments ``m`` and ``v`` (zero arrays keyed by tensor name), all in place;
-    t counts from 1."""
+def adam_step(params: LstmParams, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, cfg: TrainConfig) -> None:
+    """Bias-corrected Adam update of ``params.theta`` and the first and
+    second moments ``m`` and ``v`` (vectors laid out like ``theta``, zero at
+    the start), all in place; t counts from 1."""
     if t < 1:
         raise ValueError(f"step count must be >= 1, got {t}")
-    clip_gradients(grads, cfg.clip_norm)
-    b1c = 1.0 - cfg.beta1**t
-    b2c = 1.0 - cfg.beta2**t
-    for name, arr in params.tensors():
-        g = grads[name]
-        if g.shape != arr.shape:
-            raise ShapeError(f"gradient {name} has shape {g.shape}, expected {arr.shape}")
-        m_t, v_t = m[name], v[name]
-        m_t *= cfg.beta1
-        m_t += (1.0 - cfg.beta1) * g
-        v_t *= cfg.beta2
-        v_t += (1.0 - cfg.beta2) * g**2
-        arr -= cfg.learning_rate * (m_t / b1c) / (np.sqrt(v_t / b2c) + cfg.eps)
+    if grad.shape != params.theta.shape:
+        raise ShapeError(f"gradient has shape {grad.shape}, expected {params.theta.shape}")
+    clip_gradients(grad, cfg.clip_norm)
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grad**2
+    params.theta -= cfg.learning_rate * (m / (1.0 - cfg.beta1**t)) / (np.sqrt(v / (1.0 - cfg.beta2**t)) + cfg.eps)
 
 
 def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
@@ -329,7 +318,7 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
     n = windows.samples
     rng = np.random.default_rng(cfg.seed)
     params = init_params(windows.spec.feature_width, cfg.hidden, rng)
-    m, v = ({name: np.zeros_like(arr) for name, arr in params.tensors()} for _ in range(2))
+    m, v = np.zeros_like(params.theta), np.zeros_like(params.theta)
     history: list[float] = []
     step = 0
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
@@ -350,9 +339,8 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
                 loss = loss_mse(preds, target)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            grads = backward(params, cache, 2.0 * (preds - target) / idx.size)
             step += 1
-            adam_step(params, grads, m, v, step, cfg)
+            adam_step(params, backward(params, cache, 2.0 * (preds - target) / idx.size), m, v, step, cfg)
             epoch_loss += loss * idx.size
         history.append(epoch_loss / n)
     return TrainedModel(
@@ -436,23 +424,21 @@ def gradient_check(
     targets = np.asarray(targets, dtype=np.float64)
     preds, cache = forward(params, inputs)
     analytic = backward(params, cache, 2.0 * (preds - targets) / targets.size)
+    theta, numeric = params.theta, np.zeros_like(params.theta)
+    for j in range(theta.size):
+        saved = theta[j]
+        theta[j] = saved + epsilon
+        hi, _ = forward(params, inputs)
+        theta[j] = saved - epsilon
+        lo, _ = forward(params, inputs)
+        theta[j] = saved
+        numeric[j] = (loss_mse(hi, targets) - loss_mse(lo, targets)) / (2.0 * epsilon)
 
     errors = {}
-    for name, arr in params.tensors():
-        numeric = np.zeros_like(arr)
-        flat = arr.ravel()
-        num_flat = numeric.ravel()
-        for j in range(flat.size):
-            saved = flat[j]
-            flat[j] = saved + epsilon
-            hi, _ = forward(params, inputs)
-            flat[j] = saved - epsilon
-            lo, _ = forward(params, inputs)
-            flat[j] = saved
-            num_flat[j] = (loss_mse(hi, targets) - loss_mse(lo, targets)) / (2.0 * epsilon)
-        a = analytic[name]
-        denom = max(float(np.linalg.norm(a)) + float(np.linalg.norm(numeric)), 1e-12)
-        errors[name] = float(np.linalg.norm(a - numeric)) / denom
+    for name, part in (("w", slice(0, params.w.size)), ("head", slice(params.w.size, None))):
+        a, num = analytic[part], numeric[part]
+        denom = max(float(np.linalg.norm(a)) + float(np.linalg.norm(num)), 1e-12)
+        errors[name] = float(np.linalg.norm(a - num)) / denom
     return errors
 
 

@@ -839,9 +839,10 @@ class TestPipeline:
         assert err[0].endswith(f"got {value}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["synth", "input_csv"])
+    @pytest.mark.parametrize("source", ["synth", "input_csv", "train"])
     def test_empty_split_is_refused_before_anything_is_written(self, tmp_path, capsys, source):
         # 30 months at lookback 12 give 18 windows; 1% of them trains none.
+        # The train stage refuses the split of its input with the same line.
         argv = ["pipeline", "--seed", 1, "--out_dir", tmp_path / "out", "--window.train_fraction", "0.01",
                 "--impute.n_trees", "3", "--train.epochs", "1"]
         if source == "synth":
@@ -851,6 +852,11 @@ class TestPipeline:
             assert run(["synth", "--seed", 1, "--months", 30, "--out-truth", tmp_path / "truth.csv",
                         "--out-masked", masked]) == 0
             argv += ["--input_csv", masked]
+        if source == "train":
+            aggregated = tmp_path / "aggregated.csv"
+            assert run(["aggregate", "--in", tmp_path / "truth.csv", "--out", aggregated, "--level", "new"]) == 0
+            argv = ["train", "--in", aggregated, "--region", "Gitega", "--variant", "univariate",
+                    "--out-model", tmp_path / "out", "--train-fraction", "0.01", "--epochs", "1"]
         capsys.readouterr()
         assert run(argv) == 1
         err = capsys.readouterr().err.splitlines()

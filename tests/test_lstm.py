@@ -215,15 +215,17 @@ class TestBackward:
         window = np.random.default_rng(11).uniform(-1, 1, size=(1, 5, 3))
         target = 0.9
         (pred,), cache = forward(params, window)
-        grads = backward(params, cache, np.array([2.0 * (pred - target)]))
-        assert grads["head"][0] == pytest.approx(2.0 * (pred - target), abs=1e-15)
+        grad = backward(params, cache, np.array([2.0 * (pred - target)]))
+        # The head's bias is the first entry after w.
+        assert grad[params.w.size] == pytest.approx(2.0 * (pred - target), abs=1e-15)
 
     def test_zero_loss_gives_zero_gradients(self):
         params = init_params(3, 4, np.random.default_rng(12))
         window = np.random.default_rng(13).uniform(-1, 1, size=(1, 5, 3))
         _, cache = forward(params, window)
-        grads = backward(params, cache, np.array([0.0]))
-        assert all(np.all(g == 0.0) for g in grads.values())
+        grad = backward(params, cache, np.array([0.0]))
+        assert grad.shape == params.theta.shape
+        assert np.all(grad == 0.0)
 
     def test_stale_cache_rejected(self):
         params = init_params(3, 4, np.random.default_rng(14))
@@ -234,16 +236,23 @@ class TestBackward:
 
     def test_gradient_bytes_do_not_depend_on_blas_threads(self):
         # n * L = 1,032 rows: one GEMM over all of them rounds differently
-        # under 1 and 2 OpenBLAS threads; dw must not.
+        # under 1 and 2 OpenBLAS threads; dw must not. Then one Adam step
+        # whose clip fires: the clipped gradient and the new weights must
+        # not depend on the thread count either.
         script = (
             "import hashlib\n"
             "import numpy as np\n"
-            "from malaria_forecast.lstm import backward, forward, init_params\n"
+            "from malaria_forecast.lstm import TrainConfig, adam_step, backward, forward, init_params\n"
             "rng = np.random.default_rng(3)\n"
             "params = init_params(5, 32, rng)\n"
             "preds, cache = forward(params, rng.uniform(0, 1, size=(86, 12, 5)))\n"
-            "grads = backward(params, cache, (preds - rng.uniform(0, 1, size=86)) / 43)\n"
-            "print(hashlib.sha256(b''.join(g.tobytes() for g in grads.values())).hexdigest())\n"
+            "grad = backward(params, cache, (preds - rng.uniform(0, 1, size=86)) / 43)\n"
+            "digest = hashlib.sha256(grad.tobytes())\n"
+            "cfg = TrainConfig(hidden=32, clip_norm=1e-6)\n"
+            "assert np.sqrt(np.sum(grad * grad)) > 100 * cfg.clip_norm\n"
+            "adam_step(params, grad, np.zeros_like(grad), np.zeros_like(grad), 1, cfg)\n"
+            "digest.update(grad.tobytes() + params.theta.tobytes())\n"
+            "print(digest.hexdigest())\n"
         )
         src = str(Path(malaria_forecast.__file__).resolve().parents[1])
         digests = set()
@@ -301,14 +310,14 @@ class TestWorkspace:
         for shape, seed in calls:
             params, x, d_pred = random_problem(*shape, seed)
             fresh_preds, fresh_cache = forward(params, x)
-            fresh_grads = backward(params, fresh_cache, d_pred)
+            fresh_grad = backward(params, fresh_cache, d_pred)
             if shape not in caches:
                 caches[shape] = ForwardCache.empty(*shape)
             preds, cache = forward(params, x, caches[shape])
             assert cache is caches[shape]
-            grads = backward(params, cache, d_pred)
+            grad = backward(params, cache, d_pred)
             assert bits([preds]) == bits([fresh_preds])
-            assert bits(grads.values()) == bits(fresh_grads.values())
+            assert bits([grad]) == bits([fresh_grad])
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -340,7 +349,7 @@ class TestWorkspace:
 
 def zero_moments(params):
     """Adam's first and second moments at step 0."""
-    return ({name: np.zeros_like(arr) for name, arr in params.tensors()} for _ in range(2))
+    return np.zeros_like(params.theta), np.zeros_like(params.theta)
 
 
 class TestAdam:
@@ -350,10 +359,10 @@ class TestAdam:
         params = init_params(2, 3, np.random.default_rng(16))
         before = copy.deepcopy(params)
         cfg = TrainConfig(hidden=3, learning_rate=1e-3)
-        grads = {name: np.full_like(arr, 0.25) for name, arr in params.tensors()}
-        clipped_norm = math.sqrt(sum(g.size * 0.25**2 for g in grads.values()))
+        grad = np.full_like(params.theta, 0.25)
+        clipped_norm = math.sqrt(grad.size * 0.25**2)
         assert clipped_norm < cfg.clip_norm, "test gradient must not trigger clipping"
-        adam_step(params, grads, *zero_moments(params), 1, cfg)
+        adam_step(params, grad, *zero_moments(params), 1, cfg)
         for (_, new), (_, old) in zip(params.tensors(), before.tensors()):
             delta = np.abs(new - old)
             assert np.all(np.abs(delta - cfg.learning_rate) < 1e-7)
@@ -361,25 +370,24 @@ class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = init_params(2, 3, np.random.default_rng(17))
         before = copy.deepcopy(params)
-        grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
-        adam_step(params, grads, *zero_moments(params), 1, TrainConfig(hidden=3))
+        grad = np.zeros_like(params.theta)
+        adam_step(params, grad, *zero_moments(params), 1, TrainConfig(hidden=3))
         for (_, new), (_, old) in zip(params.tensors(), before.tensors()):
             assert np.array_equal(new, old)
 
     def test_moments_decay_under_zero_gradient(self):
         params = init_params(2, 3, np.random.default_rng(18))
-        m, v = ({name: np.ones_like(arr) for name, arr in params.tensors()} for _ in range(2))
+        m, v = np.ones_like(params.theta), np.ones_like(params.theta)
         cfg = TrainConfig(hidden=3)
-        grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
-        adam_step(params, grads, m, v, 5, cfg)
-        assert np.all(m["w"] == cfg.beta1)
-        assert np.all(v["w"] == cfg.beta2)
+        adam_step(params, np.zeros_like(params.theta), m, v, 5, cfg)
+        assert np.all(m == cfg.beta1)
+        assert np.all(v == cfg.beta2)
 
     def test_clipping_scales_to_threshold(self):
-        grads = {"a": np.full(4, 10.0), "b": np.full(2, -10.0)}
-        norm = clip_gradients(grads, 5.0)
+        grad = np.array([10.0] * 4 + [-10.0] * 2)
+        norm = clip_gradients(grad, 5.0)
         assert norm == pytest.approx(math.sqrt(600.0))
-        new_norm = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
+        new_norm = math.sqrt(float(np.sum(grad**2)))
         assert new_norm == pytest.approx(5.0, abs=1e-12)
 
 

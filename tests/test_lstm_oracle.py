@@ -156,13 +156,12 @@ def test_forward_and_gradients_match_the_per_gate_reference(problem):
     d_pred = rng.uniform(-1.0, 1.0, size=n)
 
     preds, cache = forward(params, x)
-    grads = backward(params, cache, d_pred)
+    grad = backward(params, cache, d_pred)
     ref = unpack(params)
     ref_preds, ref_cache = ref_forward(ref, x)
     ref_grads = pack(ref_backward(ref, x, ref_cache, d_pred))
 
     assert_close(preds, ref_preds)
-    assert set(grads) == {name for name, _ in params.tensors()}
-    for name in grads:
-        assert_close(grads[name], ref_grads[name])
+    # The gradient is laid out like theta: w row-major, then head.
+    assert_close(grad, np.concatenate([ref_grads[name] for name, _ in params.tensors()], axis=None))
 
