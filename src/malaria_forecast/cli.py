@@ -235,30 +235,18 @@ def run_aggregate(
     return result
 
 
-def check_split(months: int, cfg: Config) -> None:
-    """ConfigError unless a series of ``months`` months windows at the
-    window settings into non-empty training and test partitions."""
-    lookback = cfg["window.lookback"]
-    try:
-        windowing.split_index(max(months - lookback, 0), cfg["window.train_fraction"])
-    except ValueError as exc:
-        raise ConfigError(f"{months} months at window.lookback {lookback}: {exc}") from None
-
-
 def run_train(
     dataset: Dataset, region, variant, cfg: Config, model_path, loss_path
 ) -> lstm.TrainedModel:
-    check_split(dataset.cases.shape[1], cfg)
     lookback, train_fraction = cfg["window.lookback"], cfg["window.train_fraction"]
+    windows = windowing.make_windows(dataset, region, windowing.WindowSpec(lookback, variant))
+    train_part, _ = windowing.split_train_test(windows, train_fraction)
     train_cfg = dataclasses.replace(cfg.train, seed=derive_seed(cfg["seed"], f"train:{region}:{variant}"))
     log(
         f"train: region={region} variant={variant} lookback={lookback} "
         f"fraction={train_fraction} seed={train_cfg.seed} hidden={train_cfg.hidden} "
         f"epochs={train_cfg.epochs}"
     )
-    spec = windowing.WindowSpec(lookback=lookback, variant=variant)
-    windows = windowing.make_windows(dataset, region, spec)
-    train_part, _ = windowing.split_train_test(windows, train_fraction)
     model = lstm.train(train_part, train_cfg)
     lstm.save_model(model, model_path)
     if loss_path:
@@ -340,9 +328,6 @@ def run_model(cfg: Config, out: Path, dataset: Dataset, region: str, variant: st
 def run_pipeline(cfg: Config) -> None:
     if not cfg["out_dir"]:
         raise ConfigError(f"out_dir is required (flag, config file, or ${OUT_DIR_ENV})")
-    for key in ("input_csv", "map_csv"):
-        if cfg[key] and not Path(cfg[key]).exists():
-            raise ConfigError(f"{key} path does not exist: {cfg[key]}")
     # The input files are read before anything is written.
     redistricting = (
         data_model.read_map_csv(cfg["map_csv"]) if cfg["map_csv"] else data_model.BURUNDI_REDISTRICTING
@@ -358,9 +343,8 @@ def run_pipeline(cfg: Config) -> None:
             f"{list(data_model.BURUNDI_REDISTRICTING_GROUPS)}"
         )
     data_model.check_coverage(masked.provinces, redistricting)
-    # Every model splits the same number of windows, known before any file
-    # is written.
-    check_split(masked.cases.shape[1], cfg)
+    # Every model splits the same number of months; judged before any write.
+    windowing.split_index(masked.cases.shape[1], cfg["window.lookback"], cfg["window.train_fraction"])
 
     out = Path(cfg["out_dir"])
     for sub in ("models", "losses", "forecasts"):

@@ -5,8 +5,11 @@ count. The univariate variant uses only lagged cases (feature width 1); the
 multivariate variant adds temperature, rainfall, humidity, and population
 (width 5, cases last). Scaling parameters are fitted on the training
 partition only and applied to both partitions, so no test information leaks
-into the transform. :func:`scale_inputs` scales the inputs of every window,
-and refuses a value that would scale beyond :data:`data_model.MAX_MAGNITUDE`.
+into the transform. :func:`split_index` alone judges a split: a series with
+fewer than two windows is a data fault, and a fraction that empties a
+partition of a longer series is a config fault. :func:`scale_inputs` scales
+the inputs of every window, and refuses a value that would scale beyond
+:data:`data_model.MAX_MAGNITUDE`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_math import MinMaxScaler
 from .data_model import CLIMATE_FIELDS, MAX_MAGNITUDE, Dataset, MonthKey
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 # The columns of each variant's windows, in order.
 FEATURES = {"univariate": ("cases",), "multivariate": (*CLIMATE_FIELDS, "population", "cases")}
@@ -91,15 +94,18 @@ def make_windows(dataset: Dataset, province: str, spec: WindowSpec) -> WindowedD
     return WindowedDataset(spec=spec, inputs=inputs, targets=targets, months=months, province=province)
 
 
-def split_index(samples: int, train_fraction: float) -> int:
-    """Size of the training partition, floor(fraction * samples); raises
-    ValueError unless both partitions are non-empty."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    split = math.floor(train_fraction * samples)
-    if split < 1 or split >= samples:
-        raise ValueError(
-            f"split of {samples} samples at fraction {train_fraction} leaves an empty partition"
+def split_index(months: int, lookback: int, train_fraction: float) -> int:
+    """Size of the training partition of the ``months - lookback`` windows of
+    a series, floor(fraction * windows). DataError if the series has fewer
+    than two windows, which no fraction splits; ConfigError if the fraction
+    leaves a partition of a longer series empty."""
+    samples, where = months - lookback, f"{months} months at window.lookback {lookback}"
+    if samples < 2:
+        raise DataError(f"{where}: {max(samples, 0)} windows; a train/test split needs {lookback + 2} months")
+    split = math.floor(train_fraction * samples) if 0.0 < train_fraction < 1.0 else 0
+    if not 0 < split < samples:
+        raise ConfigError(
+            f"{where}: split of {samples} samples at fraction {train_fraction} leaves an empty partition"
         )
     return split
 
@@ -107,7 +113,7 @@ def split_index(samples: int, train_fraction: float) -> int:
 def split_train_test(
     windows: WindowedDataset, train_fraction: float
 ) -> tuple[WindowedDataset, WindowedDataset]:
-    """Chronological split at floor(fraction * samples); no shuffling.
+    """Chronological split at :func:`split_index`, with its errors; no shuffling.
 
     Min-max scalers are fitted on the training inputs and targets only, then
     applied to both partitions. Test values outside the training range land
@@ -115,7 +121,7 @@ def split_train_test(
     :func:`scale_inputs`.
     """
     n = windows.samples
-    split = split_index(n, train_fraction)
+    split = split_index(n + windows.spec.lookback, windows.spec.lookback, train_fraction)
     width = windows.spec.feature_width
     input_scaler = MinMaxScaler.fit(windows.inputs[:split].reshape(-1, width))
     target_scaler = MinMaxScaler.fit(windows.targets[:split].reshape(-1, 1))

@@ -203,6 +203,16 @@ class TestImputeCommand:
         assert run(["impute", "--in", tmp_path / "nope.csv", "--out", tmp_path / "o.csv"]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:io:")
 
+    @pytest.mark.parametrize("key", ["input_csv", "map_csv"])
+    def test_missing_pipeline_input_is_io_error(self, tmp_path, capsys, key):
+        # The reader judges a missing file, as in every stage command.
+        out, missing = tmp_path / "out", tmp_path / "nope.csv"
+        assert run(["pipeline", "--seed", 1, "--out_dir", out, f"--{key}", missing]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:io: [Errno 2] No such file or directory: '{missing}'"
+        ]
+        assert not out.exists()
+
     def test_column_with_no_observed_month_is_data_error(self, tmp_path, capsys):
         blank = blank_column(tmp_path, "Bubanza", "rainfall")
         out, log = tmp_path / "completed.csv", tmp_path / "impute_log.csv"
@@ -863,6 +873,19 @@ class TestPipeline:
         assert err == ["error:config: 30 months at window.lookback 12: split of 18 samples at "
                        "fraction 0.01 leaves an empty partition"]
         assert not (tmp_path / "out").exists()
+
+    def test_series_with_one_window_is_a_data_error(self, tmp_path, capsys):
+        # 30 months at lookback 29 give one window, which no fraction splits.
+        truth, aggregated, model = tmp_path / "truth.csv", tmp_path / "aggregated.csv", tmp_path / "g.model"
+        assert run(["synth", "--seed", 1, "--months", 30, "--out-truth", truth,
+                    "--out-masked", tmp_path / "masked.csv"]) == 0
+        assert run(["aggregate", "--in", truth, "--out", aggregated, "--level", "new"]) == 0
+        capsys.readouterr()
+        assert run(["train", "--in", aggregated, "--region", "Gitega", "--variant", "univariate",
+                    "--out-model", model, "--lookback", "29", "--epochs", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:data: 30 months at window.lookback 29: 1 windows")
+        assert not model.exists()
 
     def test_column_with_no_observed_month_is_refused_before_anything_is_written(
         self, tmp_path, capsys

@@ -68,6 +68,11 @@ def gitega_csv(value) -> bytes:
     return dataset_csv({("Gitega", t): value(t) for t in range(24)}).encode()
 
 
+def rows_csv(rows) -> bytes:
+    """A dataset file of the CSV header and ``rows``."""
+    return "\n".join([",".join(data_model.CSV_HEADER), *rows, ""]).encode()
+
+
 DATASET_CSV = dataset_csv()
 # One missing cell, in one province.
 MASKED_CSV = dataset_csv({("Gitega", 6): ""})
@@ -256,6 +261,11 @@ TRAIN_ARGV = ["train", "--region", "Gitega", "--variant", "multivariate", "--loo
 @settings(max_examples=200, deadline=None)
 # Temperatures whose training span overflows.
 @example(gitega_csv(lambda t: ("1.7e308", "-1.7e308")[t % 2]))
+# Files without Gitega, and a Gitega of four months: one window at lookback 3.
+@example(rows_csv(["Bubanza,2010,1,20.0,100.5,60,5000,0", "Bubanza,2010,2,20.25,107.5,61,5000,5"]))
+@example(rows_csv(["Bubanza,2010,1,20.0,100.5,60,5000,0", "Bubanza,2010,2,20.25,107.5,61,5000,5",
+                   "Bubanza,2010,3,20.5,114.5,62,5000,10", "Bubanza,2010,4,20.75,121.5,63,5000,1"]))
+@example(rows_csv([f"Gitega,2011,{month},20.0,100.5,60,5000,{month}" for month in range(9, 13)]))
 @given(mutated(DATASET_CSV, csv=True))
 def test_mutated_dataset_fails_train_with_one_data_error_line(data):
     with tempfile.TemporaryDirectory() as tmp:

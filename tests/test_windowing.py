@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_series, with_cell
-from malaria_forecast.errors import DataError
+from malaria_forecast.errors import ConfigError, DataError
 from malaria_forecast.windowing import WindowSpec, make_windows, split_train_test
 
 
@@ -119,8 +119,16 @@ class TestSplit:
     def test_empty_partition_rejected(self):
         w = make_windows(make_series("A", 8), "A", WindowSpec(6, "univariate"))
         assert w.samples == 2
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="empty") as info:
             split_train_test(w, 0.1)
+        assert isinstance(info.value, ConfigError)
+
+    def test_one_window_is_a_data_error(self):
+        # No fraction splits a single window, so the series is at fault.
+        w = make_windows(make_series("A", 7), "A", WindowSpec(6, "univariate"))
+        assert w.samples == 1
+        with pytest.raises(DataError, match="^7 months at window.lookback 6: 1 windows"):
+            split_train_test(w, 0.5)
 
     def test_partitions_carry_bookkeeping(self):
         w = make_windows(make_series("A", 30), "A", WindowSpec(6, "univariate"))
