@@ -7,10 +7,10 @@ months from ``start``:
   NaN for a missing cell (only climate may be missing);
 - ``population`` and ``cases`` (P, T) int64.
 
-The constructor is the one place that checks values, and the arrays are
-read-only afterwards. :func:`ingest_csv` parses straight into the arrays and
-:func:`write_csv` writes them back byte for byte (``repr`` floats, an empty
-cell for NaN).
+The constructor checks every value and leaves the arrays read-only.
+:func:`ingest_csv` parses straight into the arrays and runs the same checks
+first, so that an error names the file line; :func:`write_csv` writes them
+back byte for byte (``repr`` floats, an empty cell for NaN).
 
 Files are opened here only: :func:`read_text` reads every input and
 :func:`atomic_write` writes every artifact (temp file + rename, UTF-8, no

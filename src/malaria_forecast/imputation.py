@@ -79,8 +79,8 @@ def _require_finite(name: str, values: np.ndarray) -> None:
 def _checked_inputs(X, y):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"X {X.shape} and y {y.shape} must be (n, p) and (n,)")
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0] or X.shape[1] < 1:
+        raise ValueError(f"X {X.shape} and y {y.shape} must be (n, p >= 1) and (n,)")
     if X.shape[0] < 1:
         raise ValueError("cannot fit a tree on zero rows")
     _require_finite("X", X)
@@ -98,46 +98,40 @@ def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: np.random.Generator) -
     """Grow one tree per row of the count matrix ``weights`` (trees, rows),
     all trees together, one depth level per step.
 
-    Each in-bag (tree, row) pair is an entry weighted by its count. Every
-    feature keeps a list of the entries grouped by open node and sorted by
-    that feature inside each node; the lists are the rows of one (p,
-    entries) array. One cumulative sum of ``w * (y - node mean)`` along each
-    list scores every threshold of every open node; centring keeps the sums
-    small and makes the parent's term of the variance reduction zero. A
-    split needs a gain above zero and ``min_samples_leaf`` weight on each
-    side; among equal gains the lowest feature, then the lowest threshold,
-    wins. Each list sums in the order of a loop over the features one at a
-    time, which keeps the forests bit-identical to ``levelwise_reference``.
-    One stable sort of every list by child node (2 * node, plus 1 for the
-    right side) then opens the next level, each child's entries in order.
-    ``rng`` draws each level's feature subsets, unless ``mtry`` covers
-    every feature.
+    Each in-bag (tree, row) pair is an entry weighted by its count, with its
+    x, w and y held once, by entry id. Every feature keeps a list of entry
+    ids grouped by open node and sorted by that feature inside each node;
+    the lists are the rows of one (p, entries) array. One cumulative sum of
+    ``w * (y - node mean)`` along each list scores every threshold of every
+    open node; centring keeps the sums small and makes the parent's term of
+    the variance reduction zero. A split needs a gain above zero and
+    ``min_samples_leaf`` weight on each side; among equal gains the lowest
+    feature, then the lowest threshold, wins. Each list sums in the order of
+    a loop over the features one at a time, which keeps the forests
+    bit-identical to ``levelwise_reference``. One stable sort of every list
+    by child node (2 * node, plus 1 for the right side) then opens the next
+    level, each child's entries in order. ``rng`` draws each level's feature
+    subsets, unless ``mtry`` covers every feature.
     """
-    p = X.shape[1]
+    n, p = X.shape
     n_trees = weights.shape[0]
     msl = cfg.min_samples_leaf
     mtry = cfg.resolve_mtry(p)
     tree_of, row_of = np.nonzero(weights)
     m = tree_of.size
-    # Each entry's x, w and y, once per feature: feature f's copy of entry e
-    # is column f * m + e. The lists hold such flat indices, so one take
-    # gathers all three.
-    table = np.stack(
-        (X[row_of].T.ravel(), np.tile(weights[tree_of, row_of], p), np.tile(y[row_of], p))
-    )
-    # List f: each tree's in-bag entries, the tree's rows taken in order of
-    # feature f (ties by row).
-    entry = np.full(weights.shape, -1)
-    entry[tree_of, row_of] = np.arange(m)
-    by_value = entry[:, np.argsort(X, axis=0, kind="stable").T].transpose(1, 0, 2)
-    lists = by_value[by_value >= 0].reshape(p, m) + np.arange(0, p * m, m)[:, None]
+    xe = X[row_of].T  # (p, m): entry e's x is column e
+    we, ye = weights[tree_of, row_of].astype(np.float64), y[row_of]
+    # List f: each tree's entries, the tree's rows taken in order of feature
+    # f (ties by row). The keys are unique, so any sort gives this order.
+    rank = np.argsort(np.argsort(X, axis=0, kind="stable"), axis=0, kind="stable")
+    lists = np.argsort(tree_of * n + rank[row_of].T, axis=1)
     sizes = np.bincount(tree_of, minlength=n_trees)  # entries per open node
     levels = []
     while True:
         k, width = sizes.size, lists.shape[1]
         starts = np.cumsum(sizes) - sizes
         node = np.repeat(np.arange(k), sizes)  # open node at each list position
-        xs, ws, ys = np.take(table, lists, axis=1)
+        xs, ws, ys = xe[np.arange(p)[:, None], lists], we[lists], ye[lists]
         wn = np.bincount(node, ws[0], k)
         value = np.bincount(node, ws[0] * ys[0], k) / wn
         splittable = (wn >= 2 * msl) & (
@@ -190,14 +184,13 @@ def _fit_levelwise(X, y, weights, cfg: ForestConfig, rng: np.random.Generator) -
         levels.append((feature, threshold, value))
         if not split.any():
             break
-        # Each entry's side, found from list 0, is the same in every list. The
-        # child key is narrow: numpy's stable sort is a radix sort up to 16 bits.
+        # Each entry's side is found once, from list 0. The child key is
+        # narrow: numpy's stable sort is a radix sort up to 16 bits.
         keep = split[node]
         node = node[keep]
         entries = lists.compress(keep, axis=1)
-        right = np.zeros(p * m, dtype=bool)
-        right[entries[0]] = table[0, feature[node] * m + entries[0]] > threshold[node]
-        right.reshape(p, m)[1:] = right[:m]
+        right = np.zeros(m, dtype=bool)
+        right[entries[0]] = xe[feature[node], entries[0]] > threshold[node]
         child = (2 * node + right[entries]).astype(np.min_scalar_type(2 * k))
         lists = np.take_along_axis(entries, np.argsort(child, axis=1, kind="stable"), axis=1)
         sizes = np.bincount(child[0], minlength=2 * k)[np.repeat(split, 2)]

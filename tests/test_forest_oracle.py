@@ -18,6 +18,7 @@ two must give bit-identical forests and consume the same random draws.
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from conftest import fit_tree, walk_tree
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,15 +309,24 @@ def level_sizes(forest):
     return sizes
 
 
-def test_forest_with_16_bit_child_keys_is_bit_identical_to_the_levelwise_reference():
-    """A real province matrix grown to single-row leaves: some level holds
-    128 or more nodes, so its children need sort keys wider than 8 bits."""
+@pytest.mark.parametrize(
+    "cfg",
+    [ForestConfig(n_trees=20, min_samples_leaf=1), ForestConfig(), ForestConfig(n_trees=25)],
+    ids=["leaf1", "default", "trees25"],
+)
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_forest_with_16_bit_child_keys_is_bit_identical_to_the_levelwise_reference(cfg, column):
+    """Each climate column of a real province matrix, fitted on the other
+    four as missForest fits it. Grown to single-row leaves, some level holds
+    128 or more nodes, so its children need sort keys wider than 8 bits; the
+    default and impute-forest settings are the ones the pipeline uses."""
     truth, _ = generate(SynthConfig(seed=5, missing_rate=0.0))
     X = _province_matrix(truth, truth.provinces[0])
-    cfg = ForestConfig(n_trees=20, min_samples_leaf=1)
+    others = np.delete(np.arange(X.shape[1]), column)
     rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
-    forest = forest_fit(X[:, 1:], X[:, 0], cfg, rng)
+    forest = forest_fit(X[:, others], X[:, column], cfg, rng)
     weights = bootstrap_weights(reference_rng, cfg.n_trees, X.shape[0])
-    reference = levelwise_reference(X[:, 1:], X[:, 0], weights, cfg, reference_rng)
+    reference = levelwise_reference(X[:, others], X[:, column], weights, cfg, reference_rng)
     assert_identical(forest, reference, rng, reference_rng)
-    assert max(level_sizes(forest)) >= 128
+    if cfg.min_samples_leaf == 1:
+        assert max(level_sizes(forest)) >= 128

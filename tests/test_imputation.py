@@ -121,6 +121,9 @@ class TestFitTree:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             fit_tree(np.zeros((0, 2)), np.zeros(0), ForestConfig(), np.random.default_rng(0))
+        for fit in (fit_tree, forest_fit):  # no feature column
+            with pytest.raises(ValueError, match=r"^X \(5, 0\) and y \(5,\) must be"):
+                fit(np.zeros((5, 0)), np.arange(5.0), ForestConfig(n_trees=2), np.random.default_rng(0))
 
     def test_predict_width_checked(self):
         tree = fit_tree(np.zeros((3, 2)), np.zeros(3), ForestConfig(), np.random.default_rng(0))
