@@ -239,6 +239,8 @@ def run_train(
     dataset: Dataset, region, variant, cfg: Config, model_path, loss_path
 ) -> lstm.TrainedModel:
     lookback, train_fraction = cfg["window.lookback"], cfg["window.train_fraction"]
+    dataset.row(region)  # an input without the region is refused before its split is judged
+    windowing.split_index(dataset.cases.shape[1], lookback, train_fraction)
     windows = windowing.make_windows(dataset, region, windowing.WindowSpec(lookback, variant))
     train_part, _ = windowing.split_train_test(windows, train_fraction)
     train_cfg = dataclasses.replace(cfg.train, seed=derive_seed(cfg["seed"], f"train:{region}:{variant}"))

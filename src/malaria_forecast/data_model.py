@@ -8,9 +8,9 @@ months from ``start``:
 - ``population`` and ``cases`` (P, T) int64.
 
 The constructor checks every value and leaves the arrays read-only.
-:func:`ingest_csv` parses straight into the arrays and runs the same checks
-first, so that an error names the file line; :func:`write_csv` writes them
-back byte for byte (``repr`` floats, an empty cell for NaN).
+:func:`ingest_csv` keys each row by (province, month) and runs the same
+checks first, so that an error names the file line; :func:`write_csv` writes
+the arrays back byte for byte (``repr`` floats, an empty cell for NaN).
 
 Files are opened here only: :func:`read_text` reads every input and
 :func:`atomic_write` writes every artifact (temp file + rename, UTF-8, no
@@ -311,16 +311,16 @@ def read_kv(path, error):
 def ingest_csv(path) -> Dataset:
     """Read the monthly dataset CSV at ``path``.
 
-    Accepts either the ``temp_mean`` header or the ``temp_min,temp_max``
-    variant (the two are averaged). Rows may come in any order. Empty climate
-    cells become missing values; ``nan``, ``inf`` and values beyond
-    :data:`MAX_MAGNITUDE` are refused. Each province needs one row per month,
-    without gaps, over the same month range as every other. Errors name the
-    path and the offending 1-based line.
+    Accepts the ``temp_mean`` header or the ``temp_min,temp_max`` variant (the
+    two are averaged), rows in any order, and an empty climate cell as missing.
+    Each province needs one row per month, without gaps, over the first
+    province's month range. The first fault raises DataError naming the path
+    and line: a bad cell or a repeated (province, month) as read, then a month
+    gap, then a range (at its first month), then a value rule (its lowest line).
     """
     records = read_table(path, CSV_HEADER, CSV_HEADER_MINMAX)
-    # province -> month ordinal -> (line, climate triple, population, cases)
-    rows: dict[str, dict[int, tuple]] = {}
+    # (province, month ordinal) -> (line, climate triple, population, cases)
+    rows: dict[tuple[str, int], tuple] = {}
     for line_no, (province, year, month, *climate, population, cases) in records:
         if len(climate) == 4:
             tmin, tmax, *climate = climate
@@ -329,46 +329,39 @@ def ingest_csv(path) -> Dataset:
                     f"{path} line {line_no}: temp_min and temp_max must be both present or both empty"
                 )
             climate.insert(0, (tmin + tmax) / 2.0)
-        cells = rows.setdefault(province, {})
-        ordinal = _ordinal(year, month)
-        if ordinal in cells:
+        key = (province, _ordinal(year, month))
+        if key in rows:
             raise DataError(
-                f"{path} line {line_no}: duplicate row for {province} {_month(ordinal)} "
-                f"(first on line {cells[ordinal][0]})"
+                f"{path} line {line_no}: duplicate row for {province} {_month(key[1])} "
+                f"(first on line {rows[key][0]})"
             )
-        cells[ordinal] = (line_no, climate, population, cases)
-    return _to_dataset(rows, path)
-
-
-def _to_dataset(rows: dict[str, dict[int, tuple]], path) -> Dataset:
-    """Check the month axes, then build the arrays; errors name ``path`` and the line."""
-    provinces = sorted(rows)
-    series = [sorted(rows[p].items()) for p in provinces]
-    for province, cells in zip(provinces, series):
-        for (prev, _), (cur, (line_no, *_)) in zip(cells, cells[1:]):
-            if cur != prev + 1:
-                raise DataError(
-                    f"{path} line {line_no}: month gap for province {province} between "
-                    f"{_month(prev)} and {_month(cur)}"
-                )
-    first, last = series[0][0][0], series[0][-1][0]
-    for province, cells in zip(provinces, series):
-        if (cells[0][0], cells[-1][0]) != (first, last):
+        rows[key] = (line_no, climate, population, cases)
+    keys = sorted(rows)
+    spans = {}  # province -> (first, last month ordinal), provinces sorted
+    for (before, prev), (province, cur) in zip([(None, None), *keys], keys):
+        if province == before and cur != prev + 1:
             raise DataError(
-                f"{path} line {cells[0][1][0]}: provinces cover different month ranges: "
-                f"{province} {_month(cells[0][0])}..{_month(cells[-1][0])}, "
-                f"{provinces[0]} {_month(first)}..{_month(last)}"
+                f"{path} line {rows[province, cur][0]}: month gap for province {province} between "
+                f"{_month(prev)} and {_month(cur)}"
+            )
+        spans[province] = (spans[province][0] if province == before else cur, cur)
+    provinces, axis = list(spans), spans[keys[0][0]]
+    for province, (first, last) in spans.items():
+        if (first, last) != axis:
+            raise DataError(
+                f"{path} line {rows[province, first][0]}: provinces cover different month ranges: "
+                f"{province} {_month(first)}..{_month(last)}, {provinces[0]} {_month(axis[0])}..{_month(axis[1])}"
             )
 
     lines, climate, population, cases = (
-        np.array([[cell[k] for _, cell in cells] for cells in series], dtype=dtype)
-        for k, dtype in enumerate((np.int64, np.float64, np.int64, np.int64))
+        np.array(column, dtype=dtype).reshape(len(provinces), -1, *np.shape(column[0]))
+        for column, dtype in zip(zip(*map(rows.get, keys)), (np.int64, np.float64, np.int64, np.int64))
     )
     for bad, values, rule in _violations(climate, population, cases):
         if bad.any():
             line_no = lines[bad].min()
             raise DataError(f"{path} line {line_no}: {rule}, got {values[lines == line_no][0]}")
-    return Dataset(provinces, _month(first), climate, population, cases)
+    return Dataset(provinces, _month(axis[0]), climate, population, cases)
 
 
 def _fmt_climate(value: float) -> str:

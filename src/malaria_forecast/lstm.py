@@ -387,7 +387,8 @@ def forecast_test_horizon(
     split = next((k for k, month in enumerate(w.months) if month > model.train_end), w.samples)
     if split == w.samples:
         raise DataError(
-            f"series ends at {w.months[-1]}, not after the model's last training month {model.train_end}"
+            f"{model.region} {model.spec.variant} model: series ends at {w.months[-1]}, "
+            f"not after the model's last training month {model.train_end}"
         )
     months = w.months[split:]
     observed = w.targets[split:]
@@ -395,8 +396,8 @@ def forecast_test_horizon(
         return months, observed, predict(model, scale_inputs(w, model.input_scaler, w.inputs[split:]))
     if months[0] != model.train_end.next():
         raise DataError(
-            f"recursive forecasts must start at {model.train_end.next()}, the month after "
-            f"training, but the series' first horizon month is {months[0]}"
+            f"{model.region} {model.spec.variant} model: recursive forecasts must start at "
+            f"{model.train_end.next()}, the month after training, but the series' first horizon month is {months[0]}"
         )
 
     lookback = model.spec.lookback

@@ -77,16 +77,17 @@ def make_windows(dataset: Dataset, province: str, spec: WindowSpec) -> WindowedD
     n = dataset.cases.shape[1]
     if n <= spec.lookback:
         raise DataError(
-            f"series has {n} months but lookback {spec.lookback} needs at least {spec.lookback + 1}"
+            f"{province}: series has {n} months but lookback {spec.lookback} needs at least {spec.lookback + 1}"
         )
     cases = dataset.cases[p].astype(np.float64)
     if spec.variant == "univariate":
         rows = cases[:, None]
     else:
-        missing = np.isnan(dataset.climate[p]).any(axis=1)
-        if missing.any():
+        missing = np.argwhere(np.isnan(dataset.climate[p]))
+        if missing.size:
+            t, k = missing[0]
             raise DataError(
-                f"missing climate value at {dataset.months()[missing.argmax()]}; impute before windowing"
+                f"{province} {dataset.months()[t]}: missing {CLIMATE_FIELDS[k]} value; impute before windowing"
             )
         rows = np.column_stack([dataset.climate[p], dataset.population[p], cases])
     inputs = sliding_window_view(rows[:-1], spec.lookback, axis=0).transpose(0, 2, 1).copy()

@@ -403,6 +403,45 @@ class TestTrainForecastEvaluate:
                     "--variant", "univariate", "--out-model", tmp_path / "x.model"]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error:data:")
 
+    def test_unimputed_multivariate_series_names_region_month_and_field(self, tmp_path, capsys):
+        masked, model = tmp_path / "masked.csv", tmp_path / "g.model"
+        assert run(["synth", "--seed", 3, "--months", 40, "--out-truth", tmp_path / "truth.csv",
+                    "--out-masked", masked]) == 0
+        capsys.readouterr()
+        assert run(["train", "--in", masked, "--region", "Gitega", "--variant", "multivariate",
+                    "--out-model", model]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error:data: Gitega 2010-01: missing temp_mean value; impute before windowing"
+        ]
+        assert not model.exists()
+
+    @pytest.mark.parametrize("first, last, recursive, message", [
+        ((2010, 1), (2010, 10), False, "Gitega: series has 10 months but lookback 12 needs at least 13"),
+        ((2010, 1), (2012, 1), False,
+         "Gitega univariate model: series ends at 2012-01, not after the model's last training month 2012-10"),
+        ((2012, 1), (2013, 4), True,
+         "Gitega univariate model: recursive forecasts must start at 2012-11, the month after training, "
+         "but the series' first horizon month is 2013-01"),
+    ], ids=["shorter-than-a-window", "ends-in-training", "recursive-starts-late"])
+    def test_forecast_series_errors_name_the_region(
+        self, tmp_path, province_csv, capsys, first, last, recursive, message
+    ):
+        # The model trains on 2010-01..2013-04; its last training month is 2012-10.
+        model, part, forecast = tmp_path / "g.model", tmp_path / "part.csv", tmp_path / "f.csv"
+        assert run(["train", "--seed", 1, "--in", province_csv, "--region", "Gitega",
+                    "--variant", "univariate", "--epochs", 1, "--hidden", 2, "--out-model", model]) == 0
+        header, *rows = province_csv.read_text().splitlines()
+        part.write_text("\n".join([header, *(
+            row for row in rows
+            if row.startswith("Gitega,") and first <= tuple(map(int, row.split(",")[1:3])) <= last
+        )]) + "\n")
+        capsys.readouterr()
+        assert run(["forecast", "--model", model, "--in", part, "--out", forecast,
+                    *(["--recursive"] if recursive else [])]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error:data: {message}"]
+        assert not forecast.exists()
+
     def test_forecast_horizon_length(self, tmp_path, province_csv):
         model = tmp_path / "g.model"
         run(["train", "--seed", 1, "--in", province_csv, "--region", "Gitega",
@@ -886,6 +925,24 @@ class TestPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:data: 30 months at window.lookback 29: 1 windows")
         assert not model.exists()
+
+    @pytest.mark.parametrize("lookback", [29, 30, 31])
+    def test_train_refuses_a_short_series_with_the_pipelines_line(self, tmp_path, capsys, lookback):
+        truth, aggregated, model = tmp_path / "truth.csv", tmp_path / "aggregated.csv", tmp_path / "g.model"
+        assert run(["synth", "--seed", 4, "--months", 30, "--out-truth", truth,
+                    "--out-masked", tmp_path / "masked.csv"]) == 0
+        assert run(["aggregate", "--in", truth, "--out", aggregated, "--level", "new"]) == 0
+        capsys.readouterr()
+        assert run(["train", "--in", aggregated, "--region", "Gitega", "--variant", "univariate",
+                    "--out-model", model, "--lookback", lookback, "--epochs", "1"]) == 1
+        train_err = capsys.readouterr().err.splitlines()
+        assert run(["pipeline", "--seed", 4, "--synth.months", 30, "--window.lookback", lookback,
+                    "--out_dir", tmp_path / "out"]) == 1
+        assert train_err == capsys.readouterr().err.splitlines() == [
+            f"error:data: 30 months at window.lookback {lookback}: {max(30 - lookback, 0)} windows; "
+            f"a train/test split needs {lookback + 2} months"
+        ]
+        assert not model.exists() and not (tmp_path / "out").exists()
 
     def test_column_with_no_observed_month_is_refused_before_anything_is_written(
         self, tmp_path, capsys

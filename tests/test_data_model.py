@@ -118,7 +118,64 @@ def write_rows(path, header, rows):
 HEADER = "province,year,month,temp_mean,rainfall,rel_humidity,population,cases".split(",")
 
 
+def order_row(province, month, humidity=70.0, population=1000, cases=5):
+    return [province, 2010, month, 20.0, 90.0, humidity, population, cases]
+
+
+def order_rows(province, months=(1, 2, 3)):
+    return [order_row(province, month) for month in months]
+
+
+# Files with several faults, and the one line ingest reports for each.
+INGEST_ORDER_CASES = [
+    # A bad cell, read after a gap in Alpha and a short range in Gamma.
+    pytest.param(
+        [order_row("Alpha", 1), order_row("Alpha", 3), *order_rows("Beta"), order_row("Gamma", 1, population="oops")],
+        "line 7: malformed population cell 'oops'",
+        id="bad-cell-beats-month-axis",
+    ),
+    # A duplicate row, read after a short range in Beta.
+    pytest.param(
+        [*order_rows("Alpha"), *order_rows("Beta", (1, 2)), *order_rows("Gamma"), order_row("Gamma", 2)],
+        "line 10: duplicate row for Gamma 2010-02 (first on line 8)",
+        id="duplicate-beats-month-axis",
+    ),
+    pytest.param(
+        [*order_rows("Alpha"), *order_rows("Beta", (1, 2)), *order_rows("Gamma", (1, 3))],
+        "line 8: month gap for province Gamma between 2010-01 and 2010-03",
+        id="gap-in-third-beats-short-range-in-second",
+    ),
+    # Gamma comes first in the file, and each province's rows run backwards.
+    pytest.param(
+        [*order_rows("Gamma", (3, 2)), *order_rows("Beta", (2, 1)), *order_rows("Alpha", (3, 2, 1))],
+        "line 5: provinces cover different month ranges: Beta 2010-01..2010-02, Alpha 2010-01..2010-03",
+        id="range-names-first-sorted-province-at-its-first-month",
+    ),
+    pytest.param(
+        [order_row("Alpha", 1, cases=-1), *order_rows("Alpha", (2, 3)), *order_rows("Beta", (2, 3))],
+        "line 5: provinces cover different month ranges: Beta 2010-02..2010-03, Alpha 2010-01..2010-03",
+        id="range-beats-value-rule",
+    ),
+    # Humidity's rule comes before that of cases; Beta's bad humidity is on
+    # the lower line although Alpha's comes first in the arrays.
+    pytest.param(
+        [order_row("Beta", 1, humidity=-1.0), order_row("Alpha", 2, cases=-1), order_row("Alpha", 1),
+         order_row("Alpha", 3, humidity=101.0), *order_rows("Beta", (2, 3))],
+        "line 2: rel_humidity out of range [0, 100], got -1.0",
+        id="first-value-rule-at-its-lowest-line",
+    ),
+]
+
+
 class TestIngest:
+    @pytest.mark.parametrize("rows, message", INGEST_ORDER_CASES)
+    def test_several_faults_report_the_first_in_check_order(self, tmp_path, rows, message):
+        path = tmp_path / "faults.csv"
+        write_rows(path, HEADER, rows)
+        with pytest.raises(DataError) as caught:
+            ingest_csv(path)
+        assert str(caught.value) == f"{path} {message}"
+
     def test_well_formed_two_provinces(self, tmp_path):
         rows = []
         for name in ("Alpha", "Beta"):

@@ -50,7 +50,7 @@ class TestMakeWindows:
 
     def test_multivariate_requires_complete_climate(self):
         series = with_cell(make_series("A", 5), "A", 2, temp_mean=None)
-        with pytest.raises(DataError, match="2010-03; impute"):
+        with pytest.raises(DataError, match="^A 2010-03: missing temp_mean value; impute before windowing$"):
             make_windows(series, "A", WindowSpec(3, "multivariate"))
         assert make_windows(series, "A", WindowSpec(3, "univariate")).samples == 2
 
