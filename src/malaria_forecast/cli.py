@@ -344,7 +344,7 @@ def run_pipeline(cfg: Config) -> None:
             f"{cfg['map_csv']}: regroups into {regions}, not the report's regions "
             f"{list(data_model.BURUNDI_REDISTRICTING_GROUPS)}"
         )
-    data_model.check_coverage(masked.provinces, redistricting)
+    data_model.check_regrouping(masked, redistricting)
     # Every model splits the same number of months; judged before any write.
     windowing.split_index(masked.cases.shape[1], cfg["window.lookback"], cfg["window.train_fraction"])
 

@@ -40,16 +40,15 @@ def check_fields(config) -> None:
 class MinMaxScaler:
     """Per-feature min-max scaling onto [0, 1].
 
-    Constant features map to 0.0 on transform and back to their constant on
-    inverse transform. Fit only on training data; the windowing module
-    enforces that.
+    ``mins`` and ``maxs`` hold one bound per feature, as :meth:`fit` and the
+    model reader give them. Constant features map to 0.0 on transform and
+    back to their constant on inverse transform. Fit only on training data;
+    the windowing module enforces that.
     """
 
     def __init__(self, mins: np.ndarray, maxs: np.ndarray):
         mins = np.atleast_1d(np.asarray(mins, dtype=np.float64))
         maxs = np.atleast_1d(np.asarray(maxs, dtype=np.float64))
-        if mins.shape != maxs.shape or mins.ndim != 1:
-            raise ShapeError(f"min/max shapes differ: {mins.shape} vs {maxs.shape}")
         if np.any(maxs < mins):
             raise ValueError("scaler max must be >= min for every feature")
         self.mins = mins
@@ -63,8 +62,6 @@ class MinMaxScaler:
     def fit(cls, values) -> "MinMaxScaler":
         """Fit on a (rows, features) column block; requires at least one row."""
         v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ShapeError(f"expected a 2-D matrix, got shape {v.shape}")
         if v.shape[0] < 1:
             raise ValueError("scaler fit requires at least one row")
         return cls(v.min(axis=0), v.max(axis=0))

@@ -7,7 +7,8 @@ months from ``start``:
   NaN for a missing cell (only climate may be missing);
 - ``population`` and ``cases`` (P, T) int64.
 
-The constructor checks every value and leaves the arrays read-only.
+The constructor, given at least one province and T >= 1 months, checks every
+value and leaves the arrays read-only.
 :func:`ingest_csv` keys each row by (province, month) and runs the same
 checks first, so that an error names the file line; :func:`write_csv` writes
 the arrays back byte for byte (``repr`` floats, an empty cell for NaN).
@@ -30,9 +31,10 @@ added in sorted order, one after the other (``x[idx].sum(axis=0)``, then
 build. A membership-matrix product would leave the order to BLAS, and
 Python's built-in ``sum`` compensates its rounding from Python 3.12 on
 (Neumaier), which would make the means depend on the Python version.
-Every count is at most 2**53, so it is exact as a float64 in the windows,
-and the int64 sums of up to 1,024 members are exact too. Every climate value
-is at most :data:`MAX_MAGNITUDE` in size, so group sums and means are finite.
+Every count, and every regional and national count sum (:func:`_sums` judges
+them), is at most 2**53, so it is exact as a float64 in the windows; int64
+sums of up to 1,024 members are exact. Every climate value is at most
+:data:`MAX_MAGNITUDE` in size, so group sums and means are finite.
 """
 
 from __future__ import annotations
@@ -143,17 +145,11 @@ class Dataset:
         self.climate = np.array(climate, dtype=np.float64)
         self.population = np.array(population)
         self.cases = np.array(cases)
-        if not self.provinces:
-            raise DataError("dataset must contain at least one province")
         if not all(self.provinces):
             raise DataError("province names must be non-empty")
         if any(a >= b for a, b in zip(self.provinces, self.provinces[1:])):
             raise DataError(f"provinces must be sorted and unique, got {self.provinces}")
-        shape = (len(self.provinces), self.climate.shape[1] if self.climate.ndim == 3 else 0)
-        if self.climate.shape != (*shape, 3) or shape[1] == 0:
-            raise DataError(
-                f"climate must have shape {(*shape, 3)} with months > 0, got {self.climate.shape}"
-            )
+        shape = (len(self.provinces), self.climate.shape[1])
         for name in ("population", "cases"):
             counts = getattr(self, name)
             if counts.shape != shape or counts.dtype != np.int64:
@@ -397,6 +393,19 @@ def read_map_csv(path) -> dict[str, str]:
     return mapping
 
 
+def _sums(dataset: Dataset, names: list[str], counts, groups: list[list[int]]) -> list[np.ndarray]:
+    """Each of ``counts`` (arrays with a row per province of ``dataset``)
+    summed over each group's member rows, added in the given order. DataError
+    for the first sum that breaks a count rule of :func:`_violations`."""
+    sums = [np.array([array[idx].sum(axis=0) for idx in groups]) for array in counts]
+    # Zero climate passes every climate rule, so only the count rules judge.
+    for bad, values, rule in _violations(np.zeros((*sums[0].shape, 3)), *sums):
+        if bad.any():
+            g, t = np.argwhere(bad)[0]
+            raise DataError(f"{names[g]} {dataset.months()[t]}: {rule}, got {values[g, t]}, a sum of member provinces")
+    return sums
+
+
 def _regroup(dataset: Dataset, names: list[str], groups: list[list[int]]) -> Dataset:
     """One row per group: the member rows' climate mean and count sums, the
     members added in the given order."""
@@ -411,22 +420,34 @@ def _regroup(dataset: Dataset, names: list[str], groups: list[list[int]]) -> Dat
         names,
         dataset.start,
         [dataset.climate[idx].sum(axis=0) / len(idx) for idx in groups],
-        np.array([dataset.population[idx].sum(axis=0) for idx in groups]),
-        np.array([dataset.cases[idx].sum(axis=0) for idx in groups]),
+        *_sums(dataset, names, (dataset.population, dataset.cases), groups),
     )
 
 
-def check_coverage(provinces: list[str], redistricting: Mapping[str, str]) -> None:
-    """DataError for the first of ``provinces`` that ``redistricting`` (old
-    -> new) does not map; CoverageError for the first mapped province that
-    ``provinces`` lacks."""
+def _groups(provinces: list[str], redistricting: Mapping[str, str]) -> tuple[list[str], list[list[int]]]:
+    """The new provinces of ``redistricting`` (old -> new), sorted, and the
+    rows in ``provinces`` of each one's members, sorted by name. DataError for
+    the first of ``provinces`` that ``redistricting`` does not map;
+    CoverageError for the first mapped province that ``provinces`` lacks."""
     for province in provinces:
         if province not in redistricting:
             raise DataError(f"province {province!r} is not in the redistricting map")
-    present = set(provinces)
+    rows = {name: p for p, name in enumerate(provinces)}
     for old in redistricting:
-        if old not in present:
+        if old not in rows:
             raise CoverageError(f"dataset is missing mapped province {old!r}")
+    names = sorted(set(redistricting.values()))
+    return names, [[rows[old] for old in sorted(redistricting) if redistricting[old] == name] for name in names]
+
+
+def check_regrouping(dataset: Dataset, redistricting: Mapping[str, str]) -> None:
+    """Raise the first error that :func:`aggregate_provinces` and then
+    :func:`to_country_level` would raise on ``dataset``'s provinces and counts:
+    the coverage errors of ``redistricting``, then a regional count sum, then
+    a national one, that breaks a count rule. Climate is not read."""
+    names, groups = _groups(dataset.provinces, redistricting)
+    regional = _sums(dataset, names, (dataset.population, dataset.cases), groups)
+    _sums(dataset, [COUNTRY_NAME], regional, [list(range(len(names)))])
 
 
 def aggregate_provinces(dataset: Dataset, redistricting: Mapping[str, str]) -> Dataset:
@@ -436,11 +457,7 @@ def aggregate_provinces(dataset: Dataset, redistricting: Mapping[str, str]) -> D
     Members are combined in sorted order, so the result is exactly invariant
     to the ordering of the input mapping.
     """
-    check_coverage(dataset.provinces, redistricting)
-    rows = {name: p for p, name in enumerate(dataset.provinces)}
-    names = sorted(set(redistricting.values()))
-    groups = [[rows[old] for old in sorted(redistricting) if redistricting[old] == name] for name in names]
-    return _regroup(dataset, names, groups)
+    return _regroup(dataset, *_groups(dataset.provinces, redistricting))
 
 
 def to_country_level(dataset: Dataset) -> Dataset:

@@ -46,8 +46,8 @@ def persistence_baseline(windows: WindowedDataset) -> np.ndarray:
 
 @dataclass
 class ForecastReport:
-    """Predicted vs observed case counts for one region and model variant;
-    :func:`make_report` computes the RMSE and the totals."""
+    """Predicted vs observed case counts for one region and model variant, as
+    equally long, non-empty series; :func:`make_report` computes the RMSE and the totals."""
 
     region: str
     model_variant: str
@@ -61,9 +61,6 @@ class ForecastReport:
     def __post_init__(self):
         if self.model_variant not in VARIANTS:
             raise ValueError(f"unknown model variant {self.model_variant!r}")
-        n = len(self.months)
-        if not (len(self.observed) == len(self.predicted) == n) or n == 0:
-            raise ValueError("months, observed and predicted must be equally long and non-empty")
 
 
 def make_report(region, model_variant, months, observed, predicted) -> ForecastReport:

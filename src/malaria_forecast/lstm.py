@@ -48,22 +48,18 @@ class LstmParams:
     forget gate, cell candidate, output gate); column 0 is the bias, then
     the F input features, then the H recurrent inputs. ``head`` is (1+H,):
     the output bias, then the weights of the last hidden state. Both are
-    views of ``theta``, so writing into them writes ``theta``. All four
+    views of ``theta``, so writing into them writes ``theta``. Both are
+    finite, as :func:`init_params` and :func:`load_model` build them. All four
     blocks use one activation, s·tanh(s·z) + (1 − s): with s = ½ it is the
     logistic function (σ(z) = ½·tanh(z/2) + ½), used on i, f and o; with
     s = 1 it is tanh, used on g.
     """
 
     def __init__(self, w: np.ndarray, head: np.ndarray):
-        hidden = head.shape[0] - 1 if head.ndim == 1 else 0
-        features = w.shape[1] - 1 - hidden if w.ndim == 2 else 0
-        if hidden < 1 or features < 1:
-            raise ShapeError(f"w {w.shape} and head {head.shape} are not (4H, 1+F+H) and (1+H,)")
+        hidden, features = head.shape[0] - 1, w.shape[1] - head.shape[0]
         for (name, shape), arr in zip(self.shapes(features, hidden).items(), (w, head)):
             if arr.shape != shape:
                 raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ShapeError(f"{name} contains non-finite entries")
         self.hidden, self.features = hidden, features
         self.theta = np.concatenate([w, head], axis=None, dtype=np.float64)
 
@@ -190,8 +186,6 @@ def forward(params: LstmParams, window, cache: ForwardCache | None = None):
     if x.ndim != 3:
         raise ShapeError(f"windows must be an (n, L, features) batch, got shape {x.shape}")
     n, length, feat = x.shape
-    if length < 1:
-        raise ShapeError("window length must be >= 1")
     if feat != params.features:
         raise ShapeError(f"window has {feat} features, params expect {params.features}")
     hdim = params.hidden
@@ -241,8 +235,6 @@ def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> np.ndarr
         raise ValueError("cache was produced by a different parameter set")
     d_pred = np.atleast_1d(np.asarray(d_predictions, dtype=np.float64))
     length, _, n = cache.gates.shape
-    if d_pred.shape != (n,):
-        raise ShapeError(f"d_predictions has shape {d_pred.shape}, expected ({n},)")
     hdim = params.hidden
     w_h_t = params.w[:, 1 + cache.features :].T
     c, dz = cache.c, cache.dz
@@ -291,10 +283,6 @@ def adam_step(params: LstmParams, grad: np.ndarray, m: np.ndarray, v: np.ndarray
     """Bias-corrected Adam update of ``params.theta`` and the first and
     second moments ``m`` and ``v`` (vectors laid out like ``theta``, zero at
     the start), all in place; t counts from 1."""
-    if t < 1:
-        raise ValueError(f"step count must be >= 1, got {t}")
-    if grad.shape != params.theta.shape:
-        raise ShapeError(f"gradient has shape {grad.shape}, expected {params.theta.shape}")
     clip_gradients(grad, cfg.clip_norm)
     m *= cfg.beta1
     m += (1.0 - cfg.beta1) * grad
@@ -304,15 +292,11 @@ def adam_step(params: LstmParams, grad: np.ndarray, m: np.ndarray, v: np.ndarray
 
 
 def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
-    """Fit on a scaled training partition; full-batch unless batch_size set.
+    """Fit on a non-empty partition scaled by split_train_test; full-batch unless batch_size set.
 
     The loss history records the mean squared error seen in each epoch
     (before that epoch's update reaches the next one).
     """
-    if windows.samples == 0:
-        raise ValueError("training partition is empty")
-    if windows.input_scaler is None or windows.target_scaler is None:
-        raise ValueError("windows must be scaled (use split_train_test first)")
     X = windows.inputs
     y = windows.targets
     n = windows.samples

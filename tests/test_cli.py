@@ -104,8 +104,10 @@ def rule_cases():
 
 def cli_process(argv, **kwargs):
     """``python -m malaria_forecast.cli argv`` in a fresh interpreter, its
-    standard error piped as text."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    standard error piped as text. The package's src directory comes first on
+    its path, then the caller's ``PYTHONPATH``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.Popen(
         [sys.executable, "-m", "malaria_forecast.cli", *map(str, argv)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, **kwargs,
@@ -980,6 +982,31 @@ class TestPipeline:
         if fault == "other regions":
             assert err[0].startswith(f"error:data: {map_csv}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "count, level, region, total",
+        [(2**51 + 1, "new", "Bujumbura", 4 * (2**51 + 1)), (2**51 - 1, "country", COUNTRY_NAME, 18 * (2**51 - 1))],
+        ids=["regional", "national"],
+    )
+    def test_count_sum_beyond_2_53_is_refused_before_anything_is_written(
+        self, tmp_path, capsys, count, level, region, total
+    ):
+        # Every cell keeps the rule; Bujumbura's four members, or all eighteen
+        # provinces, sum past it. The aggregate stage ends with the same line.
+        truth, masked = tmp_path / "truth.csv", tmp_path / "masked.csv"
+        assert run(["synth", "--seed", 1, "--months", 120, "--out-truth", truth, "--out-masked", masked]) == 0
+        header, *rows = csv.reader(truth.read_text().splitlines())
+        with truth.open("w", newline="") as fh:
+            csv.writer(fh).writerows([header, *(row[:-1] + [count] for row in rows)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(["pipeline", "--seed", 1, "--input_csv", truth, "--out_dir", out]) == 1
+        expected = [f"error:data: {region} 2010-01: cases must be <= 2**53, got {total}, a sum of member provinces"]
+        assert capsys.readouterr().err.splitlines() == expected
+        assert not out.exists()
+        assert run(["aggregate", "--in", truth, "--out", tmp_path / "agg.csv", "--level", level]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"aggregate: level={level}", *expected]
+        assert not (tmp_path / "agg.csv").exists()
 
     def test_rerun_from_its_own_run_config(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"

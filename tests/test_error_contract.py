@@ -344,3 +344,20 @@ def test_forecasts_beyond_the_bound_are_refused(tmp_path, capsys):
     assert cli.main([str(a) for a in argv]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "error:data: Burundi multivariate model: forecasts exceed 1e100"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["country.csv", "country.model"]
+
+
+def test_half_empty_temperature_pair_is_refused(tmp_path, capsys):
+    # The temp_min,temp_max layout, with temp_min empty and temp_max set on line 5.
+    rows = [row.split(",") for row in DATASET_CSV.splitlines()[1:]]
+    lines = [data_model.CSV_HEADER_MINMAX] + [
+        [*row[:3], "" if k == 3 else float(row[3]) - 1, float(row[3]) + 1, *row[4:]] for k, row in enumerate(rows)
+    ]
+    path = tmp_path / "in.csv"
+    path.write_text("".join(",".join(map(str, line)) + "\n" for line in lines))
+    capsys.readouterr()
+    argv = ["aggregate", "--in", path, "--out", tmp_path / "country.csv", "--level", "country"]
+    assert cli.main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error:data: {path} line 5: temp_min and temp_max must be both present or both empty"
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]

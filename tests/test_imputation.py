@@ -8,6 +8,7 @@ from malaria_forecast.errors import DataError, ShapeError
 from malaria_forecast.data_model import Dataset
 from malaria_forecast.imputation import (
     ForestConfig,
+    _delta,
     _pick_features,
     _province_matrix,
     bootstrap_weights,
@@ -293,6 +294,13 @@ class TestMissForest:
         b = missforest_impute(Xm, ForestConfig(n_trees=8), np.random.default_rng(9))
         assert np.array_equal(a.completed, b.completed)
         assert a.delta_history == b.delta_history
+
+    def test_delta_is_infinite_when_every_imputed_cell_became_zero(self):
+        mask = np.array([[True, False], [False, True], [True, True]])
+        old = np.array([[2.0, 5.0], [7.0, -3.0], [0.5, 1e-300]])
+        new = np.where(mask, 0.0, old)
+        assert _delta(new, old, mask) == np.inf
+        assert _delta(new, new, mask) == 0.0
 
     def test_delta_history_nonnegative(self):
         _, Xm = masked_climate_matrix(seed=4)

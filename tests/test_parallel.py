@@ -40,6 +40,28 @@ def dying_job(i, how):
     return i
 
 
+def interrupted_job(i):
+    """Item 1 is interrupted, as Ctrl-C interrupts a worker; the others return."""
+    if i == 1:
+        raise KeyboardInterrupt
+    return i
+
+
+def unbuildable():
+    raise RuntimeError("this reply cannot be rebuilt")
+
+
+class Unbuildable:
+    """Pickles in the worker; unpickling it in the parent raises."""
+
+    def __reduce__(self):
+        return unbuildable, ()
+
+
+def unbuildable_reply(i):
+    return Unbuildable() if i == 1 else i
+
+
 def random_array(seed):
     """1 MiB of float64, more than a pipe buffer holds."""
     return np.random.default_rng(seed).standard_normal(1 << 17)
@@ -124,6 +146,22 @@ def test_dead_worker_is_reported(cpus, how, message):
     with pytest.raises(WorkerError, match=message):
         parallel.pmap(dying_job, range(4), [how] * 4)
     assert time.monotonic() - start < 5
+    assert_no_children()
+
+
+def test_interrupted_worker_exits_without_answering(cpus):
+    cpus(2)
+    with pytest.raises(WorkerError, match=r"item 1 exited with status 1 before it answered"):
+        parallel.pmap(interrupted_job, range(4))
+    assert_no_children()
+
+
+def test_reply_the_parent_cannot_unpickle_is_raised_and_every_worker_reaped(cpus):
+    # The parent's own failure mid-pool: it kills the workers, closes their
+    # pipes and reaps them before the error leaves pmap.
+    cpus(2)
+    with pytest.raises(RuntimeError, match="this reply cannot be rebuilt"):
+        parallel.pmap(unbuildable_reply, range(4))
     assert_no_children()
 
 
