@@ -11,9 +11,11 @@ the gate matrix ``w`` and the output head ``head``, each with its bias first,
 are views of it, and the gradient and Adam's moments are vectors laid out
 like it. The four gates share one weight matrix and one activation: ``forward``
 halves the logistic gates' rows exactly, so one tanh serves all four gates.
-Activations are stored batch last (:class:`ForwardCache`), so each step's
-gates come from one GEMM ``w @ [1; x_t; h_t]`` and every gate block is a
-contiguous array.
+Activations are stored batch last in a workspace (:class:`ForwardCache`),
+so each step's gates come from one GEMM ``w @ [1; x_t; h_t]`` and every gate
+block is a contiguous array; the workspace also holds every array that the
+backward pass and Adam write, so a training step runs GEMMs, copies and ufuncs
+into preallocated arrays, apart from its batch-length vectors.
 
 The univariate and multivariate models share every routine here; they differ
 only in the feature width of their windows (1 vs 5).
@@ -31,6 +33,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,51 +130,66 @@ def init_params(features: int, hidden: int, rng: np.random.Generator) -> LstmPar
     return LstmParams(w=w, head=np.concatenate([rng.uniform(-k, k, size=1), w_y]))
 
 
-@dataclass
 class ForwardCache:
-    """Activations of one batch, batch last, kept for backpropagation
-    through time, plus the workspace ``backward`` writes into.
+    """The workspace of one batch shape, batch last: the activations that
+    ``forward`` keeps for backpropagation through time, and every array
+    that ``forward``, ``backward`` and ``adam_step`` write, so that a
+    training step after the first allocates no array longer than n.
 
     Every per-step block is one contiguous (rows, n) array. ``xh[t]`` is the
     gate input of step t, [1 ; x_t ; h_t] with h_t the state before the step:
     the row of ones carries the bias through the gate GEMM, and ``x`` and
     ``h`` are views of the other rows. ``c`` and ``h`` hold L + 1 states;
-    index 0 is the zero initial state and is never written. ``train`` passes
-    one cache to every step of a batch size, so that training allocates no
-    array of size n·L after its first step.
+    index 0 is the zero initial state and is never written, and no
+    gradient with respect to it is ever formed. The workspace also holds:
+
+    - ``w``, the gate matrix with the logistic rows halved (``forward``);
+    - ``dz``, dLoss/d(pre-activation), and ``dw``, the gradient of w at each
+      step; ``dh`` and ``dc``, dLoss/dh and dLoss/dc of the step being
+      differentiated; ``grad``, the gradient that ``backward`` returns;
+    - ``tmp``, an (H, n) buffer for every elementwise temporary of both
+      passes, and ``adam``, two vectors of theta's size for ``adam_step``;
+    - ``forward_steps``, each step's views, built here once, and
+      ``backward_steps``, built at the first ``backward``.
+
+    ``train`` passes one workspace to every step of a batch size.
     """
 
-    xh: np.ndarray  # (L + 1, 1 + F + H, n)
-    gates: np.ndarray  # (L, 4H, n): activated i, f, g, o blocks
-    c: np.ndarray  # (L + 1, H, n)
-    tanh_c: np.ndarray  # (L, H, n)
-    dz: np.ndarray  # (L, 4H, n): dLoss/d(pre-activation), written by backward
-    dw: np.ndarray  # (L, 4H, 1 + F + H): the gradient of w at each step
-    features: int
-    params_id: int = 0
-
-    @classmethod
-    def empty(cls, n: int, length: int, features: int, hidden: int) -> "ForwardCache":
+    def __init__(self, n: int, length: int, features: int, hidden: int):
         width = 1 + features + hidden
-        xh = np.zeros((length + 1, width, n))
-        xh[:, 0] = 1.0
-        return cls(
-            xh=xh,
-            gates=np.empty((length, 4 * hidden, n)),
-            c=np.zeros((length + 1, hidden, n)),
-            tanh_c=np.empty((length, hidden, n)),
-            dz=np.empty((length, 4 * hidden, n)),
-            dw=np.empty((length, 4 * hidden, width)),
-            features=features,
+        self.features, self.params_id = features, 0
+        self.xh = np.zeros((length + 1, width, n))  # (L + 1, 1 + F + H, n)
+        self.xh[:, 0] = 1.0
+        self.x, self.h = self.xh[:-1, 1 : 1 + features], self.xh[:, 1 + features :]
+        self.gates = np.empty((length, 4 * hidden, n))  # activated i, f, g, o blocks
+        self.c = np.zeros((length + 1, hidden, n))
+        self.tanh_c = np.empty((length, hidden, n))
+        self.dz = np.empty((length, 4 * hidden, n))
+        self.dw = np.empty((length, 4 * hidden, width))
+        self.w = np.empty((4 * hidden, width))
+        self.grad = np.empty(4 * hidden * width + 1 + hidden)
+        self.adam = np.empty((2, self.grad.size))
+        self.dh, self.dc, self.tmp = np.empty((3, hidden, n))
+        # One tuple of views per step; zip walks each array's first axis.
+        c, h = list(self.c), list(self.h)
+        self.forward_steps = list(
+            zip(
+                self.xh, self.gates, self.gates[:, : 2 * hidden], self.gates[:, 3 * hidden :],
+                *_gate_blocks(self.gates), c, c[1:], self.tanh_c, h[1:],
+            )
         )
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.xh[:-1, 1 : 1 + self.features]
+    @cached_property
+    def backward_steps(self) -> list[tuple[np.ndarray, ...]]:
+        """Each step's views for ``backward``, built at its first call, so
+        that a workspace that only runs ``forward`` does not pay for them."""
+        return list(zip(*_gate_blocks(self.gates), self.c, self.tanh_c, self.dz, *_gate_blocks(self.dz)))
 
-    @property
-    def h(self) -> np.ndarray:
-        return self.xh[:, 1 + self.features :]
+
+def _gate_blocks(a: np.ndarray) -> np.ndarray:
+    """The i, f, g, o blocks of an (L, 4H, n) array: (4, L, H, n) views."""
+    length, rows, n = a.shape
+    return a.reshape(length, 4, rows // 4, n).transpose(1, 0, 2, 3)
 
 
 def forward(params: LstmParams, window, cache: ForwardCache | None = None):
@@ -179,8 +197,8 @@ def forward(params: LstmParams, window, cache: ForwardCache | None = None):
     the last h.
 
     Takes an (n, L, features) batch and returns the (n,) predictions plus
-    the activation cache. A ``cache`` from an earlier call of the same shape
-    is overwritten instead of allocating a new one.
+    the workspace. A ``cache`` from an earlier call of the same shape is
+    overwritten instead of allocating a new one.
     """
     x = np.asarray(window, dtype=np.float64)
     if x.ndim != 3:
@@ -190,29 +208,29 @@ def forward(params: LstmParams, window, cache: ForwardCache | None = None):
         raise ShapeError(f"window has {feat} features, params expect {params.features}")
     hdim = params.hidden
     if cache is None:
-        cache = ForwardCache.empty(n, length, feat, hdim)
+        cache = ForwardCache(n, length, feat, hdim)
     elif cache.gates.shape != (length, 4 * hdim, n) or cache.features != feat:
         raise ShapeError(f"cache does not fit a ({n}, {length}, {feat}) batch at hidden size {hdim}")
     cache.params_id = id(params)
     # Halving the rows of the logistic gates is exact, so tanh of the folded
     # pre-activation is tanh(z/2), and ½·tanh(z/2) + ½ is the logistic σ(z).
-    w = params.w * np.repeat([0.5, 0.5, 1.0, 0.5], hdim)[:, None]
+    w, tmp = cache.w, cache.tmp
+    np.copyto(w, params.w)
+    w[: 2 * hdim] *= 0.5
+    w[3 * hdim :] *= 0.5
     np.copyto(cache.x, x.transpose(1, 2, 0))
-    xh, c, h, tanh_c = cache.xh, cache.c, cache.h, cache.tanh_c
-    for t in range(length):
-        z = cache.gates[t]
-        np.matmul(w, xh[t], out=z)
+    for xh, z, z_if, z_o, i, f, g, o, c, c_next, tanh_c, h_next in cache.forward_steps:
+        np.matmul(w, xh, out=z)
         np.tanh(z, out=z)
-        z[: 2 * hdim] *= 0.5
-        z[: 2 * hdim] += 0.5
-        z[3 * hdim :] *= 0.5
-        z[3 * hdim :] += 0.5
-        i, f, g, o = z.reshape(4, hdim, n)
-        np.multiply(f, c[t], out=c[t + 1])
-        c[t + 1] += i * g
-        np.tanh(c[t + 1], out=tanh_c[t])
-        np.multiply(o, tanh_c[t], out=h[t + 1])
-    return params.head[1:] @ h[length] + params.head[0], cache
+        z_if *= 0.5
+        z_if += 0.5
+        z_o *= 0.5
+        z_o += 0.5
+        np.multiply(f, c, out=c_next)
+        c_next += np.multiply(i, g, out=tmp)
+        np.tanh(c_next, out=tanh_c)
+        np.multiply(o, tanh_c, out=h_next)
+    return params.head[1:] @ cache.h[length] + params.head[0], cache
 
 
 def loss_mse(predictions, targets) -> float:
@@ -226,76 +244,108 @@ def loss_mse(predictions, targets) -> float:
 
 
 def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> np.ndarray:
-    """Exact gradient of the loss w.r.t. ``params.theta``, in its layout.
+    """Exact gradient of the loss w.r.t. ``params.theta``, in its layout:
+    the workspace's ``grad``, which the next ``backward`` on that workspace
+    overwrites.
 
     ``d_predictions`` is dLoss/dprediction per sample (for mean squared error
-    over n samples: 2 * (pred - target) / n).
+    over n samples: 2 * (pred - target) / n). Every product is written into
+    the workspace. The loop stops after step 0's pre-activation gradients:
+    the gradient with respect to the zero initial state is never formed,
+    since nothing reads it.
     """
     if cache.params_id != id(params):
         raise ValueError("cache was produced by a different parameter set")
     d_pred = np.atleast_1d(np.asarray(d_predictions, dtype=np.float64))
-    length, _, n = cache.gates.shape
-    hdim = params.hidden
-    w_h_t = params.w[:, 1 + cache.features :].T
-    c, dz = cache.c, cache.dz
+    w, head, grad = params.w, params.head, cache.grad
+    w_h_t = w[:, 1 + cache.features :].T
+    dh, dc, tmp = cache.dh, cache.dc, cache.tmp
 
-    dh = np.outer(params.head[1:], d_pred)
-    dc = np.zeros_like(dh)
-    for t in range(length - 1, -1, -1):
-        i, f, g, o = cache.gates[t].reshape(4, hdim, n)
-        dz_i, dz_f, dz_g, dz_o = dz[t].reshape(4, hdim, n)
-        tanh_c = cache.tanh_c[t]
-
+    # dh = head ⊗ d_pred from two broadcasting copies and one same-shape
+    # product: a broadcasting ufunc would allocate numpy's iteration buffers.
+    np.copyto(dh, head[1:, None])
+    np.copyto(tmp, d_pred)
+    dh *= tmp
+    dc.fill(0.0)
+    for t in range(len(cache.backward_steps) - 1, -1, -1):
+        i, f, g, o, c, tanh_c, dz, dz_i, dz_f, dz_g, dz_o = cache.backward_steps[t]
         np.multiply(dh, o, out=dh)
         np.multiply(dh, tanh_c, out=dz_o)
-        dz_o *= 1.0 - o
-        dc += dh * (1.0 - tanh_c * tanh_c)
-        np.multiply(dc, c[t], out=dz_f)
+        dz_o *= np.subtract(1.0, o, out=tmp)
+        np.multiply(tanh_c, tanh_c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        dc += np.multiply(dh, tmp, out=tmp)
+        np.multiply(dc, c, out=dz_f)
         dz_f *= f
-        dz_f *= 1.0 - f
+        dz_f *= np.subtract(1.0, f, out=tmp)
         np.multiply(dc, i, out=dz_g)
         np.multiply(dc, g, out=dz_i)
         dz_i *= i
-        dz_i *= 1.0 - i
-        dz_g *= 1.0 - g * g
-
-        np.matmul(w_h_t, dz[t], out=dh)
-        dc *= f
+        dz_i *= np.subtract(1.0, i, out=tmp)
+        dz_g *= np.subtract(1.0, np.multiply(g, g, out=tmp), out=tmp)
+        if t:
+            np.matmul(w_h_t, dz, out=dh)
+            dc *= f
 
     # The gradient of w sums one GEMM per step (inner dimension n): OpenBLAS
     # rounds a single GEMM over all n * L columns differently for different
     # thread counts.
-    np.matmul(dz, cache.xh[:-1].transpose(0, 2, 1), out=cache.dw)
-    return np.concatenate([cache.dw.sum(axis=0), [d_pred.sum()], cache.h[length] @ d_pred], axis=None)
+    np.matmul(cache.dz, cache.xh[:-1].transpose(0, 2, 1), out=cache.dw)
+    np.sum(cache.dw, axis=0, out=grad[: w.size].reshape(w.shape))
+    grad[w.size] = d_pred.sum()
+    np.matmul(cache.h[-1], d_pred, out=grad[w.size + 1 :])
+    return grad
 
 
-def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
+def clip_gradients(grad: np.ndarray, max_norm: float, scratch: np.ndarray | None = None) -> float:
     """Scale ``grad`` down in place when its L2 norm exceeds the cap; return
     the norm. A numpy sum, not a BLAS dot, so it does not depend on the BLAS
-    thread count."""
-    total = math.sqrt(float(np.sum(grad * grad)))
+    thread count. The squares go to ``scratch`` when one is given."""
+    total = math.sqrt(float(np.sum(np.multiply(grad, grad, out=scratch))))
     if total > max_norm:
         grad *= max_norm / total
     return total
 
 
-def adam_step(params: LstmParams, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, cfg: TrainConfig) -> None:
+def adam_step(
+    params: LstmParams,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    t: int,
+    cfg: TrainConfig,
+    scratch: np.ndarray | None = None,
+) -> None:
     """Bias-corrected Adam update of ``params.theta`` and the first and
     second moments ``m`` and ``v`` (vectors laid out like ``theta``, zero at
-    the start), all in place; t counts from 1."""
-    clip_gradients(grad, cfg.clip_norm)
+    the start), all in place; t counts from 1. ``scratch``, two vectors of
+    theta's size such as a workspace's ``adam``, takes every temporary;
+    without it the step allocates them."""
+    step, denom = np.empty((2, grad.size)) if scratch is None else scratch
+    clip_gradients(grad, cfg.clip_norm, step)
     m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grad
+    m += np.multiply(1.0 - cfg.beta1, grad, out=step)
     v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * grad**2
-    params.theta -= cfg.learning_rate * (m / (1.0 - cfg.beta1**t)) / (np.sqrt(v / (1.0 - cfg.beta2**t)) + cfg.eps)
+    np.square(grad, out=step)
+    v += np.multiply(1.0 - cfg.beta2, step, out=step)
+    np.divide(m, 1.0 - cfg.beta1**t, out=step)
+    np.multiply(cfg.learning_rate, step, out=step)
+    np.divide(v, 1.0 - cfg.beta2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps
+    params.theta -= np.divide(step, denom, out=step)
 
 
 def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
     """Fit on a non-empty partition scaled by split_train_test; full-batch unless batch_size set.
 
     The loss history records the mean squared error seen in each epoch
-    (before that epoch's update reaches the next one).
+    (before that epoch's update reaches the next one). Each batch size (the
+    full batches and a short last one) gets one :class:`ForwardCache`,
+    which every step of that size reuses for ``forward``, ``backward`` and
+    ``adam_step``, and one buffer that its windows are gathered into. So
+    once each batch size has had its first step, a step allocates no array
+    longer than the batch.
     """
     X = windows.inputs
     y = windows.targets
@@ -307,24 +357,30 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
     step = 0
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
     order = np.arange(n)
-    # One workspace per batch size: the full batches and a short last one.
-    caches = {}
+    # One workspace per batch size (the full batches and a short last one),
+    # each with a buffer that a minibatch's windows are gathered into.
+    workspaces = {}
     for epoch in range(cfg.epochs):
         if batch < n:
             rng.shuffle(order)
         epoch_loss = 0.0
         for lo in range(0, n, batch):
             idx = order[lo : lo + batch]
-            window, target = (X, y) if batch == n else (X[idx], y[idx])
-            if idx.size not in caches:
-                caches[idx.size] = ForwardCache.empty(idx.size, X.shape[1], X.shape[2], cfg.hidden)
-            preds, cache = forward(params, window, caches[idx.size])
+            if idx.size not in workspaces:
+                shape = (idx.size, *X.shape[1:])
+                workspaces[idx.size] = ForwardCache(*shape, cfg.hidden), np.empty(shape)
+            cache, gathered = workspaces[idx.size]
+            # Every index is in range, so mode "clip" changes no value; it
+            # only spares ``take`` a buffered copy of ``out``.
+            window, target = (X, y) if batch == n else (np.take(X, idx, axis=0, out=gathered, mode="clip"), y[idx])
+            preds, cache = forward(params, window, cache)
             with np.errstate(over="ignore", invalid="ignore"):  # a diverged loss is checked below
                 loss = loss_mse(preds, target)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             step += 1
-            adam_step(params, backward(params, cache, 2.0 * (preds - target) / idx.size), m, v, step, cfg)
+            grad = backward(params, cache, 2.0 * (preds - target) / idx.size)
+            adam_step(params, grad, m, v, step, cfg, cache.adam)
             epoch_loss += loss * idx.size
         history.append(epoch_loss / n)
     return TrainedModel(
@@ -401,7 +457,9 @@ def gradient_check(
 ) -> dict[str, float]:
     """Compare analytic gradients against central finite differences.
 
-    The numeric side only calls ``forward``/``loss_mse``. Returns, per
+    The numeric side only calls ``forward``/``loss_mse``, every forward in
+    the workspace of the analytic one (``backward`` leaves its gradient in
+    that workspace's ``grad``, which ``forward`` never writes). Returns, per
     parameter tensor, the relative error ||analytic - numeric|| /
     max(||analytic|| + ||numeric||, 1e-12).
     """
@@ -413,9 +471,9 @@ def gradient_check(
     for j in range(theta.size):
         saved = theta[j]
         theta[j] = saved + epsilon
-        hi, _ = forward(params, inputs)
+        hi, _ = forward(params, inputs, cache)
         theta[j] = saved - epsilon
-        lo, _ = forward(params, inputs)
+        lo, _ = forward(params, inputs, cache)
         theta[j] = saved
         numeric[j] = (loss_mse(hi, targets) - loss_mse(lo, targets)) / (2.0 * epsilon)
 

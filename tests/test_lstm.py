@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -312,7 +313,7 @@ class TestWorkspace:
             fresh_preds, fresh_cache = forward(params, x)
             fresh_grad = backward(params, fresh_cache, d_pred)
             if shape not in caches:
-                caches[shape] = ForwardCache.empty(*shape)
+                caches[shape] = ForwardCache(*shape)
             preds, cache = forward(params, x, caches[shape])
             assert cache is caches[shape]
             grad = backward(params, cache, d_pred)
@@ -339,12 +340,42 @@ class TestWorkspace:
         assert reused.loss_history == fresh.loss_history
         assert bits(a for _, a in reused.params.tensors()) == bits(a for _, a in fresh.params.tensors())
 
+    @pytest.mark.parametrize("batch", [100, None], ids=["minibatch", "fullbatch"])
+    def test_steps_after_the_first_epoch_allocate_less_than_half_an_h_by_n_array(self, batch):
+        # Numpy reports its array buffers to tracemalloc. Once every
+        # workspace exists, a step's only arrays are batch-length vectors
+        # (predictions, targets, the loss and dLoss/dprediction), a few KB
+        # here; a per-op (H, n) temporary, a numpy iteration buffer of a
+        # broadcasting ufunc, or a gathered (n, L, F) minibatch is 19-60 KB.
+        truth, _ = generate(SynthConfig(seed=3, months=300, provinces=("Alpha",), missing_rate=0.0))
+        part, _ = split_train_test(make_windows(truth, "Alpha", WindowSpec(6, "multivariate")), 0.8)
+        n = batch or part.samples
+        assert part.samples % n != 0 or batch is None  # a short last minibatch
+        per_epoch, calls, before = -(-part.samples // n), [], []
+
+        def adam_step_then_mark(*args):
+            adam_step(*args)
+            calls.append(1)
+            if len(calls) == per_epoch:
+                before.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(lstm, "adam_step", adam_step_then_mark):
+                train(part, TrainConfig(hidden=32, epochs=5, batch_size=batch, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 5 * per_epoch
+        assert peak - before[0] < 32 * n * 8 / 2
+
     def test_cache_of_another_shape_is_refused(self):
         params = init_params(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError, match="cache does not fit"):
-            forward(params, np.zeros((2, 5, 3)), ForwardCache.empty(3, 5, 3, 4))
+            forward(params, np.zeros((2, 5, 3)), ForwardCache(3, 5, 3, 4))
         with pytest.raises(ShapeError, match="cache does not fit"):
-            forward(params, np.zeros((2, 5, 3)), ForwardCache.empty(2, 5, 3, 5))
+            forward(params, np.zeros((2, 5, 3)), ForwardCache(2, 5, 3, 5))
 
 
 def zero_moments(params):
