@@ -297,10 +297,10 @@ def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> np.ndarr
     return grad
 
 
-def clip_gradients(grad: np.ndarray, max_norm: float, scratch: np.ndarray | None = None) -> float:
+def clip_gradients(grad: np.ndarray, max_norm: float, scratch: np.ndarray) -> float:
     """Scale ``grad`` down in place when its L2 norm exceeds the cap; return
     the norm. A numpy sum, not a BLAS dot, so it does not depend on the BLAS
-    thread count. The squares go to ``scratch`` when one is given."""
+    thread count. The squares go to ``scratch``, a vector of grad's size."""
     total = math.sqrt(float(np.sum(np.multiply(grad, grad, out=scratch))))
     if total > max_norm:
         grad *= max_norm / total
@@ -308,20 +308,13 @@ def clip_gradients(grad: np.ndarray, max_norm: float, scratch: np.ndarray | None
 
 
 def adam_step(
-    params: LstmParams,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    t: int,
-    cfg: TrainConfig,
-    scratch: np.ndarray | None = None,
+    params: LstmParams, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, cfg: TrainConfig, scratch: np.ndarray
 ) -> None:
     """Bias-corrected Adam update of ``params.theta`` and the first and
     second moments ``m`` and ``v`` (vectors laid out like ``theta``, zero at
     the start), all in place; t counts from 1. ``scratch``, two vectors of
-    theta's size such as a workspace's ``adam``, takes every temporary;
-    without it the step allocates them."""
-    step, denom = np.empty((2, grad.size)) if scratch is None else scratch
+    theta's size (a workspace's ``adam``), takes every temporary."""
+    step, denom = scratch
     clip_gradients(grad, cfg.clip_norm, step)
     m *= cfg.beta1
     m += np.multiply(1.0 - cfg.beta1, grad, out=step)
@@ -343,7 +336,7 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
     (before that epoch's update reaches the next one). Each batch size (the
     full batches and a short last one) gets one :class:`ForwardCache`,
     which every step of that size reuses for ``forward``, ``backward`` and
-    ``adam_step``, and one buffer that its windows are gathered into. So
+    ``adam_step``; minibatches gather their windows into one buffer. So
     once each batch size has had its first step, a step allocates no array
     longer than the batch.
     """
@@ -357,9 +350,10 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
     step = 0
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
     order = np.arange(n)
-    # One workspace per batch size (the full batches and a short last one),
-    # each with a buffer that a minibatch's windows are gathered into.
+    # One workspace per batch size: the full batches and a short last one.
+    # A minibatch's windows are gathered into the leading rows of one buffer.
     workspaces = {}
+    gathered = np.empty((batch, *X.shape[1:])) if batch < n else None
     for epoch in range(cfg.epochs):
         if batch < n:
             rng.shuffle(order)
@@ -367,13 +361,13 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
         for lo in range(0, n, batch):
             idx = order[lo : lo + batch]
             if idx.size not in workspaces:
-                shape = (idx.size, *X.shape[1:])
-                workspaces[idx.size] = ForwardCache(*shape, cfg.hidden), np.empty(shape)
-            cache, gathered = workspaces[idx.size]
+                workspaces[idx.size] = ForwardCache(idx.size, *X.shape[1:], cfg.hidden)
             # Every index is in range, so mode "clip" changes no value; it
             # only spares ``take`` a buffered copy of ``out``.
-            window, target = (X, y) if batch == n else (np.take(X, idx, axis=0, out=gathered, mode="clip"), y[idx])
-            preds, cache = forward(params, window, cache)
+            window, target = (
+                (X, y) if batch == n else (np.take(X, idx, axis=0, out=gathered[: idx.size], mode="clip"), y[idx])
+            )
+            preds, cache = forward(params, window, workspaces[idx.size])
             with np.errstate(over="ignore", invalid="ignore"):  # a diverged loss is checked below
                 loss = loss_mse(preds, target)
             if not math.isfinite(loss):

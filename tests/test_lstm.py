@@ -251,7 +251,7 @@ class TestBackward:
             "digest = hashlib.sha256(grad.tobytes())\n"
             "cfg = TrainConfig(hidden=32, clip_norm=1e-6)\n"
             "assert np.sqrt(np.sum(grad * grad)) > 100 * cfg.clip_norm\n"
-            "adam_step(params, grad, np.zeros_like(grad), np.zeros_like(grad), 1, cfg)\n"
+            "adam_step(params, grad, np.zeros_like(grad), np.zeros_like(grad), 1, cfg, cache.adam)\n"
             "digest.update(grad.tobytes() + params.theta.tobytes())\n"
             "print(digest.hexdigest())\n"
         )
@@ -341,25 +341,32 @@ class TestWorkspace:
         assert bits(a for _, a in reused.params.tensors()) == bits(a for _, a in fresh.params.tensors())
 
     @pytest.mark.parametrize("batch", [100, None], ids=["minibatch", "fullbatch"])
-    def test_steps_after_the_first_epoch_allocate_less_than_half_an_h_by_n_array(self, batch):
+    def test_steps_after_the_first_epoch_allocate_only_batch_length_vectors(self, batch):
         # Numpy reports its array buffers to tracemalloc. Once every
-        # workspace exists, a step's only arrays are batch-length vectors
-        # (predictions, targets, the loss and dLoss/dprediction), a few KB
-        # here; a per-op (H, n) temporary, a numpy iteration buffer of a
-        # broadcasting ufunc, or a gathered (n, L, F) minibatch is 19-60 KB.
+        # workspace exists, a step's arrays are batch-length vectors: the
+        # predictions (the last step's live until the new ones are bound), a
+        # minibatch's targets, the loss's difference and square, and
+        # dLoss/dprediction with its two intermediates; at most 4 are live at
+        # once. Numpy's ufunc buffers are capped at 64 elements here, so that
+        # the bound counts arrays, not how a numpy version buffers its loops:
+        # at most 3 operands of 512 B. The 4 KB allowance takes them and the
+        # step's Python objects. A per-op (H, n) temporary (256 B a window), a
+        # gathered (n, L, F) minibatch (240 B a window) or a temporary of
+        # theta's size (39 KB) exceeds the bound.
         truth, _ = generate(SynthConfig(seed=3, months=300, provinces=("Alpha",), missing_rate=0.0))
         part, _ = split_train_test(make_windows(truth, "Alpha", WindowSpec(6, "multivariate")), 0.8)
         n = batch or part.samples
         assert part.samples % n != 0 or batch is None  # a short last minibatch
-        per_epoch, calls, before = -(-part.samples // n), [], []
+        per_epoch, calls, before = -(-part.samples // n), [0], []
 
         def adam_step_then_mark(*args):
             adam_step(*args)
-            calls.append(1)
-            if len(calls) == per_epoch:
+            calls[0] += 1
+            if calls[0] == per_epoch:
                 before.append(tracemalloc.get_traced_memory()[0])
                 tracemalloc.reset_peak()
 
+        bufsize = np.setbufsize(64)
         tracemalloc.start()
         try:
             with mock.patch.object(lstm, "adam_step", adam_step_then_mark):
@@ -367,8 +374,9 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(calls) == 5 * per_epoch
-        assert peak - before[0] < 32 * n * 8 / 2
+            np.setbufsize(bufsize)
+        assert calls[0] == 5 * per_epoch
+        assert peak - before[0] < 4 * n * 8 + 4096
 
     def test_cache_of_another_shape_is_refused(self):
         params = init_params(3, 4, np.random.default_rng(0))
@@ -383,6 +391,11 @@ def zero_moments(params):
     return np.zeros_like(params.theta), np.zeros_like(params.theta)
 
 
+def adam_scratch(params):
+    """Two vectors of theta's size for adam_step's temporaries."""
+    return np.empty((2, params.theta.size))
+
+
 class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
         # Closed form: m-hat/sqrt(v-hat) = sign(g) at t=1, so the update is
@@ -393,7 +406,7 @@ class TestAdam:
         grad = np.full_like(params.theta, 0.25)
         clipped_norm = math.sqrt(grad.size * 0.25**2)
         assert clipped_norm < cfg.clip_norm, "test gradient must not trigger clipping"
-        adam_step(params, grad, *zero_moments(params), 1, cfg)
+        adam_step(params, grad, *zero_moments(params), 1, cfg, adam_scratch(params))
         for (_, new), (_, old) in zip(params.tensors(), before.tensors()):
             delta = np.abs(new - old)
             assert np.all(np.abs(delta - cfg.learning_rate) < 1e-7)
@@ -402,7 +415,7 @@ class TestAdam:
         params = init_params(2, 3, np.random.default_rng(17))
         before = copy.deepcopy(params)
         grad = np.zeros_like(params.theta)
-        adam_step(params, grad, *zero_moments(params), 1, TrainConfig(hidden=3))
+        adam_step(params, grad, *zero_moments(params), 1, TrainConfig(hidden=3), adam_scratch(params))
         for (_, new), (_, old) in zip(params.tensors(), before.tensors()):
             assert np.array_equal(new, old)
 
@@ -410,13 +423,13 @@ class TestAdam:
         params = init_params(2, 3, np.random.default_rng(18))
         m, v = np.ones_like(params.theta), np.ones_like(params.theta)
         cfg = TrainConfig(hidden=3)
-        adam_step(params, np.zeros_like(params.theta), m, v, 5, cfg)
+        adam_step(params, np.zeros_like(params.theta), m, v, 5, cfg, adam_scratch(params))
         assert np.all(m == cfg.beta1)
         assert np.all(v == cfg.beta2)
 
     def test_clipping_scales_to_threshold(self):
         grad = np.array([10.0] * 4 + [-10.0] * 2)
-        norm = clip_gradients(grad, 5.0)
+        norm = clip_gradients(grad, 5.0, np.empty(grad.size))
         assert norm == pytest.approx(math.sqrt(600.0))
         new_norm = math.sqrt(float(np.sum(grad**2)))
         assert new_norm == pytest.approx(5.0, abs=1e-12)

@@ -32,8 +32,9 @@ def stepper(n: int, features: int):
     m, v = np.zeros_like(params.theta), np.zeros_like(params.theta)
     cfg = TrainConfig(hidden=HIDDEN)
     _, cache = forward(params, x)
-    # ``train`` hands adam_step the workspace's scratch; a workspace without
-    # one lets adam_step allocate its temporaries.
+    # ``train`` hands adam_step the workspace's scratch. Checkouts from
+    # before the workspace held one have an adam_step that takes none, so
+    # that this script can time them too.
     scratch = (cache.adam,) if hasattr(cache, "adam") else ()
     count = [0]
 
