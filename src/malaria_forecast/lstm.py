@@ -14,8 +14,8 @@ halves the logistic gates' rows exactly, so one tanh serves all four gates.
 Activations are stored batch last in a workspace (:class:`ForwardCache`),
 so each step's gates come from one GEMM ``w @ [1; x_t; h_t]`` and every gate
 block is a contiguous array; the workspace also holds every array that the
-backward pass and Adam write, so a training step runs GEMMs, copies and ufuncs
-into preallocated arrays, apart from its batch-length vectors.
+backward pass writes (``train`` holds Adam's), so a training step runs GEMMs,
+copies and ufuncs into preallocated arrays, apart from its batch-length vectors.
 
 The univariate and multivariate models share every routine here; they differ
 only in the feature width of their windows (1 vs 5).
@@ -33,7 +33,6 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -132,9 +131,9 @@ def init_params(features: int, hidden: int, rng: np.random.Generator) -> LstmPar
 
 class ForwardCache:
     """The workspace of one batch shape, batch last: the activations that
-    ``forward`` keeps for backpropagation through time, and every array
-    that ``forward``, ``backward`` and ``adam_step`` write, so that a
-    training step after the first allocates no array longer than n.
+    ``forward`` keeps for backpropagation through time, and every other
+    array that ``forward`` and ``backward`` write, so that neither allocates
+    an array longer than n on a reused workspace. Adam's arrays are ``train``'s.
 
     Every per-step block is one contiguous (rows, n) array. ``xh[t]`` is the
     gate input of step t, [1 ; x_t ; h_t] with h_t the state before the step:
@@ -148,9 +147,9 @@ class ForwardCache:
       step; ``dh`` and ``dc``, dLoss/dh and dLoss/dc of the step being
       differentiated; ``grad``, the gradient that ``backward`` returns;
     - ``tmp``, an (H, n) buffer for every elementwise temporary of both
-      passes, and ``adam``, two vectors of theta's size for ``adam_step``;
-    - ``forward_steps``, each step's views, built here once, and
-      ``backward_steps``, built at the first ``backward``.
+      passes;
+    - ``forward_steps`` and ``backward_steps``, each step's views for the
+      two passes, built here once.
 
     ``train`` passes one workspace to every step of a batch size.
     """
@@ -168,7 +167,6 @@ class ForwardCache:
         self.dw = np.empty((length, 4 * hidden, width))
         self.w = np.empty((4 * hidden, width))
         self.grad = np.empty(4 * hidden * width + 1 + hidden)
-        self.adam = np.empty((2, self.grad.size))
         self.dh, self.dc, self.tmp = np.empty((3, hidden, n))
         # One tuple of views per step; zip walks each array's first axis.
         c, h = list(self.c), list(self.h)
@@ -178,12 +176,7 @@ class ForwardCache:
                 *_gate_blocks(self.gates), c, c[1:], self.tanh_c, h[1:],
             )
         )
-
-    @cached_property
-    def backward_steps(self) -> list[tuple[np.ndarray, ...]]:
-        """Each step's views for ``backward``, built at its first call, so
-        that a workspace that only runs ``forward`` does not pay for them."""
-        return list(zip(*_gate_blocks(self.gates), self.c, self.tanh_c, self.dz, *_gate_blocks(self.dz)))
+        self.backward_steps = list(zip(*_gate_blocks(self.gates), c, self.tanh_c, self.dz, *_gate_blocks(self.dz)))
 
 
 def _gate_blocks(a: np.ndarray) -> np.ndarray:
@@ -297,25 +290,19 @@ def backward(params: LstmParams, cache: ForwardCache, d_predictions) -> np.ndarr
     return grad
 
 
-def clip_gradients(grad: np.ndarray, max_norm: float, scratch: np.ndarray) -> float:
-    """Scale ``grad`` down in place when its L2 norm exceeds the cap; return
-    the norm. A numpy sum, not a BLAS dot, so it does not depend on the BLAS
-    thread count. The squares go to ``scratch``, a vector of grad's size."""
-    total = math.sqrt(float(np.sum(np.multiply(grad, grad, out=scratch))))
-    if total > max_norm:
-        grad *= max_norm / total
-    return total
-
-
 def adam_step(
     params: LstmParams, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, cfg: TrainConfig, scratch: np.ndarray
-) -> None:
-    """Bias-corrected Adam update of ``params.theta`` and the first and
-    second moments ``m`` and ``v`` (vectors laid out like ``theta``, zero at
-    the start), all in place; t counts from 1. ``scratch``, two vectors of
-    theta's size (a workspace's ``adam``), takes every temporary."""
+) -> float:
+    """Scale ``grad`` down in place to L2 norm ``cfg.clip_norm`` if it is
+    larger, then update ``params.theta`` and the moments ``m`` and ``v``
+    (vectors laid out like ``theta``, zero at the start) by bias-corrected
+    Adam, all in place; t counts from 1. ``scratch``, two vectors of theta's
+    size, takes every temporary. Returns the norm before the clip, a numpy
+    sum (not a BLAS dot, so it does not depend on the BLAS thread count)."""
     step, denom = scratch
-    clip_gradients(grad, cfg.clip_norm, step)
+    norm = math.sqrt(float(np.sum(np.multiply(grad, grad, out=step))))
+    if norm > cfg.clip_norm:
+        grad *= cfg.clip_norm / norm
     m *= cfg.beta1
     m += np.multiply(1.0 - cfg.beta1, grad, out=step)
     v *= cfg.beta2
@@ -327,6 +314,7 @@ def adam_step(
     np.sqrt(denom, out=denom)
     denom += cfg.eps
     params.theta -= np.divide(step, denom, out=step)
+    return norm
 
 
 def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
@@ -335,10 +323,10 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
     The loss history records the mean squared error seen in each epoch
     (before that epoch's update reaches the next one). Each batch size (the
     full batches and a short last one) gets one :class:`ForwardCache`,
-    which every step of that size reuses for ``forward``, ``backward`` and
-    ``adam_step``; minibatches gather their windows into one buffer. So
-    once each batch size has had its first step, a step allocates no array
-    longer than the batch.
+    which every step of that size reuses for ``forward`` and ``backward``;
+    minibatches gather their windows into one buffer, and ``adam_step``
+    reuses one pair of scratch vectors. So once each batch size has had its
+    first step, a step allocates no array longer than the batch.
     """
     X = windows.inputs
     y = windows.targets
@@ -346,6 +334,7 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
     rng = np.random.default_rng(cfg.seed)
     params = init_params(windows.spec.feature_width, cfg.hidden, rng)
     m, v = np.zeros_like(params.theta), np.zeros_like(params.theta)
+    adam_scratch = np.empty((2, params.theta.size))
     history: list[float] = []
     step = 0
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
@@ -374,7 +363,7 @@ def train(windows: WindowedDataset, cfg: TrainConfig) -> TrainedModel:
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             step += 1
             grad = backward(params, cache, 2.0 * (preds - target) / idx.size)
-            adam_step(params, grad, m, v, step, cfg, cache.adam)
+            adam_step(params, grad, m, v, step, cfg, adam_scratch)
             epoch_loss += loss * idx.size
         history.append(epoch_loss / n)
     return TrainedModel(

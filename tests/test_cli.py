@@ -308,16 +308,46 @@ class TestTrainForecastEvaluate:
                     "--epochs", 2, "--hidden", 2, "--out-model", model]) == 0
         assert run(["forecast", "--model", model, "--in", new_csv, "--out", tmp_path / "f.csv"]) == 0
 
-    def test_memory_error_is_one_error_line(self, tmp_path, province_csv, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "hidden, line",
+        [
+            (100000, "error:memory: Unable to allocate 74.5 GiB"),
+            (
+                3000000000,
+                "error:argument: array is too big; `arr.size * arr.dtype.itemsize` is larger than the maximum possible size.",
+            ),
+            (10000000000, "error:argument: Maximum allowed dimension exceeded"),
+        ],
+        ids=["memory", "bytes beyond the 64-bit range", "elements beyond the 64-bit range"],
+    )
+    def test_arrays_too_big_to_allocate_are_one_error_line(
+        self, tmp_path, province_csv, monkeypatch, capsys, hidden, line
+    ):
+        # Numpy refuses the two larger sizes with a ValueError before it
+        # allocates. A size it would try to allocate gets a MemoryError from
+        # init_params in its place, so the test allocates nothing.
         def no_memory(*args):
             raise MemoryError("Unable to allocate 74.5 GiB")
 
-        monkeypatch.setattr(lstm, "init_params", no_memory)
+        if line.startswith("error:memory:"):
+            monkeypatch.setattr(lstm, "init_params", no_memory)
         capsys.readouterr()
         assert run(["train", "--in", province_csv, "--region", "Gitega", "--variant", "univariate",
-                    "--hidden", 100000, "--out-model", tmp_path / "g.model"]) == 1
-        assert capsys.readouterr().err.splitlines()[-1] == "error:memory: Unable to allocate 74.5 GiB"
+                    "--hidden", hidden, "--out-model", tmp_path / "g.model"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == line
         assert list(tmp_path.iterdir()) == []
+
+    def test_exception_of_no_error_category_is_reraised(self, tmp_path, province_csv, monkeypatch, capsys):
+        # A program fault stays a traceback, not an error line.
+        def fault(*args):
+            raise KeyError("fault")
+
+        monkeypatch.setattr(lstm, "train", fault)
+        capsys.readouterr()
+        with pytest.raises(KeyError, match="fault"):
+            run(["train", "--in", province_csv, "--region", "Gitega", "--variant", "univariate",
+                 "--out-model", tmp_path / "g.model"])
+        assert not any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
 
     @settings(max_examples=20, deadline=None)
     @given(st.data(), st.integers(0, 6), st.integers(0, 2**53))

@@ -29,7 +29,6 @@ from malaria_forecast.lstm import (
     TrainedModel,
     adam_step,
     backward,
-    clip_gradients,
     forecast_test_horizon,
     forward,
     gradient_check,
@@ -251,7 +250,7 @@ class TestBackward:
             "digest = hashlib.sha256(grad.tobytes())\n"
             "cfg = TrainConfig(hidden=32, clip_norm=1e-6)\n"
             "assert np.sqrt(np.sum(grad * grad)) > 100 * cfg.clip_norm\n"
-            "adam_step(params, grad, np.zeros_like(grad), np.zeros_like(grad), 1, cfg, cache.adam)\n"
+            "adam_step(params, grad, np.zeros_like(grad), np.zeros_like(grad), 1, cfg, np.empty((2, grad.size)))\n"
             "digest.update(grad.tobytes() + params.theta.tobytes())\n"
             "print(digest.hexdigest())\n"
         )
@@ -428,9 +427,10 @@ class TestAdam:
         assert np.all(v == cfg.beta2)
 
     def test_clipping_scales_to_threshold(self):
-        grad = np.array([10.0] * 4 + [-10.0] * 2)
-        norm = clip_gradients(grad, 5.0, np.empty(grad.size))
-        assert norm == pytest.approx(math.sqrt(600.0))
+        params = init_params(1, 1, np.random.default_rng(19))
+        grad = np.where(np.arange(params.theta.size) % 3, 10.0, -10.0)
+        norm = adam_step(params, grad, *zero_moments(params), 1, TrainConfig(hidden=1), adam_scratch(params))
+        assert norm == pytest.approx(math.sqrt(100.0 * grad.size))
         new_norm = math.sqrt(float(np.sum(grad**2)))
         assert new_norm == pytest.approx(5.0, abs=1e-12)
 

@@ -6,7 +6,8 @@ gate views with ``reshape``, the gradient is a fresh ``concatenate``, and
 the backward loop also runs the recurrent GEMM and ``dc *= f`` at t = 0,
 back into the zero initial state. Every operation of the step under test
 has the same operands in the same order, so predictions, every workspace
-array, the gradient and Adam's theta, m and v must match bit for bit.
+array, the gradient, its norm before the clip and Adam's theta, m and v
+must match bit for bit.
 """
 
 import math
@@ -166,6 +167,7 @@ def test_step_is_bit_identical_to_the_allocating_reference(problem):
     y = offset + rng.uniform(-1.0, 1.0, size=n)
     cfg = TrainConfig(hidden=hidden)
     m, v = np.zeros_like(params.theta), np.zeros_like(params.theta)
+    scratch = np.empty((2, params.theta.size))  # reused by every step, as in ``train``
     ref_m, ref_v = np.zeros_like(m), np.zeros_like(v)
     # The first full batch, then the last batch, which is short unless
     # ``batch`` divides n, then both again on their reused workspaces.
@@ -185,9 +187,11 @@ def test_step_is_bit_identical_to_the_allocating_reference(problem):
         assert bits(grad) == bits(ref_grad)
         for name in ARRAYS:
             assert bits(getattr(workspaces[size], name)) == bits(getattr(ref_cache, name)), name
-        clipped.append(math.sqrt(float(np.sum(grad * grad))) > cfg.clip_norm)
-        adam_step(params, grad, m, v, step, cfg, workspaces[size].adam)
+        ref_norm = math.sqrt(float(np.sum(ref_grad * ref_grad)))
+        clipped.append(ref_norm > cfg.clip_norm)
+        norm = adam_step(params, grad, m, v, step, cfg, scratch)
         ref_adam_step(ref_params, ref_grad, ref_m, ref_v, step, cfg)
+        assert norm.hex() == ref_norm.hex()
         assert bits(grad) == bits(ref_grad)
         for got, expected in ((params.theta, ref_params.theta), (m, ref_m), (v, ref_v)):
             assert bits(got) == bits(expected)

@@ -22,7 +22,6 @@ SRC = ROOT / "src" / "malaria_forecast"
 REASONS = {
     ("parallel.py", "except AttributeError:"): "only on an OS without sched_getaffinity",
     ("parallel.py", "return os.cpu_count() or 1"): "only on an OS without sched_getaffinity",
-    ("cli.py", "raise"): "re-raises an exception of no error category, so a program fault stays a traceback",
 }
 # The sitecustomize body, after a line that sets SRC and OUT.
 HOOK = """import atexit, os, sys
