@@ -14,13 +14,13 @@ checks first, so that an error names the file line; :func:`write_csv` writes
 the arrays back byte for byte (``repr`` floats, an empty cell for NaN).
 
 Files are opened here only: :func:`read_text` reads every input and
-:func:`atomic_write` writes every artifact (temp file + rename, UTF-8, no
-newline translation). Beside them, :func:`read_table` reads every CSV input
-(dataset, map, forecast): it checks the header and record widths and parses
-every cell by the kind its column has in the one table ``_KINDS``;
-:func:`read_kv` reads every ``key = value`` input (config and model files).
-Their errors start ``<source> line <n>:``. :func:`write_table` ends CSV rows
-in CRLF.
+:func:`atomic_write` writes every artifact (a temp file that ``open`` creates
+with O_EXCL, then a rename; UTF-8, no newline translation). Beside them,
+:func:`read_table` reads every CSV input (dataset, map, forecast): it checks
+the header and record widths and parses every cell by the kind its column
+has in the one table ``_KINDS``; :func:`read_kv` reads every ``key = value``
+input (config and model files). Their errors start ``<source> line <n>:``.
+:func:`write_table` ends CSV rows in CRLF.
 
 Burundi's 18 former provinces were regrouped into 5 (Bujumbura, Gitega,
 Buhumuza, Butanyerera, Burunga). Aggregation sums the population and case
@@ -44,7 +44,6 @@ import csv
 import io
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -229,16 +228,15 @@ def read_text(path, error=DataError) -> str:
 
 
 def atomic_write(path, text: str) -> None:
-    """Write ``text`` as UTF-8, untranslated, to a new uniquely named file
-    beside ``path`` with the mode ``open`` would give, then rename it over
-    ``path``. On failure the target is unchanged and the temp file removed."""
+    """Write ``text`` as UTF-8, untranslated, to ``.<name>.<16 random hex>.tmp``
+    beside ``path``, which ``open`` creates with O_EXCL and the mode it gives
+    any new file, then rename it over ``path``. If the write or the rename
+    fails, the target is unchanged and the temp file removed."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
     try:
-        with open(fd, "wb") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes the file private
+        with fh:
             fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
@@ -393,11 +391,11 @@ def read_map_csv(path) -> dict[str, str]:
     return mapping
 
 
-def _sums(dataset: Dataset, names: list[str], counts, groups: list[list[int]]) -> list[np.ndarray]:
-    """Each of ``counts`` (arrays with a row per province of ``dataset``)
-    summed over each group's member rows, added in the given order. DataError
-    for the first sum that breaks a count rule of :func:`_violations`."""
-    sums = [np.array([array[idx].sum(axis=0) for idx in groups]) for array in counts]
+def _sums(dataset: Dataset, names: list[str], groups: list[list[int]]) -> list[np.ndarray]:
+    """``dataset``'s population and cases summed over each group's member
+    rows, added in the given order. DataError for the first sum that breaks a
+    count rule of :func:`_violations`, population before cases."""
+    sums = [np.array([array[idx].sum(axis=0) for idx in groups]) for array in (dataset.population, dataset.cases)]
     # Zero climate passes every climate rule, so only the count rules judge.
     for bad, values, rule in _violations(np.zeros((*sums[0].shape, 3)), *sums):
         if bad.any():
@@ -420,7 +418,7 @@ def _regroup(dataset: Dataset, names: list[str], groups: list[list[int]]) -> Dat
         names,
         dataset.start,
         [dataset.climate[idx].sum(axis=0) / len(idx) for idx in groups],
-        *_sums(dataset, names, (dataset.population, dataset.cases), groups),
+        *_sums(dataset, names, groups),
     )
 
 
@@ -441,13 +439,13 @@ def _groups(provinces: list[str], redistricting: Mapping[str, str]) -> tuple[lis
 
 
 def check_regrouping(dataset: Dataset, redistricting: Mapping[str, str]) -> None:
-    """Raise the first error that :func:`aggregate_provinces` and then
-    :func:`to_country_level` would raise on ``dataset``'s provinces and counts:
-    the coverage errors of ``redistricting``, then a regional count sum, then
-    a national one, that breaks a count rule. Climate is not read."""
-    names, groups = _groups(dataset.provinces, redistricting)
-    regional = _sums(dataset, names, (dataset.population, dataset.cases), groups)
-    _sums(dataset, [COUNTRY_NAME], regional, [list(range(len(names)))])
+    """Raise the first error of :func:`aggregate_provinces` and then
+    :func:`to_country_level` run on ``dataset``'s counts with zero climate: an
+    unmapped province, a missing mapped province, then a regional, then a
+    national count sum that breaks a count rule."""
+    zero = np.zeros((*dataset.cases.shape, 3))
+    counts = Dataset(dataset.provinces, dataset.start, zero, dataset.population, dataset.cases)
+    to_country_level(aggregate_provinces(counts, redistricting))
 
 
 def aggregate_provinces(dataset: Dataset, redistricting: Mapping[str, str]) -> Dataset:

@@ -1038,6 +1038,32 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines() == [f"aggregate: level={level}", *expected]
         assert not (tmp_path / "agg.csv").exists()
 
+    @pytest.mark.parametrize("fault", ["population sum", "extra mapped province"])
+    def test_regrouping_guard_refuses_before_anything_is_written(self, tmp_path, capsys, fault):
+        truth, masked = tmp_path / "truth.csv", tmp_path / "masked.csv"
+        assert run(["synth", "--seed", 1, "--months", 120, "--out-truth", truth, "--out-masked", masked]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        args = ["pipeline", "--seed", 1, "--input_csv", truth, "--out_dir", out]
+        if fault == "population sum":
+            # Bujumbura's four members sum past 2**53 in both counts; the
+            # population sum is judged first.
+            count = 2**51 + 1
+            header, *rows = csv.reader(truth.read_text().splitlines())
+            with truth.open("w", newline="") as fh:
+                csv.writer(fh).writerows([header, *(row[:-2] + [count, count] for row in rows)])
+            expected = (f"error:data: Bujumbura 2010-01: population must be <= 2**53, got {4 * count}, "
+                        "a sum of member provinces")
+        else:
+            map_csv = tmp_path / "map.csv"
+            rows = sorted(data_model.BURUNDI_REDISTRICTING.items()) + [("Atlantis", "Gitega")]
+            map_csv.write_text("old_province,new_province\n" + "".join(f"{old},{new}\n" for old, new in rows))
+            args += ["--map_csv", map_csv]
+            expected = "error:data: dataset is missing mapped province 'Atlantis'"
+        assert run(args) == 1
+        assert capsys.readouterr().err.splitlines() == [expected]
+        assert not out.exists()
+
     def test_rerun_from_its_own_run_config(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
         assert run(["pipeline", "--seed", 21, "--out_dir", first] + SMALL_PIPELINE) == 0
@@ -1234,7 +1260,8 @@ class TestAtomicWrite:
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
 
-    def test_temp_names_are_unique_and_modes_normal(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_temp_names_are_unique_and_modes_normal(self, tmp_path, monkeypatch, umask):
         target = tmp_path / "out.txt"
         seen = []
         rename = os.replace
@@ -1245,14 +1272,34 @@ class TestAtomicWrite:
                 data_model.atomic_write(target, "2\n")
             rename(tmp, dst)
 
-        monkeypatch.setattr(os, "replace", replace)
-        data_model.atomic_write(target, "1\n")
+        def no_umask(mask):
+            raise AssertionError("atomic_write must not set the process umask")
+
+        before = os.umask(umask)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", replace)
+                patch.setattr(os, "umask", no_umask)
+                data_model.atomic_write(target, "1\n")
+            reference = tmp_path / "ref.txt"
+            reference.write_text("x")
+        finally:
+            os.umask(before)
         assert seen[0] != seen[1] and seen[0].parent == tmp_path
         assert target.read_text() == "1\n"
-        assert list(tmp_path.iterdir()) == [target]
-        reference = tmp_path / "ref.txt"
-        reference.write_text("x")
-        assert target.stat().st_mode == reference.stat().st_mode
+        assert sorted(tmp_path.iterdir()) == [target, reference]
+        assert target.stat().st_mode == reference.stat().st_mode == 0o100666 & ~umask
+
+    def test_temp_name_of_another_writer_is_left_alone(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(range(n)))
+        theirs = tmp_path / ".out.txt.0001020304050607.tmp"
+        theirs.write_text("theirs\n")
+        with pytest.raises(FileExistsError):
+            data_model.atomic_write(target, "new\n")
+        assert target.read_text() == "old\n" and theirs.read_text() == "theirs\n"
+        assert sorted(tmp_path.iterdir()) == [theirs, target]
 
     def test_direct_writer_calls_are_atomic(self, tmp_path, monkeypatch):
         series = sinusoid_series(n=40)
@@ -1315,7 +1362,7 @@ class TestAtomicWrite:
         for path in Path(data_model.__file__).parent.glob("*.py"):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
         assert {owner for owner, _ in found} == {"data_model.atomic_write", "data_model.read_text"}
-        assert {name for _, name in found} == {"open", "mkstemp", "read_bytes"}
+        assert {name for _, name in found} == {"open", "read_bytes"}
 
 
 def test_src_defines_no_name_that_src_does_not_read():
